@@ -16,14 +16,13 @@ from symsu import (
     exp_generator,
     group_from_spec,
     is_invariant,
-    permutation_to_matrix,
     preset_group,
     symmetry_defect,
 )
 
 print("the swap of two wires as a matrix")
 swap01 = QubitPermutation.transposition(2, 0, 1)
-print(permutation_to_matrix(swap01).real)
+print(swap01.to_matrix().real)
 
 print("\nfull_swap preset closes all transpositions into the symmetric group")
 for n in (2, 3, 4):

@@ -38,7 +38,6 @@ from .errors import (
 from .paulis import (
     PauliString,
     PauliSum,
-    canonicalize,
     pauli_commutator,
     pauli_multiply,
     pauli_to_matrix,
@@ -57,7 +56,6 @@ from .symmetry import (
     group_from_spec,
     is_invariant,
     load_group,
-    permutation_to_matrix,
     preset_group,
     symmetry_defect,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "UnsupportedSymmetryError",
     "build_basis",
     "burnside_dimension",
-    "canonicalize",
     "circuit_to_matrix",
     "closure_report",
     "compose",
@@ -120,7 +117,6 @@ __all__ = [
     "pauli_orbit",
     "pauli_to_matrix",
     "paulis_commute",
-    "permutation_to_matrix",
     "preset_group",
     "project_to_su",
     "random_invariant",

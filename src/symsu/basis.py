@@ -15,27 +15,59 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from .paulis import PauliString, PauliSum, sum_commutator
-from .symmetry import SymmetryGroup, conjugate_pauli
+from .symmetry import SymmetryGroup
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
 
 
-def _permutations_of(group: SymmetryGroup):
+def _permutations_of(group: SymmetryGroup, members) -> list:
+    """Wire permutations of members of a permutation group.
+
+    Groups with a raw-unitary element are refused.  A raw generator can
+    still occur in a permutation group, when it equals one of the group's
+    permutations up to phase; it is skipped, since it moves no string.
+    """
     non_perm = [e for e in group.elements if not e.is_permutation]
     if non_perm:
         raise UnsupportedSymmetryError(
             "orbit symmetrization supports qubit-permutation groups only; "
             f"group contains {len(non_perm)} raw unitary element(s)"
         )
-    return [e.perm for e in group.elements]
+    return [e.perm for e in members if e.is_permutation]
+
+
+def _orbit(z: int, x: int, moves) -> set:
+    """Orbit of the mask pair (z, x) by breadth-first search over the
+    generators, each given as its mask map (mask -> permuted mask).
+
+    The group is finite, so every inverse is a power of a generator and
+    the generators alone reach the whole group orbit.
+    """
+    seen = {(z, x)}
+    frontier = [(z, x)]
+    while frontier:
+        nxt = []
+        for mz, mx in frontier:
+            for move in moves:
+                q = (move(mz), move(mx))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
 
 
 def pauli_orbit(s: PauliString, group: SymmetryGroup) -> frozenset:
-    """Orbit of a string under conjugation by every group element."""
+    """Orbit of a string under conjugation by the group, phase kept.
+
+    Found from the generators alone; no group element is enumerated.
+    """
     if s.n != group.n:
         raise DimensionError(f"string on {s.n} qubits, group on {group.n}")
-    return frozenset(conjugate_pauli(p, s) for p in _permutations_of(group))
+    moves = [p.permute_mask for p in _permutations_of(group, group.generators)]
+    return frozenset(PauliString(s.n, x, z, s.phase_exp)
+                     for z, x in _orbit(s.z_mask, s.x_mask, moves))
 
 
 def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
@@ -66,29 +98,21 @@ class InvariantBasis:
         return f"InvariantBasis(n={self.n}, group={self.group.name!r}, dim={len(self)})"
 
 
-def _mask_tables(n: int, perms) -> list[np.ndarray]:
-    """Per-element lookup table mask -> permuted mask over all 2^n masks."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    tables = []
-    for p in perms:
-        out = np.zeros_like(masks)
-        for i in range(n):
-            out |= ((masks >> i) & 1) << p.image[i]
-        tables.append(out)
-    return tables
-
-
 def build_basis(n: int, group: SymmetryGroup,
                 max_qubits: int = DEFAULT_ENUMERATION_CAP) -> InvariantBasis:
-    """Enumerate all 4^n strings, orbit by orbit, in (z_mask, x_mask) order."""
+    """Enumerate all 4^n strings, orbit by orbit, in (z_mask, x_mask) order.
+
+    Each orbit is found from the generators' mask tables, so the group
+    elements are never enumerated.
+    """
     if group.n != n:
         raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
     if n > max_qubits:
         raise CapacityError(
             f"enumerating 4^{n} strings exceeds the cap of {max_qubits} qubits"
         )
-    perms = _permutations_of(group)
-    tables = _mask_tables(n, perms)
+    moves = [p.basis_permutation().tolist().__getitem__
+             for p in _permutations_of(group, group.generators)]
     size = 1 << n
     visited = np.zeros((size, size), dtype=bool)
     visited[0, 0] = True  # identity orbit is excluded
@@ -98,10 +122,9 @@ def build_basis(n: int, group: SymmetryGroup,
         for x in range(size):
             if visited[z, x]:
                 continue
-            members = {(int(t[z]), int(t[x])) for t in tables}
             index = len(elements)
             strings = []
-            for mz, mx in members:
+            for mz, mx in _orbit(z, x, moves):
                 visited[mz, mx] = True
                 p = PauliString(n, mx, mz)
                 orbit_index[p] = index
@@ -116,7 +139,7 @@ def burnside_dimension(n: int, group: SymmetryGroup) -> int:
     Independent of orbit enumeration, so the two routes cross-check each
     other.
     """
-    perms = _permutations_of(group)
+    perms = _permutations_of(group, group.elements)
     total = sum(4 ** p.cycle_count() for p in perms)
     if total % len(perms) != 0:
         raise ArithmeticError("orbit-count average is not an integer; group not closed?")

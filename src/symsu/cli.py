@@ -69,7 +69,14 @@ def _csv_header(args, command: str) -> list[str]:
     return [f"# symsu {command} {stamp}"]
 
 
+def _at_least(value: int, low: int, flag: str):
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def _resolve_group(symmetry: str, n: int | None) -> SymmetryGroup:
+    if n is not None:
+        _at_least(n, 1, "--n")
     if symmetry in PRESETS:
         if n is None:
             raise ValueError(f"preset {symmetry!r} needs --n")
@@ -158,6 +165,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_path(args) -> int:
+    _at_least(args.samples, 1, "--samples")
     m = load_matrix(args.matrix)
     u = Unitary(m)  # non-unitary input is a usage error for path sampling
     n = u.n
@@ -190,6 +198,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_random(args) -> int:
+    _at_least(args.depth, 0, "--depth")
     group = _resolve_group(args.symmetry, args.n)
     u = random_invariant(group.n, group, args.seed, args.depth)
     _emit(json.dumps(matrix_to_pairs(u.matrix)), _resolve_out(args.out))
@@ -197,10 +206,12 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("pairs", "paths", "depth"):
+        _at_least(getattr(args, flag), 0, "--" + flag)
     group = _resolve_group(args.symmetry, args.n)
     basis = build_basis(group.n, group)
     tol = args.tol
-    results: list[tuple[str, bool, str]] = []
+    results: list[tuple[str, int, bool, str]] = []  # name, samples, passed, detail
 
     # Products of invariant unitaries stay invariant.
     worst = 0.0
@@ -214,11 +225,11 @@ def cmd_verify(args) -> int:
         flag, defect = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
         ok = ok and flag
         worst = max(worst, defect)
-    results.append(("composition", ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
+    results.append(("composition", args.pairs, ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
 
     # Pairwise commutators stay inside the span.
     report = closure_report(basis, tol)
-    results.append(("closure", report.passed,
+    results.append(("closure", report.pair_count, report.passed,
                     f"pairs={report.pair_count} max_residual={report.max_residual:.3e} tol={tol:.1e}"))
 
     # Exponentials of symmetrized generators land in the invariant group.
@@ -230,7 +241,7 @@ def cmd_verify(args) -> int:
         flag, defect = is_invariant(exp_generator(element, alpha).matrix, group, tol)
         ok = ok and flag
         worst = max(worst, defect)
-    results.append(("exp_invariance", ok,
+    results.append(("exp_invariance", len(basis), ok,
                     f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}"))
 
     # The eigenphase path stays invariant and hits both endpoints.
@@ -248,16 +259,23 @@ def cmd_verify(args) -> int:
             worst = max(worst, defect)
         proj = project_to_su(u)
         ok = ok and abs(np.linalg.det(proj.matrix) - 1) < 1e-10
-    results.append(("path", ok, f"paths={args.paths} max_defect={worst:.3e} tol=1.0e-08"))
+    results.append(("path", args.paths, ok, f"paths={args.paths} max_defect={worst:.3e} tol=1.0e-08"))
 
-    width = max(len(name) for name, _, _ in results)
-    out_lines = []
-    for name, passed, detail in results:
-        out_lines.append(f"{name.ljust(width)}  {'PASS' if passed else 'FAIL'}  {detail}")
-    all_ok = all(passed for _, passed, _ in results)
-    out_lines.append("verify: all suites passed" if all_ok else "verify: FAILURES present")
+    # A suite that checked nothing is reported as skipped, not as passed.
+    verdicts = [(name, "SKIP" if samples == 0 else "PASS" if passed else "FAIL", detail)
+                for name, samples, passed, detail in results]
+    width = max(len(name) for name, _, _ in verdicts)
+    out_lines = [f"{name.ljust(width)}  {verdict}  {detail}" for name, verdict, detail in verdicts]
+    failed = any(verdict == "FAIL" for _, verdict, _ in verdicts)
+    skipped = [name for name, verdict, _ in verdicts if verdict == "SKIP"]
+    if failed:
+        out_lines.append("verify: FAILURES present")
+    elif skipped:
+        out_lines.append(f"verify: no failures; skipped with no samples: {', '.join(skipped)}")
+    else:
+        out_lines.append("verify: all suites passed")
     _emit("\n".join(out_lines), _resolve_out(args.out))
-    return 0 if all_ok else 1
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -267,14 +267,6 @@ def _parse_term(chunk: str) -> tuple[PauliString, complex]:
     return PauliString.from_label(m.group(3)), complex(float(m.group(1)), float(m.group(2)))
 
 
-def canonicalize(s: PauliSum) -> PauliSum:
-    """Re-fold phases, merge duplicates, drop zeros, restore sorted order.
-
-    Sums are canonicalized on construction, so this is idempotent.
-    """
-    return PauliSum(s.n, s.terms)
-
-
 def pauli_commutator(a: PauliString, b: PauliString) -> PauliSum:
     """Commutator a*b - b*a as a sum: empty, or one term 2*(phase of ab)."""
     if a.n != b.n:

@@ -19,10 +19,6 @@ from .errors import DimensionError, GroupClosureError, NotUnitaryError
 from .paulis import PauliString
 from .serialize import matrix_from_pairs, matrix_to_pairs
 
-# Raw-unitary group elements are considered equal when they match up to a
-# global phase within this tolerance.
-PHASE_DEDUP_TOL = 1e-9
-
 RAW_UNITARITY_TOL = 1e-10
 
 DEFAULT_CLOSURE_CAP = 10_000
@@ -89,11 +85,11 @@ class QubitPermutation:
         return out
 
     def basis_permutation(self) -> np.ndarray:
-        """Array s with S|b> = |s(b)| for every basis index b."""
-        dim = 1 << self.n
-        s = np.zeros(dim, dtype=np.int64)
-        for idx in range(dim):
-            s[idx] = self.permute_mask(idx)
+        """Array s with S|b> = |s(b)> for every basis index b (permute_mask on all masks)."""
+        masks = np.arange(1 << self.n, dtype=np.int64)
+        s = np.zeros_like(masks)
+        for i, dest in enumerate(self.image):
+            s |= ((masks >> i) & 1) << dest
         return s
 
     def to_matrix(self) -> np.ndarray:
@@ -102,11 +98,6 @@ class QubitPermutation:
         m = np.zeros((dim, dim), dtype=complex)
         m[s, np.arange(dim)] = 1.0
         return m
-
-
-def permutation_to_matrix(p: QubitPermutation) -> np.ndarray:
-    """Basis-permutation matrix of a wire relabeling (real 0/1 entries)."""
-    return p.to_matrix()
 
 
 class SymmetryElement:
@@ -184,8 +175,7 @@ class SymmetryElement:
         m = self.to_matrix()
         flat = m.ravel()
         # Every unitary row has an entry of magnitude >= 1/sqrt(dim).
-        pivots = np.flatnonzero(np.abs(flat) > 1e-6)
-        pivot = flat[pivots[0]]
+        pivot = flat[(abs(flat) > 1e-6).argmax()]
         return m * (abs(pivot) / pivot)
 
     def __repr__(self) -> str:
@@ -225,100 +215,70 @@ class SymmetryGroup:
 
     def validate(self):
         """Re-verify that the element set is a group: identity, inverses,
-        and closure under composition.  Quadratic in the group order, so
-        meant for small groups and tests; `generate_group` output is
-        closed by construction."""
-        if self.is_permutation_group:
-            images = {p.image for p in self.permutations()}
-            if tuple(range(self.n)) not in images:
-                raise GroupClosureError("identity element missing")
-            for a in self.permutations():
-                if a.inverse().image not in images:
-                    raise GroupClosureError(f"inverse of {a.image} missing")
-                for b in self.permutations():
-                    if a.compose(b).image not in images:
-                        raise GroupClosureError(f"product {a.image} * {b.image} missing")
-            return
-        normals = [e.phase_normalized() for e in self.elements]
-
-        def present(candidate: SymmetryElement) -> bool:
-            cm = candidate.phase_normalized()
-            return any(np.allclose(cm, m, atol=PHASE_DEDUP_TOL) for m in normals)
-
-        if not present(SymmetryElement.identity(self.n)):
+        and closure under composition, with elements equal up to a global
+        phase (`_phase_key`).  Quadratic in the group order, so meant for
+        small groups and tests; `generate_group` output is closed by
+        construction."""
+        keys = {_phase_key(e) for e in self.elements}
+        if _phase_key(SymmetryElement.identity(self.n)) not in keys:
             raise GroupClosureError("identity element missing")
         for a in self.elements:
-            if not present(a.inverse()):
-                raise GroupClosureError("an inverse is missing")
+            if _phase_key(a.inverse()) not in keys:
+                raise GroupClosureError(f"inverse of {a!r} missing")
             for b in self.elements:
-                if not present(a.compose(b)):
-                    raise GroupClosureError("a product is missing")
+                if _phase_key(a.compose(b)) not in keys:
+                    raise GroupClosureError(f"product {a!r} * {b!r} missing")
 
     def __repr__(self) -> str:
         return f"SymmetryGroup(n={self.n}, name={self.name!r}, size={len(self)})"
+
+
+def _phase_key(element: SymmetryElement) -> bytes:
+    """Hashable identity of an element up to global phase: the bytes of its
+    phase-normalized matrix rounded to 9 decimals, with -0.0 folded to 0.0."""
+    return (element.phase_normalized().view(np.float64).round(9) + 0.0).tobytes()
+
+
+def _close(identity, generators, key, cap: int) -> list:
+    """Breadth-first closure of the generators under left composition,
+    one element per key, in discovery order."""
+    known = {key(identity): identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in generators:
+                q = g.compose(e)
+                k = key(q)
+                if k not in known:
+                    if len(known) >= cap:
+                        raise GroupClosureError(f"group not finite at this cap ({cap} elements)")
+                    known[k] = q
+                    nxt.append(q)
+        frontier = nxt
+    return list(known.values())
 
 
 def generate_group(n: int, generators, cap: int = DEFAULT_CLOSURE_CAP,
                    name: str = "custom") -> SymmetryGroup:
     """Breadth-first closure of the generators under composition.
 
-    Permutations are deduplicated exactly; raw unitaries up to a global
-    phase.  All generators are invertible, so closing under products alone
-    also yields every inverse and the identity.
+    Permutations are deduplicated exactly by their image and sorted; any
+    group with a raw unitary is deduplicated up to a global phase by
+    `_phase_key`, identity included.  All generators are invertible, so
+    closing under products alone also yields every inverse and the identity.
     """
     gens = [_coerce_element(g) for g in generators]
     for g in gens:
         if g.n != n:
             raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
     if all(g.is_permutation for g in gens):
-        element_perms = _close_permutations(n, [g.perm for g in gens], cap)
-        elements = [SymmetryElement.from_permutation(p) for p in element_perms]
+        perms = _close(QubitPermutation.identity(n), [g.perm for g in gens],
+                       lambda p: p.image, cap)
+        elements = [SymmetryElement.from_permutation(p) for p in sorted(perms)]
     else:
-        elements = _close_mixed(n, gens, cap)
+        elements = _close(SymmetryElement.identity(n), gens, _phase_key, cap)
     return SymmetryGroup(n, gens, elements, name=name)
-
-
-def _close_permutations(n: int, gens, cap: int) -> list[QubitPermutation]:
-    identity = QubitPermutation.identity(n)
-    known = {identity.image: identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g.compose(p)
-                if q.image not in known:
-                    if len(known) >= cap:
-                        raise GroupClosureError(f"group not finite at this cap ({cap} elements)")
-                    known[q.image] = q
-                    nxt.append(q)
-        frontier = nxt
-    return sorted(known.values())
-
-
-def _close_mixed(n: int, gens, cap: int) -> list[SymmetryElement]:
-    identity = SymmetryElement.identity(n)
-    elements = [identity]
-    normals = [identity.phase_normalized()]
-
-    def find(candidate: SymmetryElement) -> bool:
-        cm = candidate.phase_normalized()
-        return any(np.allclose(cm, m, atol=PHASE_DEDUP_TOL) for m in normals)
-
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                q = g.compose(e)
-                if not find(q):
-                    if len(elements) >= cap:
-                        raise GroupClosureError(f"group not finite at this cap ({cap} elements)")
-                    elements.append(q)
-                    normals.append(q.phase_normalized())
-                    nxt.append(q)
-        frontier = nxt
-    return elements
 
 
 def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
@@ -432,9 +392,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup
         raise ValueError(f"symmetry spec needs an integer 'n': {exc}") from exc
     raw = spec.get("generators", [])
     if isinstance(raw, str):
-        if raw not in PRESETS:
-            raise ValueError(f"unknown symmetry preset {raw!r}; known: {sorted(PRESETS)}")
-        return generate_group(n, PRESETS[raw](n), cap=cap, name=raw)
+        return preset_group(raw, n, cap=cap)
     gens = []
     for entry in raw:
         if "perm" in entry:

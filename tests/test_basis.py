@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsu import (
     CapacityError,
     PauliString,
     PauliSum,
+    QubitPermutation,
     SymmetryElement,
     build_basis,
     burnside_dimension,
@@ -72,6 +75,37 @@ class TestOrbits:
             pauli_orbit(P("XI"), g)
         with pytest.raises(UnsupportedSymmetryError):
             burnside_dimension(2, g)
+        with pytest.raises(UnsupportedSymmetryError):
+            build_basis(2, g)
+
+
+# A qubit count n <= 5 with up to three random wire permutations as generators.
+permutation_generator_sets = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
+
+
+class TestOrbitEngineProperties:
+    """The generator-driven orbit engine against the element-wise oracle:
+    conjugating by every element of the closed group."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(permutation_generator_sets, st.integers(0, 3))
+    def test_orbits_match_element_oracle(self, case, phase_exp):
+        n, images = case
+        group = generate_group(n, [QubitPermutation(n, tuple(im)) for im in images])
+        strings = [PauliString(n, x, z, phase_exp)
+                   for z in range(1 << n) for x in range(1 << n) if z or x]
+        oracle = {s: frozenset(conjugate_pauli(e.perm, s) for e in group.elements)
+                  for s in strings}
+        basis = build_basis(n, group)
+        found = [basis.orbit_members(i) for i in range(len(basis))]
+        members = [p for orbit in found for p in orbit]
+        assert len(members) == len(set(members)) == 4 ** n - 1
+        assert {frozenset(orbit) for orbit in found} == {
+            frozenset(p.phase_free() for p in orbit) for orbit in oracle.values()}
+        assert len(basis) == burnside_dimension(n, group)
+        for s in strings:
+            assert pauli_orbit(s, group) == oracle[s]
 
 
 class TestSymmetrize:

@@ -26,6 +26,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_rejected(capsys, *argv):
+    """Exit 2, nothing on stdout, and a one-line error on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBasisCommand:
     def test_two_qubit_listing(self, capsys):
         code, out, _ = run(capsys, "basis", "--n", "2", "--symmetry", "full_swap")
@@ -55,6 +62,9 @@ class TestBasisCommand:
         for line in out.strip().splitlines()[:-1]:
             assert len(PauliSum.from_line(line)) >= 1
 
+    def test_zero_qubits_rejected(self, capsys):
+        assert_rejected(capsys, "basis", "--n", "0", "--symmetry", "full_swap")
+
 
 class TestDimCommand:
     def test_swap_table(self, capsys):
@@ -72,6 +82,12 @@ class TestDimCommand:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "dim", "--n", "two", "--symmetry", "full_swap")
         assert code == 2 and "error" in err
+
+    def test_zero_qubits_rejected(self, capsys):
+        assert_rejected(capsys, "dim", "--n", "0", "--symmetry", "full_swap")
+
+    def test_negative_qubits_rejected(self, capsys):
+        assert_rejected(capsys, "dim", "--n", "-1", "--symmetry", "full_swap")
 
 
 class TestCheckCommand:
@@ -164,6 +180,16 @@ class TestPathCommand:
         end_defect = float(path_out.strip().splitlines()[-1].split(",")[1])
         assert end_defect == pytest.approx(check_defect, abs=1e-12)
 
+    def test_zero_samples_rejected(self, capsys, tmp_path):
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(4))
+        assert_rejected(capsys, "path", str(path), "--symmetry", "full_swap", "--samples", "0")
+
+    def test_negative_samples_rejected(self, capsys, tmp_path):
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(4))
+        assert_rejected(capsys, "path", str(path), "--symmetry", "full_swap", "--samples", "-2")
+
 
 class TestSynthCommand:
     def test_single_string(self, capsys):
@@ -216,6 +242,9 @@ class TestRandomCommand:
             "--seed", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_depth_rejected(self, capsys):
+        assert_rejected(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--depth", "-1")
+
 
 class TestVerifyCommand:
     def test_two_qubit_swap_passes(self, capsys):
@@ -234,6 +263,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "4", "--symmetry", "dihedral",
                            "--pairs", "3", "--paths", "2", "--depth", "4")
         assert code == 0 and out.count("PASS") == 4
+
+    def test_zero_sample_suites_skipped(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "2", "--symmetry", "full_swap",
+                           "--pairs", "0", "--paths", "0")
+        verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()[:-1]}
+        assert code == 0
+        assert verdicts == {"composition": "SKIP", "closure": "PASS",
+                            "exp_invariance": "PASS", "path": "SKIP"}
+        assert out.splitlines()[-1] == (
+            "verify: no failures; skipped with no samples: composition, path")
 
 
 class TestMiscellaneous:

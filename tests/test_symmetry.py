@@ -1,6 +1,7 @@
 """Group construction, matrix realization, and the invariance condition."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from symsu import (
     PauliSum,
     QubitPermutation,
     SymmetryElement,
+    SymmetryGroup,
     conjugate_pauli,
     exp_generator,
     generate_group,
     group_from_spec,
     is_invariant,
     load_group,
-    permutation_to_matrix,
     preset_group,
     random_invariant,
     symmetry_defect,
@@ -33,6 +34,34 @@ SWAP = np.array([
     [0, 1, 0, 0],
     [0, 0, 0, 1],
 ], dtype=complex)
+
+GL32_CNOTS = ((0, 1), (1, 2), (2, 0))
+
+
+def cnot_map(control: int, target: int, n: int) -> tuple:
+    """Basis-index map of CNOT: flip the target bit where the control bit is set."""
+    return tuple(b ^ (((b >> control) & 1) << target) for b in range(1 << n))
+
+
+def index_map_matrix(image: tuple) -> np.ndarray:
+    m = np.zeros((len(image), len(image)))
+    m[list(image), range(len(image))] = 1.0
+    return m
+
+
+def index_map_closure_order(maps) -> int:
+    """Order of the group the index maps generate, by exact tuple closure."""
+    seen = {tuple(range(len(maps[0])))}
+    frontier = list(seen)
+    while frontier:
+        products = {tuple(g[b] for b in f) for f in frontier for g in maps}
+        frontier = list(products - seen)
+        seen |= products
+    return len(seen)
+
+
+def gl32_group():
+    return generate_group(3, [index_map_matrix(cnot_map(c, t, 3)) for c, t in GL32_CNOTS])
 
 
 class TestQubitPermutation:
@@ -58,20 +87,20 @@ class TestQubitPermutation:
 
 class TestPermutationMatrix:
     def test_swap_matrix(self):
-        m = permutation_to_matrix(QubitPermutation.transposition(2, 0, 1))
+        m = QubitPermutation.transposition(2, 0, 1).to_matrix()
         assert np.array_equal(m, SWAP)
 
     def test_identity(self):
-        m = permutation_to_matrix(QubitPermutation.identity(3))
+        m = QubitPermutation.identity(3).to_matrix()
         assert np.array_equal(m, np.eye(8))
 
     def test_transposition_involution(self):
-        m = permutation_to_matrix(QubitPermutation.transposition(3, 0, 2))
+        m = QubitPermutation.transposition(3, 0, 2).to_matrix()
         assert np.array_equal(m @ m, np.eye(8))
 
     def test_bit_reversal_on_three_qubits(self):
         # (02) maps basis index b2 b1 b0 to b0 b1 b2
-        m = permutation_to_matrix(QubitPermutation.transposition(3, 0, 2))
+        m = QubitPermutation.transposition(3, 0, 2).to_matrix()
         for idx in range(8):
             b0, b1, b2 = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
             out = (b0 << 2) | (b1 << 1) | b2
@@ -115,8 +144,6 @@ class TestGroupGeneration:
                            SymmetryElement.from_unitary(cz)]).validate()
 
     def test_validate_rejects_non_closed_set(self):
-        from symsu import SymmetryGroup
-
         swap = SymmetryElement.from_permutation(QubitPermutation.transposition(3, 0, 1))
         rot = SymmetryElement.from_permutation(QubitPermutation(3, (1, 2, 0)))
         broken = SymmetryGroup(3, (swap, rot), (SymmetryElement.identity(3), swap, rot))
@@ -149,6 +176,36 @@ class TestGroupGeneration:
         g = generate_group(2, [SymmetryElement.from_unitary(cnot)])
         assert len(g) == 2
 
+    def test_cnots_generate_gl32(self):
+        maps = [cnot_map(c, t, 3) for c, t in GL32_CNOTS]
+        assert index_map_closure_order(maps) == 168
+        assert len(gl32_group()) == 168
+
+    def test_phased_hadamard_and_s_generate_clifford_group(self):
+        # The single-qubit Clifford group modulo phase has order 24.
+        h = np.exp(0.37j) * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        s = np.diag([1, 1j])
+        assert len(generate_group(1, [h, s])) == 24
+
+    def test_off_grid_phase_rotation_has_order_seven(self):
+        # Entries of diag(1, e^{2 pi i/7}) are not multiples of 1e-9.
+        rot = np.kron(np.eye(2), np.diag([1, np.exp(2j * np.pi / 7)]))
+        assert len(generate_group(2, [rot])) == 7
+
+    def test_validate_accepts_gl32_quickly(self):
+        group = gl32_group()
+        start = time.perf_counter()
+        group.validate()
+        assert time.perf_counter() - start < 1.0
+
+    def test_validate_rejects_raw_set_missing_a_product(self):
+        swap = SymmetryElement.from_unitary(SWAP)
+        cz = SymmetryElement.from_unitary(np.diag([1.0, 1.0, 1.0, -1.0]))
+        # swap * cz is missing; every element here is its own inverse.
+        broken = SymmetryGroup(2, (swap, cz), (SymmetryElement.identity(2), swap, cz))
+        with pytest.raises(GroupClosureError, match="product"):
+            broken.validate()
+
     def test_non_unitary_raw_element_rejected(self):
         with pytest.raises(NotUnitaryError):
             SymmetryElement.from_unitary(np.array([[1, 1], [0, 1]]))
@@ -174,7 +231,7 @@ class TestConjugatePauli:
         out = conjugate_pauli(rot, s)
         assert out.to_label() == "IIZX"
         # dense-conjugation oracle
-        pm = permutation_to_matrix(rot)
+        pm = rot.to_matrix()
         assert fro(dense_label(out.to_label()) - pm @ dense_label("XIIZ") @ pm.conj().T) < 1e-13
 
     def test_phase_preserved(self):
@@ -189,7 +246,7 @@ class TestConjugatePauli:
             image = rng.permutation(n)
             p = QubitPermutation(n, tuple(int(i) for i in image))
             s = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-            pm = permutation_to_matrix(p)
+            pm = p.to_matrix()
             left = dense_label(conjugate_pauli(p, s).to_label())
             right = pm @ dense_label(s.to_label()) @ pm.conj().T
             assert np.max(np.abs(left - right)) < 1e-13
