@@ -14,11 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
-from .paulis import PauliString, PauliSum, sum_commutator
+from .paulis import PHASES, PauliString, PauliSum
 from .symmetry import SymmetryGroup
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
+
+# Term pairs per block of closure_report; bounds its temporary arrays.
+_CLOSURE_BLOCK = 1 << 11
 
 
 def _permutations_of(group: SymmetryGroup, members) -> list:
@@ -183,15 +186,75 @@ class ClosureReport:
     passed: bool
 
 
+def _norm_sq(v: np.ndarray) -> np.ndarray:
+    """|v|^2 without the rounding of abs(): exact for Gaussian integers."""
+    return v.real ** 2 + v.imag ** 2
+
+
 def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
-    """Check that every pairwise commutator stays inside the span."""
-    worst = 0.0
-    worst_pair = None
-    count = 0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            count += 1
-            r = in_span(sum_commutator(basis.elements[i], basis.elements[j]), basis)
+    """Check that every pairwise commutator stays inside the span.
+
+    The residual of a pair is in_span(sum_commutator(A_i, A_j), basis),
+    computed for all term pairs of orbit i against a block of orbits j > i
+    at once with bit operations.  Per (j, product string) the coefficients
+    are summed as sum_commutator merges them; per (j, target orbit k) the
+    squared residual is sum |c|^2 - |sum c|^2 / |O_k|, members absent from
+    the commutator counting as 0, and strings in no orbit add |c|^2.  With
+    the unit coefficients of build_basis every sum is an exact integer.
+    The worst pair is the first to reach the maximum, in (i, j) order;
+    with other coefficients both routes round, and pairs whose residuals
+    tie exactly may then be ordered differently.
+    """
+    n, d = basis.n, len(basis)
+    sizes = np.array([len(e.terms) for e in basis.elements], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    terms = [t for e in basis.elements for t in e.terms]
+    x = np.array([p.x_mask for p, _ in terms], dtype=np.int64)
+    z = np.array([p.z_mask for p, _ in terms], dtype=np.int64)
+    y = np.bitwise_count(x & z).astype(np.int64)
+    coeff = np.array([c for _, c in terms], dtype=complex)
+    owner = np.repeat(np.arange(d), sizes)
+    string_mask = (1 << 2 * n) - 1
+    # (z << n | x) -> orbit; d stands for no orbit, of infinite size, so
+    # that a string outside the span keeps its whole |c|^2.
+    orbit_of = np.full(1 << 2 * n, d, dtype=np.int64)
+    for p, k in basis.orbit_index.items():
+        orbit_of[p.z_mask << n | p.x_mask] = k
+    orbit_size = np.append(sizes.astype(float), np.inf)
+    phases = np.array(PHASES)
+
+    worst, worst_pair = 0.0, None
+    for i in range(d - 1):
+        a = slice(starts[i], starts[i + 1])
+        xa, za, ya, ca = x[a, None], z[a, None], y[a, None], coeff[a, None]
+        step = max(1, _CLOSURE_BLOCK // int(sizes[i]))
+        lo = starts[i + 1]
+        while lo < starts[d]:
+            # Whole orbits j only, so that each (j, string) sum is complete.
+            hi = starts[min(d, np.searchsorted(starts, lo + step))]
+            first = owner[lo]
+            residual_sq = np.zeros(owner[hi - 1] - first + 1)
+            xb, zb, yb = x[lo:hi], z[lo:hi], y[lo:hi]
+            anti = (np.bitwise_count(xa & zb) + np.bitwise_count(za & xb)) & 1
+            ra, rb = np.nonzero(anti)  # row-major: the term order of sum_commutator
+            if len(ra):
+                # Product of anticommuting terms as in pauli_multiply.
+                px, pz = xa[ra, 0] ^ xb[rb], za[ra, 0] ^ zb[rb]
+                power = (ya[ra, 0] + yb[rb] - np.bitwise_count(px & pz).astype(np.int64)
+                         + 2 * np.bitwise_count(za[ra, 0] & xb[rb]).astype(np.int64))
+                c = 2.0 * ca[ra, 0] * coeff[lo + rb] * phases[power % 4]
+                key = (owner[lo + rb] - first) << 2 * n | pz << n | px
+                keys, at = np.unique(key, return_inverse=True)
+                sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
+                jk, at = np.unique((keys >> 2 * n) * (d + 1) + orbit_of[keys & string_mask],
+                                   return_inverse=True)
+                sq = np.bincount(at, _norm_sq(sums))
+                total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
+                spread = np.maximum(sq - _norm_sq(total) / orbit_size[jk % (d + 1)], 0.0)
+                residual_sq += np.bincount(jk // (d + 1), spread, minlength=len(residual_sq))
+            top = int(np.argmax(residual_sq))
+            r = float(np.sqrt(residual_sq[top]))
             if r > worst:
-                worst, worst_pair = r, (i, j)
-    return ClosureReport(count, worst, worst_pair, tol, worst < tol)
+                worst, worst_pair = r, (i, int(first) + top)
+            lo = hi
+    return ClosureReport(d * (d - 1) // 2, worst, worst_pair, tol, worst < tol)

@@ -32,16 +32,12 @@ ZERO_TOL = 1e-12
 # Dense realizations are capped at this many qubits by default.
 DEFAULT_MATRIX_CAP = 10
 
+# Matrix entries per block of sum_to_matrix; bounds its temporary arrays.
+_REALIZATION_BLOCK = 1 << 14
+
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -298,19 +294,32 @@ def _check_cap(n: int, max_qubits: int):
 
 
 def pauli_to_matrix(p: PauliString, max_qubits: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n realization: i**phase_exp times the letter kron."""
-    _check_cap(p.n, max_qubits)
-    m = np.array([[1.0 + 0j]])
-    for q in reversed(range(p.n)):
-        m = np.kron(m, PAULI_MATRICES[p.letter(q)])
-    return p.phase * m
+    """Dense 2^n x 2^n realization: i**phase_exp times the letter kron,
+    filled as the monomial matrix it is (see sum_to_matrix)."""
+    return sum_to_matrix(PauliSum(p.n, ((p, 1.0),)), max_qubits)
 
 
 def sum_to_matrix(s: PauliSum, max_qubits: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Dense realization of a sum, linear in the coefficients."""
+    """Dense realization of a sum, linear in the coefficients.
+
+    A phase-free string is a monomial matrix,
+    P|b> = i**#Y * (-1)**popcount(b & z_mask) * |b ^ x_mask>, so a term
+    puts c * (+-1 or +-i) in row b ^ x_mask of each column b: 2^n entries,
+    no kron products.  np.add.at adds the terms in canonical order, a
+    block at a time, so every entry gets the same float additions in the
+    same order as a sum of kron products would give it.
+    """
     _check_cap(s.n, max_qubits)
     dim = 1 << s.n
     out = np.zeros((dim, dim), dtype=complex)
-    for p, c in s.terms:
-        out += c * pauli_to_matrix(p, max_qubits)
+    b = np.arange(dim)
+    x = np.array([p.x_mask for p, _ in s.terms], dtype=np.int64)[:, None]
+    z = np.array([p.z_mask for p, _ in s.terms], dtype=np.int64)[:, None]
+    value = np.array([c * PHASES[_y_count(p) % 4] for p, c in s.terms], dtype=complex)[:, None]
+    step = max(1, _REALIZATION_BLOCK >> s.n)
+    for lo in range(0, len(s.terms), step):
+        hi = lo + step
+        odd = np.bitwise_count(b & z[lo:hi]) & 1  # uint8: select with it, no arithmetic
+        entries = np.where(odd, -value[lo:hi], value[lo:hi])
+        np.add.at(out, (b ^ x[lo:hi], np.broadcast_to(b, entries.shape)), entries)
     return out

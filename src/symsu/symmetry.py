@@ -23,6 +23,17 @@ RAW_UNITARITY_TOL = 1e-10
 
 DEFAULT_CLOSURE_CAP = 10_000
 
+# Matrix entries per block of is_invariant; bounds its stacked differences.
+_DEFECT_BLOCK = 1 << 12
+
+
+def _basis_permutations(images: np.ndarray) -> np.ndarray:
+    """Row e is the basis-index table of the wire permutation images[e]:
+    bit i of every index moves to bit images[e, i]."""
+    n = images.shape[1]
+    bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
+    return (1 << images) @ bits
+
 
 @dataclass(frozen=True, order=True)
 class QubitPermutation:
@@ -86,11 +97,7 @@ class QubitPermutation:
 
     def basis_permutation(self) -> np.ndarray:
         """Array s with S|b> = |s(b)> for every basis index b (permute_mask on all masks)."""
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        s = np.zeros_like(masks)
-        for i, dest in enumerate(self.image):
-            s |= ((masks >> i) & 1) << dest
-        return s
+        return _basis_permutations(np.array([self.image], dtype=np.int64))[0]
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
@@ -291,21 +298,28 @@ def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
     return PauliString(s.n, p.permute_mask(s.x_mask), p.permute_mask(s.z_mask), s.phase_exp)
 
 
-def symmetry_defect(u, element) -> float:
-    """Frobenius norm of S U - U S; zero iff U commutes with S."""
+def _square(u) -> np.ndarray:
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _check_qubits(m: np.ndarray, n: int):
+    if 1 << n != m.shape[0]:
+        raise DimensionError(f"matrix dim {m.shape[0]} does not match {n} qubits")
+
+
+def symmetry_defect(u, element) -> float:
+    """Frobenius norm of S U - U S; zero iff U commutes with S."""
+    m = _square(u)
     perm = None
     if isinstance(element, QubitPermutation):
         perm = element
     elif isinstance(element, SymmetryElement) and element.is_permutation:
         perm = element.perm
     if perm is not None:
-        if 1 << perm.n != m.shape[0]:
-            raise DimensionError(
-                f"matrix dim {m.shape[0]} does not match {perm.n} qubits"
-            )
+        _check_qubits(m, perm.n)
         s = perm.basis_permutation()
         inv = np.empty_like(s)
         inv[s] = np.arange(len(s))
@@ -322,12 +336,30 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10,
 
     Checking generators alone is sufficient because products preserve
     invariance, but the full sweep is the default so that tests of that
-    very fact do not assume it.
+    very fact do not assume it.  Each defect equals symmetry_defect of its
+    element, bit for bit; the permutation members' index tables and
+    differences are built together, a block of elements at a time.
     """
     members = group.generators if generators_only else group.elements
+    m = _square(u)
     worst = 0.0
+    images = np.array([e.perm.image for e in members if e.is_permutation], dtype=np.int64)
+    if len(images):
+        _check_qubits(m, group.n)
+        columns = np.ascontiguousarray(m.T)  # row c is column c of m
+        block = max(1, _DEFECT_BLOCK >> 2 * group.n)
+        for start in range(0, len(images), block):
+            tables = _basis_permutations(images[start:start + block])
+            inverses = np.empty_like(tables)
+            inverses[np.arange(len(tables))[:, None], tables] = np.arange(m.shape[0])
+            # diffs[e] is the 2-D difference of symmetry_defect for element e.
+            diffs = m[inverses, :]
+            diffs -= columns[tables].transpose(0, 2, 1)
+            for diff in diffs:
+                worst = max(worst, float(np.linalg.norm(diff)))
     for element in members:
-        worst = max(worst, symmetry_defect(u, element))
+        if not element.is_permutation:
+            worst = max(worst, symmetry_defect(m, element))
     return worst < tol, worst
 
 
@@ -390,6 +422,8 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup
         n = int(spec["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"symmetry spec needs an integer 'n': {exc}") from exc
+    if n < 1:
+        raise ValueError(f"symmetry spec 'n' must be at least 1, got {n}")
     raw = spec.get("generators", [])
     if isinstance(raw, str):
         return preset_group(raw, n, cap=cap)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symsu import (
     CapacityError,
+    InvariantBasis,
     PauliString,
     PauliSum,
     QubitPermutation,
@@ -79,9 +80,13 @@ class TestOrbits:
             build_basis(2, g)
 
 
-# A qubit count n <= 5 with up to three random wire permutations as generators.
-permutation_generator_sets = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
+def generator_sets(max_n):
+    """A qubit count n <= max_n with up to three random wire permutations."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
+
+
+permutation_generator_sets = generator_sets(5)
 
 
 class TestOrbitEngineProperties:
@@ -227,6 +232,40 @@ class TestInSpan:
         assert in_span(combo, basis) == 0
 
 
+def scalar_closure(basis):
+    """(pair count, max residual, first pair to reach it) from the scalar
+    API: in_span of every pairwise sum_commutator."""
+    worst, worst_pair, count = 0.0, None, 0
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            count += 1
+            r = in_span(sum_commutator(basis.elements[i], basis.elements[j]), basis)
+            if r > worst:
+                worst, worst_pair = r, (i, j)
+    return count, worst, worst_pair
+
+
+def split_orbit(basis, k):
+    """A broken basis: orbit k replaced, in place, by its two halves."""
+    terms = basis.elements[k].terms
+    half = len(terms) // 2
+    elements = (basis.elements[:k]
+                + (PauliSum(basis.n, terms[:half]), PauliSum(basis.n, terms[half:]))
+                + basis.elements[k + 1:])
+    index = {p: i for i, e in enumerate(elements) for p, _ in e.terms}
+    return InvariantBasis(basis.n, basis.group, elements, index)
+
+
+def assert_matches_scalar(basis):
+    report = closure_report(basis)
+    count, worst, worst_pair = scalar_closure(basis)
+    assert report.pair_count == count
+    assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=0)
+    assert report.worst_pair == worst_pair
+    assert report.passed == (worst < report.tolerance)
+    return report
+
+
 class TestClosureReport:
     def test_two_qubit_swap(self, s2):
         report = closure_report(build_basis(2, s2), tol=1e-12)
@@ -241,6 +280,34 @@ class TestClosureReport:
     def test_single_qubit_trivial(self, trivial1):
         report = closure_report(build_basis(1, trivial1))
         assert report.pair_count == 3 and report.passed
+
+    @pytest.mark.parametrize("n, pairs", [(4, 561), (5, 1485)])
+    def test_full_swap_closes(self, n, pairs):
+        report = closure_report(build_basis(n, preset_group("full_swap", n)))
+        assert report.pair_count == pairs
+        assert report.passed and report.max_residual == 0 and report.worst_pair is None
+
+    @pytest.mark.parametrize("name, n, k, worst_pair, residual", [
+        ("full_swap", 3, 1, (1, 4), 4 / np.sqrt(3)),
+        ("dihedral", 4, 7, (7, 23), 8.0),
+    ])
+    def test_split_orbit_fails(self, name, n, k, worst_pair, residual):
+        broken = split_orbit(build_basis(n, preset_group(name, n)), k)
+        report = assert_matches_scalar(broken)
+        assert not report.passed
+        assert report.worst_pair == worst_pair
+        assert report.max_residual == pytest.approx(residual, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(generator_sets(4), st.integers(0, 1 << 16))
+    def test_matches_scalar_oracle(self, case, pick):
+        n, images = case
+        basis = build_basis(n, generate_group(n, [QubitPermutation(n, tuple(im)) for im in images]))
+        report = assert_matches_scalar(basis)
+        assert report.passed and report.worst_pair is None
+        splittable = [k for k in range(len(basis)) if len(basis.elements[k]) > 1]
+        if splittable:
+            assert_matches_scalar(split_orbit(basis, splittable[pick % len(splittable)]))
 
     def test_commutators_commute_with_group_matrices(self, s2):
         basis = build_basis(2, s2)

@@ -31,6 +31,7 @@ def assert_rejected(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 class TestBasisCommand:
@@ -64,6 +65,18 @@ class TestBasisCommand:
 
     def test_zero_qubits_rejected(self, capsys):
         assert_rejected(capsys, "basis", "--n", "0", "--symmetry", "full_swap")
+
+    def test_spec_with_zero_qubits_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 0, "generators": []}))
+        err = assert_rejected(capsys, "basis", "--symmetry", str(spec))
+        assert "symmetry spec 'n' must be at least 1, got 0" in err
+
+    def test_spec_with_negative_qubits_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": -2, "generators": []}))
+        err = assert_rejected(capsys, "basis", "--symmetry", str(spec))
+        assert "symmetry spec 'n' must be at least 1, got -2" in err
 
 
 class TestDimCommand:

@@ -248,6 +248,26 @@ class TestMatrices:
         phase = (1, 1j, -1, -1j)[p.phase_exp]
         assert np.array_equal(pauli_to_matrix(p), phase * dense_label(p.to_label()))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_string_and_phase_matches_oracle(self, n):
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for k, phase in enumerate((1, 1j, -1, -1j)):
+                    p = PauliString(n, x, z, k)
+                    oracle = phase * dense_label(p.to_label())
+                    assert np.array_equal(sum_to_matrix(PauliSum(n, ((p, 1.0),))), oracle)
+                    assert np.array_equal(pauli_to_matrix(p), oracle)
+
+    def test_weighted_sum_matches_oracle_exactly(self):
+        # Same terms added in the same order: every entry is bit-identical.
+        n = 6
+        rng = np.random.default_rng(6)
+        keys = rng.choice(4 ** n, size=300, replace=False)
+        s = PauliSum(n, tuple((PauliString(n, int(k) % (1 << n), int(k) >> n),
+                               complex(*rng.normal(size=2))) for k in keys))
+        oracle = dense_sum([(p.to_label(), c) for p, c in s.terms])
+        assert np.array_equal(sum_to_matrix(s), oracle)
+
 
 class TestSerialization:
     def test_term_lines(self):

@@ -307,6 +307,30 @@ class TestDefectAndInvariance:
         with pytest.raises(DimensionError):
             symmetry_defect(np.eye(8), s2.elements[0])
 
+    @pytest.mark.parametrize("name, n", [(name, n)
+                                         for name in ("full_swap", "cyclic", "dihedral", "trivial")
+                                         for n in range(1, 7)] + [("dihedral", 7)])
+    def test_sweep_is_elementwise_maximum(self, name, n):
+        group = preset_group(name, n)
+        u = random_invariant(n, group, seed=n, depth=2).matrix
+        noisy = u + 1e-3 * np.random.default_rng(n).normal(size=u.shape)
+        for m in (u, noisy):
+            worst = max(symmetry_defect(m, e) for e in group.elements)
+            assert is_invariant(m, group) == (worst < 1e-10, worst)
+            worst = max((symmetry_defect(m, e) for e in group.generators), default=0.0)
+            assert is_invariant(m, group, generators_only=True) == (worst < 1e-10, worst)
+
+    def test_raw_sweep_is_elementwise_maximum(self):
+        group = gl32_group()
+        rng = np.random.default_rng(4)
+        for m in (np.eye(8) + 0.5 * np.ones((8, 8)), rng.normal(size=(8, 8))):
+            worst = max(symmetry_defect(m, e) for e in group.elements)
+            assert is_invariant(m, group) == (worst < 1e-10, worst)
+
+    def test_sweep_dimension_mismatch(self, s2):
+        with pytest.raises(DimensionError):
+            is_invariant(np.eye(8), s2)
+
 
 class TestSpecsAndPresets:
     def test_preset_sizes(self):
