@@ -24,7 +24,7 @@ print("the swap of two wires as a matrix")
 swap01 = QubitPermutation.transposition(2, 0, 1)
 print(swap01.to_matrix().real)
 
-print("\nfull_swap preset closes all transpositions into the symmetric group")
+print("\nfull_swap preset closes the adjacent transpositions into the symmetric group")
 for n in (2, 3, 4):
     print(f"  n={n}: |S_{n}| = {len(preset_group('full_swap', n))}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from .paulis import PHASES, PauliString, PauliSum
-from .symmetry import SymmetryGroup
+from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
@@ -24,20 +24,21 @@ DEFAULT_ENUMERATION_CAP = 8
 _CLOSURE_BLOCK = 1 << 11
 
 
-def _permutations_of(group: SymmetryGroup, members) -> list:
-    """Wire permutations of members of a permutation group.
+def _generator_images(group: SymmetryGroup) -> np.ndarray:
+    """Wire-image rows of the generators of a permutation group.
 
     Groups with a raw-unitary element are refused.  A raw generator can
     still occur in a permutation group, when it equals one of the group's
     permutations up to phase; it is skipped, since it moves no string.
     """
-    non_perm = [e for e in group.elements if not e.is_permutation]
-    if non_perm:
+    if group.images is None:
+        raw = sum(not e.is_permutation for e in group.elements)
         raise UnsupportedSymmetryError(
             "orbit symmetrization supports qubit-permutation groups only; "
-            f"group contains {len(non_perm)} raw unitary element(s)"
+            f"group contains {raw} raw unitary element(s)"
         )
-    return [e.perm for e in members if e.is_permutation]
+    return np.array([g.perm.image for g in group.generators if g.is_permutation],
+                    dtype=np.int64).reshape(-1, group.n)
 
 
 def _orbit(z: int, x: int, moves) -> set:
@@ -68,7 +69,7 @@ def pauli_orbit(s: PauliString, group: SymmetryGroup) -> frozenset:
     """
     if s.n != group.n:
         raise DimensionError(f"string on {s.n} qubits, group on {group.n}")
-    moves = [p.permute_mask for p in _permutations_of(group, group.generators)]
+    moves = [QubitPermutation(group.n, row).permute_mask for row in _generator_images(group).tolist()]
     return frozenset(PauliString(s.n, x, z, s.phase_exp)
                      for z, x in _orbit(s.z_mask, s.x_mask, moves))
 
@@ -114,8 +115,7 @@ def build_basis(n: int, group: SymmetryGroup,
         raise CapacityError(
             f"enumerating 4^{n} strings exceeds the cap of {max_qubits} qubits"
         )
-    moves = [p.basis_permutation().tolist().__getitem__
-             for p in _permutations_of(group, group.generators)]
+    moves = [table.__getitem__ for table in _basis_permutations(_generator_images(group)).tolist()]
     size = 1 << n
     visited = np.zeros((size, size), dtype=bool)
     visited[0, 0] = True  # identity orbit is excluded
@@ -136,17 +136,28 @@ def build_basis(n: int, group: SymmetryGroup,
     return InvariantBasis(n, group, tuple(elements), orbit_index)
 
 
+def _cycle_counts(images: np.ndarray) -> np.ndarray:
+    """Cycles of the wire permutation of each image row, fixed points
+    included: the wires that are the smallest of their cycle."""
+    wire = np.arange(images.shape[1])
+    low, reach = np.broadcast_to(wire, images.shape), images
+    for _ in range(images.shape[1] - 1):  # reach is the image after k + 1 steps
+        low = np.minimum(low, reach)
+        reach = np.take_along_axis(images, reach, axis=1)
+    return (low == wire).sum(axis=1)
+
+
 def burnside_dimension(n: int, group: SymmetryGroup) -> int:
     """Orbit count from the cycle structure: avg of 4^cycles, minus identity.
 
     Independent of orbit enumeration, so the two routes cross-check each
     other.
     """
-    perms = _permutations_of(group, group.elements)
-    total = sum(4 ** p.cycle_count() for p in perms)
-    if total % len(perms) != 0:
+    _generator_images(group)  # refuses raw-unitary groups
+    total = sum(4 ** c for c in _cycle_counts(group.images).tolist())
+    if total % len(group) != 0:
         raise ArithmeticError("orbit-count average is not an integer; group not closed?")
-    return total // len(perms) - 1
+    return total // len(group) - 1
 
 
 def in_span(x: PauliSum, basis: InvariantBasis) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ProductFormulaError
+from .errors import ProductFormulaError
 from .paulis import PauliString, PauliSum, paulis_commute
 from .unitary_ops import Unitary
 
@@ -97,11 +97,6 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
-
-    def extended(self, other: "Circuit") -> "Circuit":
-        if self.n != other.n:
-            raise DimensionError(f"qubit counts differ: {self.n} vs {other.n}")
-        return Circuit(self.n, self.gates + other.gates)
 
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n}"]

@@ -20,14 +20,7 @@ from .circuits import synthesize_sum_exponential
 from .errors import NotUnitaryError, ProductFormulaError, SymsuError
 from .paulis import PauliSum
 from .serialize import load_matrix, matrix_to_pairs
-from .symmetry import (
-    PRESETS,
-    SymmetryGroup,
-    is_invariant,
-    load_group,
-    preset_group,
-    symmetry_defect,
-)
+from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
     Unitary,
     compose,
@@ -143,7 +136,7 @@ def cmd_check(args) -> int:
     except NotUnitaryError as exc:
         print(f"warning: input is not unitary ({exc}); reporting defects anyway",
               file=sys.stderr)
-    defects = [(el, symmetry_defect(m, el)) for el in group.elements]
+    defects = list(zip(group.elements, _defects(m, group).tolist()))
     flag = all(d < args.tol for _, d in defects)
     worst = max(d for _, d in defects)
     if args.format == "json":

@@ -19,7 +19,7 @@ realizes a Hermitian matrix.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PauliString:
     """One tensor product of single-qubit Paulis with an i**k prefactor."""
 
@@ -149,7 +149,6 @@ class PauliSum:
 
     n: int
     terms: tuple = ()
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -168,7 +167,6 @@ class PauliSum:
             if abs(c) >= ZERO_TOL
         )
         object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "_index", {p: c for p, c in canonical})
 
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliSum":
@@ -184,7 +182,7 @@ class PauliSum:
         return cls(n, ())
 
     def coefficient(self, p: PauliString) -> complex:
-        return self._index.get(p.phase_free(), 0j)
+        return dict(self.terms).get(p.phase_free(), 0j)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -209,9 +207,6 @@ class PauliSum:
     @property
     def has_identity_term(self) -> bool:
         return any(p.is_identity for p, _ in self.terms)
-
-    def coefficient_norm(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for _, c in self.terms)))
 
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""

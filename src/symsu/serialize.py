@@ -12,10 +12,11 @@ def matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def matrix_from_pairs(data) -> np.ndarray:
-    rows = []
-    for row in data:
-        rows.append([complex(float(re), float(im)) for re, im in row])
-    m = np.array(rows, dtype=complex)
+    """Inverse of matrix_to_pairs; ValueError for any other shape of data."""
+    try:
+        m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix data must be rows of [re, im] pairs: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix data must be square, got shape {m.shape}")
     return m

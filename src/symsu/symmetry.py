@@ -2,9 +2,10 @@
 
 Symmetry elements are qubit permutations (realized as basis-permutation
 matrices) or raw unitaries such as CNOT.  Groups are closed under
-composition from a generator list.  The invariance of a matrix U under a
-group is measured by the worst Frobenius defect ||S U - U S|| over the
-elements.
+composition from a generator list; a group of wire permutations is held as
+one array of wire images, a row per element.  The invariance of a matrix U
+under a group is measured by the worst Frobenius defect ||S U - U S|| over
+the elements.
 
 Qubit index 0 is the least significant bit of a basis-state index, which
 fixes the bit-permutation formula for permutation matrices.
@@ -17,13 +18,16 @@ import numpy as np
 
 from .errors import DimensionError, GroupClosureError, NotUnitaryError
 from .paulis import PauliString
-from .serialize import matrix_from_pairs, matrix_to_pairs
+from .serialize import matrix_from_pairs
 
 RAW_UNITARITY_TOL = 1e-10
 
+# Closure caps: raw-unitary groups by default; permutation groups at 8!, the
+# order of S_8, the largest group that enumeration up to 8 qubits needs.
 DEFAULT_CLOSURE_CAP = 10_000
+_PERMUTATION_CAP = 40_320
 
-# Matrix entries per block of is_invariant; bounds its stacked differences.
+# Matrix entries per block of _permutation_defects; bounds its stacked differences.
 _DEFECT_BLOCK = 1 << 12
 
 
@@ -57,10 +61,6 @@ class QubitPermutation:
         image[i], image[j] = image[j], image[i]
         return cls(n, tuple(image))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.image == tuple(range(self.n))
-
     def compose(self, other: "QubitPermutation") -> "QubitPermutation":
         """self after other (other applied first)."""
         if self.n != other.n:
@@ -73,20 +73,6 @@ class QubitPermutation:
             inv[dest] = i
         return QubitPermutation(self.n, tuple(inv))
 
-    def cycle_count(self) -> int:
-        """Number of cycles of the wire permutation (fixed points included)."""
-        seen = [False] * self.n
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-        return count
-
     def permute_mask(self, mask: int) -> int:
         """Move bit i of mask to bit image[i]."""
         out = 0
@@ -95,13 +81,9 @@ class QubitPermutation:
                 out |= 1 << self.image[i]
         return out
 
-    def basis_permutation(self) -> np.ndarray:
-        """Array s with S|b> = |s(b)> for every basis index b (permute_mask on all masks)."""
-        return _basis_permutations(np.array([self.image], dtype=np.int64))[0]
-
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
-        s = self.basis_permutation()
+        s = _basis_permutations(np.array([self.image], dtype=np.int64))[0]
         m = np.zeros((dim, dim), dtype=complex)
         m[s, np.arange(dim)] = 1.0
         return m
@@ -200,25 +182,38 @@ def _coerce_element(obj) -> SymmetryElement:
 
 
 class SymmetryGroup:
-    """A finite, composition-closed set of symmetry elements."""
+    """A finite, composition-closed set of symmetry elements.
 
-    __slots__ = ("n", "generators", "elements", "name")
+    A wire-permutation group is held as ``images``, an (|G|, n) array of
+    wire images (``elements`` may be given as one), and builds ``elements``
+    from the rows on first use.  Any other group has ``images`` None.
+    """
+
+    __slots__ = ("n", "generators", "images", "_elements", "name")
 
     def __init__(self, n: int, generators, elements, name: str = "custom"):
         self.n = n
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
         self.name = name
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        self.images, self._elements = None, None
+        if isinstance(elements, np.ndarray):
+            self.images = elements
+        else:
+            self._elements = tuple(elements)
+            if all(e.is_permutation for e in self._elements):
+                self.images = np.array([e.perm.image for e in self._elements], dtype=np.int64).reshape(-1, n)
+        if self.images is not None:
+            self.images.setflags(write=False)
 
     @property
-    def is_permutation_group(self) -> bool:
-        return all(e.is_permutation for e in self.elements)
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(SymmetryElement.from_permutation(QubitPermutation(self.n, row))
+                                   for row in self.images.tolist())
+        return self._elements
 
-    def permutations(self) -> list[QubitPermutation]:
-        return [e.perm for e in self.elements if e.is_permutation]
+    def __len__(self) -> int:
+        return len(self.elements) if self.images is None else len(self.images)
 
     def validate(self):
         """Re-verify that the element set is a group: identity, inverses,
@@ -246,46 +241,67 @@ def _phase_key(element: SymmetryElement) -> bytes:
     return (element.phase_normalized().view(np.float64).round(9) + 0.0).tobytes()
 
 
-def _close(identity, generators, key, cap: int) -> list:
+def _close(identity: SymmetryElement, generators, cap: int) -> list:
     """Breadth-first closure of the generators under left composition,
-    one element per key, in discovery order."""
-    known = {key(identity): identity}
+    one element per `_phase_key`, in discovery order."""
+    known = {_phase_key(identity): identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for e in frontier:
             for g in generators:
                 q = g.compose(e)
-                k = key(q)
+                k = _phase_key(q)
                 if k not in known:
                     if len(known) >= cap:
-                        raise GroupClosureError(f"group not finite at this cap ({cap} elements)")
+                        raise GroupClosureError(f"raw-unitary group exceeded the cap of {cap} elements")
                     known[k] = q
                     nxt.append(q)
         frontier = nxt
     return list(known.values())
 
 
+def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
+    """Breadth-first closure of wire-image rows under composition, sorted.
+
+    A row's key is its images read as base-n digits, first wire most
+    significant (Python ints from n = 16 on, where int64 would overflow),
+    so sorted keys are sorted rows; rows are decoded from keys.
+    """
+    weights = np.array([n ** k for k in range(n - 1, -1, -1)], dtype=np.int64 if n < 16 else object)
+    known = frontier = np.array([np.arange(n) @ weights], dtype=weights.dtype)
+    while len(frontier):
+        rows = (frontier[:, None] // weights % n).astype(np.int64)
+        # generators[:, rows][g, e] is the row of generator g after element e.
+        keys = np.sort((generators[:, rows] @ weights).ravel())
+        # Keep the last of each run of equal keys, if known (sorted) lacks it.
+        fresh = (keys != np.r_[keys[1:], -1]) & (known.take(known.searchsorted(keys), mode="clip") != keys)
+        frontier = keys[fresh]
+        known = np.sort(np.concatenate((known, frontier)))
+        if len(known) > _PERMUTATION_CAP:
+            raise GroupClosureError(
+                f"permutation group exceeded the cap of {_PERMUTATION_CAP} elements (the order of S_8)")
+    return (known[:, None] // weights % n).astype(np.int64)
+
+
 def generate_group(n: int, generators, cap: int = DEFAULT_CLOSURE_CAP,
                    name: str = "custom") -> SymmetryGroup:
     """Breadth-first closure of the generators under composition.
 
-    Permutations are deduplicated exactly by their image and sorted; any
-    group with a raw unitary is deduplicated up to a global phase by
-    `_phase_key`, identity included.  All generators are invertible, so
-    closing under products alone also yields every inverse and the identity.
+    Permutation generators close as image rows, deduplicated exactly and
+    sorted, at most 8! = 40 320 of them; any group with a raw unitary is
+    deduplicated up to a global phase by `_phase_key`, identity included,
+    up to ``cap`` elements.  All generators are invertible, so closing
+    under products alone also yields every inverse and the identity.
     """
     gens = [_coerce_element(g) for g in generators]
     for g in gens:
         if g.n != n:
             raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
     if all(g.is_permutation for g in gens):
-        perms = _close(QubitPermutation.identity(n), [g.perm for g in gens],
-                       lambda p: p.image, cap)
-        elements = [SymmetryElement.from_permutation(p) for p in sorted(perms)]
-    else:
-        elements = _close(SymmetryElement.identity(n), gens, _phase_key, cap)
-    return SymmetryGroup(n, gens, elements, name=name)
+        images = np.array([g.perm.image for g in gens], dtype=np.int64).reshape(-1, n)
+        return SymmetryGroup(n, gens, _close_images(n, images), name=name)
+    return SymmetryGroup(n, gens, _close(SymmetryElement.identity(n), gens, cap), name=name)
 
 
 def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
@@ -305,29 +321,48 @@ def _square(u) -> np.ndarray:
     return m
 
 
-def _check_qubits(m: np.ndarray, n: int):
-    if 1 << n != m.shape[0]:
-        raise DimensionError(f"matrix dim {m.shape[0]} does not match {n} qubits")
+def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """||S U - U S|| for the wire permutation S of each image row.
+
+    With s the basis-index table and inv its inverse, S U - U S is the 2-D
+    difference m[inv, :] - m[:, s].  The index tables and differences of a
+    block of rows are built together; each norm is taken of that 2-D
+    difference alone, so a row's defect does not depend on its block.
+    """
+    if 1 << images.shape[1] != m.shape[0]:
+        raise DimensionError(f"matrix dim {m.shape[0]} does not match {images.shape[1]} qubits")
+    columns = np.ascontiguousarray(m.T)  # row c is column c of m
+    block = max(1, _DEFECT_BLOCK >> 2 * images.shape[1])
+    out = np.empty(len(images))
+    for start in range(0, len(images), block):
+        tables = _basis_permutations(images[start:start + block])
+        inverses = np.empty_like(tables)
+        inverses[np.arange(len(tables))[:, None], tables] = np.arange(m.shape[0])
+        diffs = m[inverses, :]
+        diffs -= columns[tables].transpose(0, 2, 1)
+        out[start:start + len(diffs)] = [np.linalg.norm(diff) for diff in diffs]
+    return out
 
 
 def symmetry_defect(u, element) -> float:
     """Frobenius norm of S U - U S; zero iff U commutes with S."""
     m = _square(u)
-    perm = None
-    if isinstance(element, QubitPermutation):
-        perm = element
-    elif isinstance(element, SymmetryElement) and element.is_permutation:
-        perm = element.perm
-    if perm is not None:
-        _check_qubits(m, perm.n)
-        s = perm.basis_permutation()
-        inv = np.empty_like(s)
-        inv[s] = np.arange(len(s))
-        return float(np.linalg.norm(m[inv, :] - m[:, s]))
-    sm = element.to_matrix() if isinstance(element, SymmetryElement) else np.asarray(element, dtype=complex)
+    perm = element.perm if isinstance(element, SymmetryElement) else element
+    if isinstance(perm, QubitPermutation):
+        return float(_permutation_defects(m, np.array([perm.image], dtype=np.int64))[0])
+    sm = element.matrix if isinstance(element, SymmetryElement) else np.asarray(element, dtype=complex)
     if sm.shape != m.shape:
         raise DimensionError(f"dimension mismatch: {sm.shape} vs {m.shape}")
     return float(np.linalg.norm(sm @ m - m @ sm))
+
+
+def _defects(u, group: SymmetryGroup, generators_only: bool = False) -> np.ndarray:
+    """symmetry_defect of each element of the group (or each generator), in
+    order; the elements of a permutation group are swept as image rows."""
+    if group.images is not None and not generators_only:
+        return _permutation_defects(_square(u), group.images)
+    members = group.generators if generators_only else group.elements
+    return np.array([symmetry_defect(u, e) for e in members])
 
 
 def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10,
@@ -337,29 +372,9 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10,
     Checking generators alone is sufficient because products preserve
     invariance, but the full sweep is the default so that tests of that
     very fact do not assume it.  Each defect equals symmetry_defect of its
-    element, bit for bit; the permutation members' index tables and
-    differences are built together, a block of elements at a time.
+    element, bit for bit.
     """
-    members = group.generators if generators_only else group.elements
-    m = _square(u)
-    worst = 0.0
-    images = np.array([e.perm.image for e in members if e.is_permutation], dtype=np.int64)
-    if len(images):
-        _check_qubits(m, group.n)
-        columns = np.ascontiguousarray(m.T)  # row c is column c of m
-        block = max(1, _DEFECT_BLOCK >> 2 * group.n)
-        for start in range(0, len(images), block):
-            tables = _basis_permutations(images[start:start + block])
-            inverses = np.empty_like(tables)
-            inverses[np.arange(len(tables))[:, None], tables] = np.arange(m.shape[0])
-            # diffs[e] is the 2-D difference of symmetry_defect for element e.
-            diffs = m[inverses, :]
-            diffs -= columns[tables].transpose(0, 2, 1)
-            for diff in diffs:
-                worst = max(worst, float(np.linalg.norm(diff)))
-    for element in members:
-        if not element.is_permutation:
-            worst = max(worst, symmetry_defect(m, element))
+    worst = float(_defects(u, group, generators_only).max(initial=0.0))
     return worst < tol, worst
 
 
@@ -368,12 +383,10 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10,
 
 
 def full_swap_generators(n: int) -> list[SymmetryElement]:
-    """All wire transpositions; closure is the full symmetric group."""
-    return [
-        SymmetryElement.from_permutation(QubitPermutation.transposition(n, i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    """Adjacent wire transpositions (the Coxeter generators of S_n);
+    closure is the full symmetric group."""
+    return [SymmetryElement.from_permutation(QubitPermutation.transposition(n, i, i + 1))
+            for i in range(n - 1)]
 
 
 def cyclic_generators(n: int) -> list[SymmetryElement]:
@@ -404,51 +417,43 @@ PRESETS = {
 }
 
 
-def preset_group(name: str, n: int, cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup:
+def preset_group(name: str, n: int) -> SymmetryGroup:
     if name not in PRESETS:
         raise ValueError(f"unknown symmetry preset {name!r}; known: {sorted(PRESETS)}")
-    return generate_group(n, PRESETS[name](n), cap=cap, name=name)
+    return generate_group(n, PRESETS[name](n), name=name)
 
 
-def group_from_spec(spec: dict, cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup:
+def group_from_spec(spec: dict) -> SymmetryGroup:
     """Build a group from the JSON specification.
 
     Shape: {"n": 3, "generators": [{"perm": [1, 0, 2]},
     {"unitary": [[[re, im], ...], ...]}]}.  A preset name may stand in
     for the generator list; presets resolve to plain generators before
-    closure, so files and presets share one code path.
+    closure, so files and presets share one code path.  Any other shape
+    raises ValueError.
     """
-    try:
-        n = int(spec["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"symmetry spec needs an integer 'n': {exc}") from exc
+    n = spec.get("n") if isinstance(spec, dict) else None
+    if type(n) is not int:
+        raise ValueError(f"symmetry spec needs an integer 'n', got {n!r}")
     if n < 1:
         raise ValueError(f"symmetry spec 'n' must be at least 1, got {n}")
     raw = spec.get("generators", [])
     if isinstance(raw, str):
-        return preset_group(raw, n, cap=cap)
+        return preset_group(raw, n)
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"symmetry spec 'generators' must be a preset name or a list, got {raw!r}")
     gens = []
     for entry in raw:
-        if "perm" in entry:
-            gens.append(SymmetryElement.from_permutation(QubitPermutation(n, tuple(entry["perm"]))))
-        elif "unitary" in entry:
+        perm = entry.get("perm") if isinstance(entry, dict) else None
+        if isinstance(perm, (list, tuple)) and all(type(i) is int for i in perm):
+            gens.append(SymmetryElement.from_permutation(QubitPermutation(n, tuple(perm))))
+        elif isinstance(entry, dict) and "unitary" in entry:
             gens.append(SymmetryElement.from_unitary(matrix_from_pairs(entry["unitary"])))
         else:
-            raise ValueError(f"generator entry needs 'perm' or 'unitary': {entry!r}")
-    return generate_group(n, gens, cap=cap)
+            raise ValueError(f"generator entry needs 'perm' (a list of wires) or 'unitary': {entry!r}")
+    return generate_group(n, gens)
 
 
-def load_group(path, cap: int = DEFAULT_CLOSURE_CAP) -> SymmetryGroup:
+def load_group(path) -> SymmetryGroup:
     with open(path, encoding="utf-8") as fh:
-        return group_from_spec(json.load(fh), cap=cap)
-
-
-def group_spec_data(group: SymmetryGroup) -> dict:
-    """JSON-serializable spec reproducing the group's generators."""
-    gens = []
-    for g in group.generators:
-        if g.is_permutation:
-            gens.append({"perm": list(g.perm.image)})
-        else:
-            gens.append({"unitary": matrix_to_pairs(g.matrix)})
-    return {"n": group.n, "generators": gens}
+        return group_from_spec(json.load(fh))

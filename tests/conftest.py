@@ -7,6 +7,7 @@ path they are checking.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from symsu import preset_group
 
@@ -67,3 +68,9 @@ def orbit_terms_commute(label: str) -> bool:
     """
     letters = set(label) - {"I"}
     return len(letters) <= 1 or (len(letters) == 2 and "I" not in label)
+
+
+def generator_sets(max_n):
+    """A qubit count n <= max_n with up to three random wire permutations."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))

@@ -1,6 +1,7 @@
 """Orbit symmetrization, dimension counts, and algebraic closure."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from symsu import (
     UnsupportedSymmetryError,
 )
 
-from conftest import fro
+from conftest import generator_sets
 
 
 def P(label):
@@ -80,21 +81,13 @@ class TestOrbits:
             build_basis(2, g)
 
 
-def generator_sets(max_n):
-    """A qubit count n <= max_n with up to three random wire permutations."""
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
-
-
-permutation_generator_sets = generator_sets(5)
-
-
 class TestOrbitEngineProperties:
     """The generator-driven orbit engine against the element-wise oracle:
-    conjugating by every element of the closed group."""
+    conjugating by every element of the closed group, which must also fix
+    every basis element."""
 
     @settings(max_examples=30, deadline=None)
-    @given(permutation_generator_sets, st.integers(0, 3))
+    @given(generator_sets(5), st.integers(0, 3))
     def test_orbits_match_element_oracle(self, case, phase_exp):
         n, images = case
         group = generate_group(n, [QubitPermutation(n, tuple(im)) for im in images])
@@ -111,6 +104,10 @@ class TestOrbitEngineProperties:
         assert len(basis) == burnside_dimension(n, group)
         for s in strings:
             assert pauli_orbit(s, group) == oracle[s]
+        for e in group.elements:
+            for element in basis.elements:
+                conjugated = tuple((conjugate_pauli(e.perm, p), c) for p, c in element.terms)
+                assert PauliSum(n, conjugated) == element
 
 
 class TestSymmetrize:
@@ -173,6 +170,18 @@ class TestBuildBasis:
             build_basis(9, g)
 
 
+def closed_form_dimension(preset, n):
+    """Orbits of the 4^n strings under the preset, minus the identity, from
+    the closed forms: multisets of n letters (full_swap), necklaces (cyclic)
+    and bracelets (dihedral) over 4 letters."""
+    totient = [sum(math.gcd(i, d) == 1 for i in range(1, d + 1)) for d in range(n + 1)]
+    necklaces = sum(totient[d] * 4 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    reflected = 5 * 4 ** (n // 2) // 2 if n % 2 == 0 else 4 ** ((n + 1) // 2)
+    return {"full_swap": math.comb(n + 3, 3),
+            "cyclic": necklaces,
+            "dihedral": (necklaces + reflected) // 2}[preset] - 1
+
+
 class TestBurnside:
     def test_s3_arithmetic(self, s3):
         # (64 + 3*16 + 2*4) / 6 - 1
@@ -195,6 +204,16 @@ class TestBurnside:
         for n in ns:
             g = preset_group(preset, n)
             assert len(build_basis(n, g)) == burnside_dimension(n, g)
+
+    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral"])
+    def test_closed_forms_up_to_eight_qubits(self, preset):
+        for n in range(1, 9):
+            assert burnside_dimension(n, preset_group(preset, n)) == closed_form_dimension(preset, n)
+        assert len(build_basis(8, preset_group(preset, 8))) == closed_form_dimension(preset, 8)
+
+    def test_closed_forms_at_eight_qubits(self):
+        assert [closed_form_dimension(p, 8) for p in ("full_swap", "cyclic", "dihedral")] == [
+            164, 8229, 4434]
 
     def test_subgroup_monotonicity(self):
         dims = [burnside_dimension(4, preset_group(name, 4))

@@ -78,6 +78,25 @@ class TestBasisCommand:
         err = assert_rejected(capsys, "basis", "--symmetry", str(spec))
         assert "symmetry spec 'n' must be at least 1, got -2" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"n": 2, "generators": [5]},
+        {"n": 2, "generators": [{"perm": 5}]},
+        {"n": 2, "generators": None},
+        {"n": 2, "generators": [{"unitary": 3}]},
+        {"n": 2, "generators": [{"unitary": [[1, 0], [0, 1]]}]},
+        {"n": 2.7, "generators": []},
+    ])
+    def test_malformed_spec_rejected(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert_rejected(capsys, "basis", "--symmetry", str(path))
+
+    def test_full_swap_eight_qubits(self, capsys):
+        code, out, _ = run(capsys, "basis", "--n", "8", "--symmetry", "full_swap")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 165 and lines[-1] == "dim 164"
+        assert sum(line.count(" + ") + 1 for line in lines[:-1]) == 4 ** 8 - 1
+
 
 class TestDimCommand:
     def test_swap_table(self, capsys):
@@ -101,6 +120,21 @@ class TestDimCommand:
 
     def test_negative_qubits_rejected(self, capsys):
         assert_rejected(capsys, "dim", "--n", "-1", "--symmetry", "full_swap")
+
+    def test_full_swap_eight_qubits(self, capsys):
+        code, out, _ = run(capsys, "dim", "--n", "8", "--symmetry", "full_swap", "--no-header")
+        assert code == 0 and out.splitlines() == ["n,group,dimension", "8,full_swap,164"]
+
+    def test_full_swap_nine_qubits_names_the_bound(self, capsys):
+        err = assert_rejected(capsys, "dim", "--n", "9", "--symmetry", "full_swap")
+        assert "exceeded the cap of 40320 elements" in err
+
+    def test_infinite_raw_group_names_the_bound(self, capsys, tmp_path):
+        rz = [[[1, 0], [0, 0]], [[0, 0], [np.cos(1.0), np.sin(1.0)]]]
+        path = tmp_path / "rz.json"
+        path.write_text(json.dumps({"n": 1, "generators": [{"unitary": rz}]}))
+        err = assert_rejected(capsys, "dim", "--n", "1", "--symmetry", str(path))
+        assert "exceeded the cap of 10000 elements" in err
 
 
 class TestCheckCommand:

@@ -1,10 +1,12 @@
 """Group construction, matrix realization, and the invariance condition."""
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from symsu import (
     DimensionError,
@@ -25,8 +27,9 @@ from symsu import (
     random_invariant,
     symmetry_defect,
 )
+from symsu.basis import _cycle_counts
 
-from conftest import dense_label, fro
+from conftest import dense_label, fro, generator_sets
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -49,15 +52,16 @@ def index_map_matrix(image: tuple) -> np.ndarray:
     return m
 
 
-def index_map_closure_order(maps) -> int:
-    """Order of the group the index maps generate, by exact tuple closure."""
-    seen = {tuple(range(len(maps[0])))}
+def index_map_closure(maps, size: int) -> set:
+    """The group the index maps on range(size) generate, by exact tuple
+    closure; g after f is tuple(g[b] for b in f)."""
+    seen = {tuple(range(size))}
     frontier = list(seen)
     while frontier:
         products = {tuple(g[b] for b in f) for f in frontier for g in maps}
         frontier = list(products - seen)
         seen |= products
-    return len(seen)
+    return seen
 
 
 def gl32_group():
@@ -77,12 +81,11 @@ class TestQubitPermutation:
 
     def test_inverse(self):
         rot = QubitPermutation(4, (1, 2, 3, 0))
-        assert rot.compose(rot.inverse()).is_identity
+        assert rot.compose(rot.inverse()) == QubitPermutation.identity(4)
 
     def test_cycle_count(self):
-        assert QubitPermutation.identity(4).cycle_count() == 4
-        assert QubitPermutation(4, (1, 2, 3, 0)).cycle_count() == 1
-        assert QubitPermutation(4, (0, 3, 2, 1)).cycle_count() == 3
+        rows = np.array([QubitPermutation.identity(4).image, (1, 2, 3, 0), (0, 3, 2, 1)])
+        assert _cycle_counts(rows).tolist() == [4, 1, 3]
 
 
 class TestPermutationMatrix:
@@ -123,19 +126,36 @@ class TestGroupGeneration:
         assert len(g) == 1
 
     def test_contains_identity_and_inverses(self):
-        g = preset_group("cyclic", 4)
-        perms = g.permutations()
-        assert any(p.is_identity for p in perms)
-        images = {p.image for p in perms}
-        for p in perms:
-            assert p.inverse().image in images
+        rows = [tuple(r) for r in preset_group("cyclic", 4).images.tolist()]
+        assert rows[0] == (0, 1, 2, 3)
+        for r in rows:
+            assert QubitPermutation(4, r).inverse().image in rows
 
     def test_closure_exhaustive_small(self):
-        g = preset_group("dihedral", 4)
-        images = {p.image for p in g.permutations()}
-        for a in g.permutations():
-            for b in g.permutations():
+        rows = [QubitPermutation(4, r) for r in preset_group("dihedral", 4).images.tolist()]
+        images = {p.image for p in rows}
+        for a in rows:
+            for b in rows:
                 assert a.compose(b).image in images
+
+    @settings(max_examples=40, deadline=None)
+    @given(generator_sets(6))
+    def test_rows_match_tuple_closure(self, case):
+        n, images = case
+        group = generate_group(n, [QubitPermutation(n, tuple(im)) for im in images])
+        rows = [tuple(r) for r in group.images.tolist()]
+        assert rows == sorted(index_map_closure([tuple(im) for im in images], n))
+        assert tuple(range(n)) in rows
+        for r in rows:
+            assert tuple(sorted(range(n), key=r.__getitem__)) in rows  # the inverse of r
+        assert len(group) == len(rows)
+        assert [e.perm.image for e in group.elements] == rows
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_preset_orders(self, n):
+        assert len(preset_group("full_swap", n)) == math.factorial(n)
+        assert len(preset_group("cyclic", n)) == n
+        assert len(preset_group("dihedral", n)) == (2 * n if n > 2 else n)
 
     def test_validate_accepts_generated_groups(self):
         preset_group("full_swap", 3).validate()
@@ -155,13 +175,13 @@ class TestGroupGeneration:
                 QubitPermutation(4, (1, 2, 3, 0))]
         g1 = generate_group(4, gens)
         g2 = generate_group(4, gens[::-1])
-        assert {p.image for p in g1.permutations()} == {p.image for p in g2.permutations()}
+        assert np.array_equal(g1.images, g2.images)
 
     def test_cap_exceeded(self):
         # an irrational rotation never closes
         theta = 1.0
         rz = np.diag([1.0, np.exp(1j * theta)])
-        with pytest.raises(GroupClosureError):
+        with pytest.raises(GroupClosureError, match="raw-unitary group exceeded the cap of 64 elements"):
             generate_group(1, [SymmetryElement.from_unitary(rz)], cap=64)
 
     def test_raw_unitary_phase_dedup(self):
@@ -178,7 +198,7 @@ class TestGroupGeneration:
 
     def test_cnots_generate_gl32(self):
         maps = [cnot_map(c, t, 3) for c, t in GL32_CNOTS]
-        assert index_map_closure_order(maps) == 168
+        assert len(index_map_closure(maps, 8)) == 168
         assert len(gl32_group()) == 168
 
     def test_phased_hadamard_and_s_generate_clifford_group(self):
@@ -330,6 +350,10 @@ class TestDefectAndInvariance:
     def test_sweep_dimension_mismatch(self, s2):
         with pytest.raises(DimensionError):
             is_invariant(np.eye(8), s2)
+
+    def test_nan_matrix_is_not_invariant(self, s2):
+        flag, worst = is_invariant(np.full((4, 4), np.nan), s2)
+        assert not flag and np.isnan(worst)
 
 
 class TestSpecsAndPresets:
