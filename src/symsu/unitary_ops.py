@@ -30,7 +30,7 @@ RECONSTRUCTION_TOL = 1e-9
 class Unitary:
     """A dense square matrix validated to be unitary at construction."""
 
-    __slots__ = ("matrix", "unitarity_residual", "_eig")
+    __slots__ = ("matrix", "unitarity_residual", "_eig", "_spectrum")
 
     def __init__(self, matrix, tol: float = UNITARITY_TOL):
         m = np.array(matrix, dtype=complex)
@@ -46,6 +46,7 @@ class Unitary:
         self.matrix = m
         self.unitarity_residual = residual
         self._eig = None
+        self._spectrum = None
 
     @property
     def dim(self) -> int:
@@ -70,15 +71,20 @@ def exp_generator(h: PauliSum, alpha: float, max_qubits: int = 10) -> Unitary:
     """exp(-i*alpha/2 * H) for a Hermitian generator sum H.
 
     Computed through the Hermitian eigendecomposition of the realization,
-    so the result is unitary up to eigensolver error.
+    so the result is unitary up to eigensolver error.  The eigenpairs stay
+    on the result, where eig_unitary finds them.  A sum with an even number
+    of Y letters in every term has a real realization, solved as such.
     """
     if not h.is_hermitian():
         raise ValueError(
             "generator must be Hermitian (real coefficients on phase-free terms)"
         )
     hm = sum_to_matrix(h, max_qubits=max_qubits)
-    w, v = np.linalg.eigh(hm)
-    return Unitary((v * np.exp(-0.5j * alpha * w)) @ v.conj().T)
+    w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
+    lambdas = np.exp(-0.5j * alpha * w)
+    u = Unitary((v * lambdas) @ v.conj().T)
+    u._spectrum = (v, lambdas)
+    return u
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
@@ -128,53 +134,46 @@ class EigDecomposition:
         return (p * np.exp(1j * t * self.thetas)) @ p.conj().T
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices whose complex values match within tol (union-find)."""
-    k = len(values)
-    parent = list(range(k))
+def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Group indices of unit-circle values into single-linkage clusters.
 
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = root(i), root(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
+    Two values within tol of each other are linked.  Every value on the
+    shorter arc between two linked ones is within tol of both, so in angle
+    order a cluster is a run of neighbours whose gaps are at most tol, the
+    gap across -1 included.  Members are listed in index order.
+    """
+    order = np.argsort(np.angle(values), kind="stable")
+    ring = values[order]
+    cut = np.abs(ring - np.roll(ring, -1)) > tol  # cut[k]: order[k] | order[k+1]
+    labels = np.concatenate(([0], np.cumsum(cut[:-1])))
+    if not cut[-1]:
+        labels[labels == labels[-1]] = 0  # the last run wraps into the first
+    by_index = np.empty_like(labels)
+    by_index[order] = labels
+    members = np.argsort(by_index, kind="stable")
+    starts = np.flatnonzero(np.diff(by_index[members])) + 1
+    return np.split(members, starts)
 
 
-def _assemble(m: np.ndarray, vectors: np.ndarray, lambdas: np.ndarray,
-              cluster_tol: float):
+def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cluster_tol: float):
     """Cluster eigenvalues, re-orthonormalize per cluster, sort by theta."""
-    groups = _cluster_indices(lambdas, cluster_tol)
     reps = []
-    for members in groups:
+    for members in _cluster_indices(lambdas, cluster_tol):
         rep = np.mean(lambdas[members])
-        rep /= abs(rep)
-        reps.append((float(np.angle(rep)), members))
+        reps.append((float(np.angle(rep / abs(rep))), members))
     reps.sort(key=lambda item: item[0])
 
-    dim = m.shape[0]
+    dim = len(lambdas)
     p = np.empty((dim, dim), dtype=complex)
     thetas = np.empty(dim)
     clusters = []
     col = 0
     for theta, members in reps:
-        block = vectors[:, members]
-        q, _ = np.linalg.qr(block)
-        width = q.shape[1]
-        p[:, col:col + width] = q
-        thetas[col:col + width] = theta
-        clusters.append((col, col + width))
-        col += width
+        stop = col + len(members)
+        p[:, col:stop] = np.linalg.qr(vectors[:, members])[0]
+        thetas[col:stop] = theta
+        clusters.append((col, stop))
+        col = stop
     return EigDecomposition(p, thetas, tuple(clusters))
 
 
@@ -202,38 +201,35 @@ def _pencil_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition
         start = stop
     lambdas = w + 1j * im_vals
     lambdas /= np.abs(lambdas)
-    return _assemble(m, v, lambdas, cluster_tol)
+    return _assemble(v, lambdas, cluster_tol)
 
 
 def _general_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition:
     lambdas, vectors = np.linalg.eig(m)
     lambdas = lambdas / np.abs(lambdas)
-    return _assemble(m, vectors, lambdas, cluster_tol)
-
-
-def _decomposition_residuals(m: np.ndarray, dec: EigDecomposition) -> tuple[float, float]:
-    p = dec.eigenvectors
-    recon = float(np.linalg.norm(dec.reconstruct() - m))
-    ortho = float(np.linalg.norm(p.conj().T @ p - np.eye(m.shape[0])))
-    return recon, ortho
+    return _assemble(vectors, lambdas, cluster_tol)
 
 
 def eig_unitary(a, cluster_tol: float = CLUSTER_TOL,
                 residual_tol: float = RECONSTRUCTION_TOL) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
-    Tries the Hermitian-pencil route first; falls back to a general
-    complex eigensolve with per-cluster re-orthonormalization.
+    Tries the spectrum a Unitary from exp_generator carries, the
+    Hermitian-pencil route, then a general complex eigensolve; the first
+    whose P reconstructs the matrix and is orthonormal within residual_tol wins.
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
-    dec = _pencil_decomposition(m, cluster_tol)
-    recon, ortho = _decomposition_residuals(m, dec)
-    if recon < residual_tol and ortho < residual_tol:
-        return dec
-    dec = _general_decomposition(m, cluster_tol)
-    recon, ortho = _decomposition_residuals(m, dec)
-    if recon < residual_tol and ortho < residual_tol:
-        return dec
+    stored = getattr(a, "_spectrum", None)
+    routes = [_pencil_decomposition, _general_decomposition]
+    if stored is not None:
+        routes.insert(0, lambda _, tol: _assemble(*stored, tol))
+    for route in routes:
+        dec = route(m, cluster_tol)
+        p = dec.eigenvectors
+        recon = float(np.linalg.norm(dec.reconstruct() - m))
+        ortho = float(np.linalg.norm(p.conj().T @ p - np.eye(len(m))))
+        if recon < residual_tol and ortho < residual_tol:
+            return dec
     raise NumericError(
         f"unitary eigendecomposition failed: reconstruction residual {recon:.3e}, "
         f"orthonormality residual {ortho:.3e}, target {residual_tol:.1e}"
@@ -243,6 +239,7 @@ def eig_unitary(a, cluster_tol: float = CLUSTER_TOL,
 def _cached_eig(a: Unitary) -> EigDecomposition:
     if a._eig is None:
         a._eig = eig_unitary(a)
+        a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
     return a._eig
 
 

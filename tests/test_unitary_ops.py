@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from symsu import (
@@ -21,7 +23,11 @@ from symsu import (
     preset_group,
     project_to_su,
     random_invariant,
+    symmetrize,
 )
+from symsu import unitary_ops
+from symsu.paulis import PauliString
+from symsu.unitary_ops import _cluster_indices
 
 from conftest import dense_label, dense_sum, fro
 
@@ -31,6 +37,58 @@ SWAP = np.array([
     [0, 1, 0, 0],
     [0, 0, 0, 1],
 ], dtype=complex)
+
+
+def parity_pairs(rng, n: int, count: int, odd_y: bool) -> list[tuple[str, float]]:
+    """Random (label, coefficient) pairs whose Y counts are all odd or all even.
+
+    All even gives a real realization, all odd a purely imaginary one.
+    """
+    pairs = []
+    while len(pairs) < count:
+        label = "".join(rng.choice(list("IXYZ"), size=n))
+        if label.count("Y") % 2 == odd_y:
+            pairs.append((label, float(rng.normal())))
+    return pairs
+
+
+def invariant_parity_sum(n: int, group, rng, odd_y: bool, count: int = 4) -> PauliSum:
+    """Random combination of invariant basis elements of one Y parity.
+
+    Symmetrized sums have degenerate spectra, so clustering is exercised.
+    """
+    elements = [e for e in build_basis(n, group).elements
+                if e.terms[0][0].to_label().count("Y") % 2 == odd_y]
+    picks = rng.choice(len(elements), size=count, replace=False)
+    h = None
+    for k in picks:
+        term = elements[int(k)] * float(rng.normal())
+        h = term if h is None else h + term
+    return h
+
+
+def union_find_clusters(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Pairwise single-linkage clustering by union-find: the O(k^2) oracle
+    for the sorted sweep of unitary_ops._cluster_indices."""
+    k = len(values)
+    parent = list(range(k))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(values[i] - values[j]) <= tol:
+                ri, rj = root(i), root(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(k):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
 
 
 class TestUnitaryType:
@@ -82,6 +140,17 @@ class TestExpGenerator:
             alpha = float(rng.uniform(0, 2 * np.pi))
             oracle = expm(-0.5j * alpha * dense_sum(pairs))
             assert fro(exp_generator(h, alpha).matrix - oracle) < 1e-12
+
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "complex"])
+    def test_expm_oracle_by_y_parity(self, odd_y):
+        # an even Y count in every term takes the real eigensolver
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 5):
+            pairs = parity_pairs(rng, n, 4, odd_y)
+            alpha = float(rng.uniform(0, 2 * np.pi))
+            u = exp_generator(PauliSum.from_labels(n, pairs), alpha)
+            assert np.isrealobj(u._spectrum[0]) != odd_y
+            assert fro(u.matrix - expm(-0.5j * alpha * dense_sum(pairs))) < 1e-12
 
     def test_traceless_generator_gives_det_one(self):
         h = PauliSum.from_labels(2, [("XY", 0.4), ("ZI", 1.3), ("YY", -0.2)])
@@ -194,6 +263,84 @@ class TestEigUnitary:
         dec = eig_unitary(Unitary(d))
         assert fro(dec.reconstruct() - d) < 1e-9
         assert len(dec.clusters) == 2
+
+
+class TestClusterIndices:
+    # Gaps are multiples of tol kept clear of 1, so rounding cannot decide a link.
+    @settings(max_examples=200, deadline=None)
+    @given(tol=st.sampled_from([1e-8, 1e-4, 1e-2]),
+           start=st.one_of(st.floats(-np.pi, np.pi), st.floats(np.pi - 8e-8, np.pi)),
+           gaps=st.lists(st.one_of(st.floats(0.0, 0.9), st.floats(1.1, 1000.0)), max_size=24),
+           seed=st.integers(0, 1 << 16))
+    @example(tol=1e-8, start=np.pi - 2e-8, gaps=[0.6] * 6, seed=0)  # a 3.6 tol chain across -1
+    @example(tol=1e-8, start=0.3, gaps=[0.0] * 9, seed=1)  # one cluster
+    @example(tol=1e-2, start=-3.0, gaps=[50.0] * 12, seed=2)  # all distinct, round the circle
+    def test_sweep_matches_union_find(self, tol, start, gaps, seed):
+        angles = start + tol * np.concatenate(([0.0], np.cumsum(gaps)))
+        # the gap that closes the circle must be clear of tol as well
+        assume(angles[-1] - angles[0] < 2 * np.pi - 1.1 * tol)
+        values = np.exp(1j * np.random.default_rng(seed).permutation(angles))
+        sweep = [m.tolist() for m in _cluster_indices(values, tol)]
+        assert all(m == sorted(m) for m in sweep)
+        assert sorted(sweep) == sorted(union_find_clusters(values, tol))
+
+
+class TestStoredSpectrum:
+    """exp_generator's eigenpairs serve the path without a second eigensolve."""
+
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("alpha", [0.9, 23.0])
+    def test_matches_pencil_route(self, odd_y, alpha):
+        rng = np.random.default_rng(11)
+        sums = [PauliSum.from_labels(n, parity_pairs(rng, n, 5, odd_y)) for n in (2, 4, 6)]
+        sums.append(invariant_parity_sum(4, preset_group("full_swap", 4), rng, odd_y))
+        for h in sums:
+            u = exp_generator(h, alpha)
+            if alpha > 10:  # eigenphases wrap past +-pi
+                w = np.linalg.eigvalsh(dense_sum([(p.to_label(), c) for p, c in h.terms]))
+                assert 0.5 * alpha * np.abs(w).max() > 2 * np.pi
+            fresh = Unitary(u.matrix)  # no stored spectrum: the pencil route
+            for t in (0.0, 0.3, 0.5, 0.77, 1.0):
+                assert fro(connectedness_path(u, t).matrix
+                           - connectedness_path(fresh, t).matrix) < 1e-10
+
+    def test_corrupted_spectrum_falls_back_to_pencil(self):
+        pairs = parity_pairs(np.random.default_rng(5), 3, 4, odd_y=False)
+        u = exp_generator(PauliSum.from_labels(3, pairs), 1.7)
+        v, lambdas = u._spectrum
+        u._spectrum = (v, lambdas * np.exp(1e-4j))
+        dec = eig_unitary(u)
+        pencil = eig_unitary(Unitary(u.matrix))
+        assert np.array_equal(dec.eigenvectors, pencil.eigenvectors)
+        assert np.array_equal(dec.thetas, pencil.thetas)
+
+    def test_spectrum_released_once_cached(self):
+        u = exp_generator(PauliSum.from_labels(2, [("XX", 0.7), ("ZI", 0.4)]), 1.3)
+        assert u._spectrum is not None and u._eig is None
+        connectedness_path(u, 0.4)
+        assert u._spectrum is None and u._eig is not None
+
+    def test_chain_needs_no_pencil_route(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a second eigensolve ran on the pencil route")
+
+        monkeypatch.setattr(unitary_ops, "_pencil_decomposition", refuse)
+        n = 8
+        group = preset_group("cyclic", n)
+        pad = "I" * (n - 3)
+        chains = ([(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],  # real
+                  [(pad + "IXY", 0.9), (pad + "IIZ", 0.7)])  # complex
+        for terms in chains:
+            h = None
+            for label, c in terms:
+                s = symmetrize(PauliString.from_label(label), group) * c
+                h = s if h is None else h + s
+            u = exp_generator(h, 2.9)
+            assert fro(connectedness_path(u, 0.0).matrix - np.eye(1 << n)) < 1e-9
+            half = connectedness_path(u, 0.5)
+            assert fro(half.matrix @ half.matrix - u.matrix) < 1e-9
+            assert fro(connectedness_path(u, 1.0).matrix - u.matrix) < 1e-9
+            assert abs(np.linalg.det(project_to_su(u).matrix) - 1) < 1e-9
 
 
 class TestConnectednessPath:
