@@ -9,7 +9,7 @@ onto the span: a sum lies in it iff its coefficients are constant on
 every orbit, which avoids any numerical rank decisions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,14 +83,23 @@ def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
 class InvariantBasis:
     """One symmetrized element per Pauli-string orbit, identity excluded.
 
-    ``orbit_index`` maps every phase-free string (except the identity) to
-    the index of the element whose orbit contains it.
+    The orbit table ``_orbit_of`` is derived from the elements: entry
+    z << n | x is the index of the element holding that string, or
+    len(elements) for a string in no element (the identity).
     """
 
     n: int
     group: SymmetryGroup
     elements: tuple
-    orbit_index: dict
+    _orbit_of: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = len(self.elements)
+        keys = np.concatenate([e.z << self.n | e.x for e in self.elements] + [np.empty(0, np.int64)])
+        table = np.full(1 << 2 * self.n, d, dtype=np.int64)
+        table[keys] = np.repeat(np.arange(d), [len(e) for e in self.elements])
+        table.setflags(write=False)
+        object.__setattr__(self, "_orbit_of", table)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -102,38 +111,34 @@ class InvariantBasis:
         return f"InvariantBasis(n={self.n}, group={self.group.name!r}, dim={len(self)})"
 
 
-def build_basis(n: int, group: SymmetryGroup,
-                max_qubits: int = DEFAULT_ENUMERATION_CAP) -> InvariantBasis:
+def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
     """Enumerate all 4^n strings, orbit by orbit, in (z_mask, x_mask) order.
 
     Each orbit is found from the generators' mask tables, so the group
-    elements are never enumerated.
+    elements are never enumerated.  The orbit of every string key
+    z << n | x goes into one table; one sort of it lists each orbit's
+    strings together, in canonical order.
     """
     if group.n != n:
         raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
-    if n > max_qubits:
-        raise CapacityError(
-            f"enumerating 4^{n} strings exceeds the cap of {max_qubits} qubits"
-        )
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_ENUMERATION_CAP} qubits")
     moves = [table.__getitem__ for table in _basis_permutations(_generator_images(group)).tolist()]
     size = 1 << n
-    visited = np.zeros((size, size), dtype=bool)
-    visited[0, 0] = True  # identity orbit is excluded
-    elements = []
-    orbit_index: dict[PauliString, int] = {}
-    for z in range(size):
-        for x in range(size):
-            if visited[z, x]:
-                continue
-            index = len(elements)
-            strings = []
-            for mz, mx in _orbit(z, x, moves):
-                visited[mz, mx] = True
-                p = PauliString(n, mx, mz)
-                orbit_index[p] = index
-                strings.append(p)
-            elements.append(PauliSum(n, tuple((p, 1.0) for p in strings)))
-    return InvariantBasis(n, group, tuple(elements), orbit_index)
+    orbit_of = [-1] * (size * size)  # the identity (key 0) keeps -1: its orbit is excluded
+    count = 0
+    for key in range(1, size * size):
+        if orbit_of[key] < 0:
+            for mz, mx in _orbit(key >> n, key & (size - 1), moves):
+                orbit_of[mz << n | mx] = count
+            count += 1
+    table = np.array(orbit_of)
+    keys = np.argsort(table, kind="stable")[1:]  # by orbit, then by key
+    x, z, ones = keys & (size - 1), keys >> n, np.ones(len(keys), dtype=complex)
+    ends = np.cumsum(np.bincount(table[1:])).tolist()
+    elements = tuple(PauliSum._canonical(n, x[lo:hi], z[lo:hi], ones[lo:hi])
+                     for lo, hi in zip([0] + ends, ends))
+    return InvariantBasis(n, group, elements)
 
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:
@@ -170,19 +175,18 @@ def in_span(x: PauliSum, basis: InvariantBasis) -> float:
     """
     if x.n != basis.n:
         raise DimensionError(f"sum on {x.n} qubits, basis on {basis.n}")
-    residual_sq = 0.0
-    touched: dict[int, dict[PauliString, complex]] = {}
-    for p, c in x.terms:
-        idx = basis.orbit_index.get(p)
-        if idx is None:
-            residual_sq += abs(c) ** 2
-        else:
-            touched.setdefault(idx, {})[p] = c
-    for idx, found in touched.items():
-        members = basis.orbit_members(idx)
-        mean = sum(found.values()) / len(members)
-        for p in members:
-            residual_sq += abs(found.get(p, 0j) - mean) ** 2
+    d = len(basis)
+    orbit = basis._orbit_of[x.z << x.n | x.x]
+    inside = orbit < d
+    k, c = orbit[inside], x.coeffs[inside]
+    size = np.bincount(basis._orbit_of, minlength=d + 1)[:d]
+    present = np.bincount(k, minlength=d)
+    # The mean of each orbit, members absent from x counting as 0; real and
+    # imaginary parts are divided apart, as complex / int divides them.
+    mean = np.bincount(k, c.real, d) / size + 1j * (np.bincount(k, c.imag, d) / size)
+    residual_sq = (np.sum(np.abs(x.coeffs[~inside]) ** 2)
+                   + np.sum(np.abs(c - mean[k]) ** 2)
+                   + np.sum((size - present) * np.abs(mean) ** 2))  # each absent member
     return float(np.sqrt(residual_sq))
 
 
@@ -217,20 +221,16 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     tie exactly may then be ordered differently.
     """
     n, d = basis.n, len(basis)
-    sizes = np.array([len(e.terms) for e in basis.elements], dtype=np.int64)
+    sizes = np.array([len(e) for e in basis.elements], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    terms = [t for e in basis.elements for t in e.terms]
-    x = np.array([p.x_mask for p, _ in terms], dtype=np.int64)
-    z = np.array([p.z_mask for p, _ in terms], dtype=np.int64)
+    x = np.concatenate([e.x for e in basis.elements])
+    z = np.concatenate([e.z for e in basis.elements])
     y = np.bitwise_count(x & z).astype(np.int64)
-    coeff = np.array([c for _, c in terms], dtype=complex)
+    coeff = np.concatenate([e.coeffs for e in basis.elements])
     owner = np.repeat(np.arange(d), sizes)
     string_mask = (1 << 2 * n) - 1
-    # (z << n | x) -> orbit; d stands for no orbit, of infinite size, so
-    # that a string outside the span keeps its whole |c|^2.
-    orbit_of = np.full(1 << 2 * n, d, dtype=np.int64)
-    for p, k in basis.orbit_index.items():
-        orbit_of[p.z_mask << n | p.x_mask] = k
+    # Orbit d, no orbit, has infinite size, so that a string outside the
+    # span keeps its whole |c|^2.
     orbit_size = np.append(sizes.astype(float), np.inf)
     phases = np.array(PHASES)
 
@@ -257,7 +257,7 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
                 key = (owner[lo + rb] - first) << 2 * n | pz << n | px
                 keys, at = np.unique(key, return_inverse=True)
                 sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
-                jk, at = np.unique((keys >> 2 * n) * (d + 1) + orbit_of[keys & string_mask],
+                jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis._orbit_of[keys & string_mask],
                                    return_inverse=True)
                 sq = np.bincount(at, _norm_sq(sums))
                 total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)

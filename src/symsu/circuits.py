@@ -13,6 +13,7 @@ synthesis checks commutation exactly and refuses otherwise; there is no
 silent approximate splitting.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +136,8 @@ def two_pauli_condition(s: PauliSum) -> bool:
     A letter count only: it does not decide whether the terms commute
     (the six arrangements of X, Z, I do not), so synthesis does not use it.
     """
-    letters = set()
-    for p, _ in s.terms:
-        for q in range(p.n):
-            ch = p.letter(q)
-            if ch != "I":
-                letters.add(ch)
-    return len(letters) <= 2
+    x_only, z_only, y = s.x & ~s.z, s.z & ~s.x, s.x & s.z
+    return sum(bool(np.any(m)) for m in (x_only, z_only, y)) <= 2
 
 
 def synthesize_pauli_exponential(p: PauliString, alpha: float) -> Circuit:
@@ -176,49 +172,35 @@ def synthesize_sum_exponential(s: PauliSum, alpha: float) -> Circuit:
     """
     if not s.is_hermitian():
         raise ValueError("sum exponential needs real coefficients")
-    strings = [p for p, _ in s.terms]
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not paulis_commute(strings[i], strings[j]):
-                raise ProductFormulaError(
-                    "terms do not commute; product formula inapplicable "
-                    f"({strings[i].to_label()} and {strings[j].to_label()} anticommute)"
-                )
-    gates: list[Gate] = []
-    for p, c in s.terms:
-        gates.extend(synthesize_pauli_exponential(p, alpha * c.real).gates)
-    return Circuit(s.n, tuple(gates))
+    terms = s.terms
+    for (p, _), (q, _) in itertools.combinations(terms, 2):
+        if not paulis_commute(p, q):
+            raise ProductFormulaError(
+                "terms do not commute; product formula inapplicable "
+                f"({p.to_label()} and {q.to_label()} anticommute)"
+            )
+    return Circuit(s.n, tuple(g for p, c in terms
+                              for g in synthesize_pauli_exponential(p, alpha * c.real).gates))
 
 
-def _embed_single(gate_matrix: np.ndarray, q: int, n: int) -> np.ndarray:
-    return np.kron(np.eye(1 << (n - 1 - q)), np.kron(gate_matrix, np.eye(1 << q)))
-
-
-def _cnot_matrix(control: int, target: int, n: int) -> np.ndarray:
-    dim = 1 << n
-    m = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        out = idx ^ (((idx >> control) & 1) << target)
-        m[out, idx] = 1.0
-    return m
-
-
-def gate_to_matrix(g: Gate, n: int) -> np.ndarray:
-    if g.kind == "CNOT":
-        return _cnot_matrix(g.qubits[0], g.qubits[1], n)
-    single = {
-        "H": H_MATRIX,
-        "S": S_MATRIX,
-        "SDG": SDG_MATRIX,
-    }.get(g.kind)
-    if single is None:
-        single = rz_matrix(g.angle)
-    return _embed_single(single, g.qubits[0], n)
+_FIXED_GATES = {"H": H_MATRIX, "S": S_MATRIX, "SDG": SDG_MATRIX}
 
 
 def circuit_to_matrix(c: Circuit) -> Unitary:
-    """Evaluate the ordered gate product; the empty circuit is the identity."""
-    m = np.eye(1 << c.n, dtype=complex)
+    """Evaluate the ordered gate product; the empty circuit is the identity.
+
+    The running matrix keeps one row axis per qubit, qubit n-1 first, so a
+    single-qubit gate is a 2x2 contraction on its axis and a CNOT swaps
+    the two target halves of the control-1 half: O(4^n) work per gate.
+    """
+    dim = 1 << c.n
+    m = np.eye(dim, dtype=complex).reshape((2,) * c.n + (dim,))
     for g in c.gates:
-        m = gate_to_matrix(g, c.n) @ m
-    return Unitary(m, tol=1e-10)
+        axes = [c.n - 1 - q for q in g.qubits]
+        if g.kind == "CNOT":
+            view = np.moveaxis(m, axes, (0, 1))  # control axis first, then target
+            view[1] = view[1, ::-1]  # numpy copies the overlapping source first
+        else:
+            gate = rz_matrix(g.angle) if g.kind == "RZ" else _FIXED_GATES[g.kind]
+            m = np.moveaxis(np.tensordot(gate, m, axes=(1, axes[0])), 0, axes[0])
+    return Unitary(m.reshape(dim, dim), tol=1e-10)

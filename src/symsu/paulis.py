@@ -12,10 +12,10 @@ so the text label "XIZ" puts X on qubit 2 and Z on qubit 0.  Phase
 bookkeeping uses Y = i * X * Z, so products of strings stay exact powers
 of i; no floating point enters until a matrix is requested.
 
-Sums of strings are kept canonical: term keys are phase-free strings
-(phase folded into the complex coefficient), zero coefficients dropped,
-terms sorted by (z_mask, x_mask).  A sum with real coefficients therefore
-realizes a Hermitian matrix.
+A sum of strings is kept canonical, as arrays of x masks, z masks and
+complex coefficients: phases folded into the coefficients, equal strings
+merged, zero coefficients dropped, terms sorted by (z_mask, x_mask).  A sum
+with real coefficients therefore realizes a Hermitian matrix.
 """
 
 import re
@@ -29,7 +29,7 @@ from .errors import CapacityError, DimensionError
 # arithmetic; exact-integer paths never come near it.
 ZERO_TOL = 1e-12
 
-# Dense realizations are capped at this many qubits by default.
+# Dense realizations are capped at this many qubits.
 DEFAULT_MATRIX_CAP = 10
 
 # Matrix entries per block of sum_to_matrix; bounds its temporary arrays.
@@ -38,6 +38,7 @@ _REALIZATION_BLOCK = 1 << 14
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
+_X_DIGITS, _Z_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -62,14 +63,10 @@ class PauliString:
         """Parse a letter string, most significant qubit first ("XIZ")."""
         if not label or any(ch not in "IXYZ" for ch in label):
             raise ValueError(f"invalid Pauli label {label!r}")
-        n = len(label)
-        x_mask = z_mask = 0
-        for q, ch in enumerate(reversed(label)):
-            if ch in "XY":
-                x_mask |= 1 << q
-            if ch in "ZY":
-                z_mask |= 1 << q
-        return cls(n, x_mask, z_mask, phase_exp)
+        # Read as binary numerals, most significant qubit first.
+        x_mask = int(label.translate(_X_DIGITS), 2)
+        z_mask = int(label.translate(_Z_DIGITS), 2)
+        return cls(len(label), x_mask, z_mask, phase_exp)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -112,10 +109,6 @@ class PauliString:
         return f"{prefix}{self.to_label()}"
 
 
-def _y_count(p: PauliString) -> int:
-    return (p.x_mask & p.z_mask).bit_count()
-
-
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Product a*b in the Pauli group, with the exact accumulated i-power."""
     if a.n != b.n:
@@ -127,8 +120,8 @@ def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     phase = (
         a.phase_exp
         + b.phase_exp
-        + _y_count(a)
-        + _y_count(b)
+        + (a.x_mask & a.z_mask).bit_count()
+        + (b.x_mask & b.z_mask).bit_count()
         - (x & z).bit_count()
         + 2 * (a.z_mask & b.x_mask).bit_count()
     )
@@ -143,30 +136,60 @@ def paulis_commute(a: PauliString, b: PauliString) -> bool:
     return count % 2 == 0
 
 
-@dataclass(frozen=True)
 class PauliSum:
-    """Canonical complex-weighted combination of phase-free Pauli strings."""
+    """Canonical complex-weighted combination of phase-free Pauli strings.
 
-    n: int
-    terms: tuple = ()
+    Stored as three read-only arrays in canonical order: the ``x`` and
+    ``z`` masks of the strings and their complex ``coeffs``.  ``terms``
+    gives the same sum as (PauliString, complex) pairs.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        merged: dict[PauliString, complex] = {}
-        for p, coeff in self.terms:
-            if p.n != self.n:
-                raise DimensionError(
-                    f"term acts on {p.n} qubits, sum is on {self.n}"
-                )
-            key = p.phase_free()
-            merged[key] = merged.get(key, 0j) + complex(coeff) * p.phase
-        canonical = tuple(
-            (p, c)
-            for p, c in sorted(merged.items(), key=lambda kv: (kv[0].z_mask, kv[0].x_mask))
-            if abs(c) >= ZERO_TOL
-        )
-        object.__setattr__(self, "terms", canonical)
+    __slots__ = ("n", "x", "z", "coeffs")
+
+    def __new__(cls, n: int, terms=()):
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
+        pairs = tuple(terms)
+        for p, _ in pairs:
+            if p.n != n:
+                raise DimensionError(f"term acts on {p.n} qubits, sum is on {n}")
+        dtype = np.int64 if n <= 62 else object  # Python-int masks above 62 qubits
+        x = np.array([p.x_mask for p, _ in pairs], dtype=dtype)
+        z = np.array([p.z_mask for p, _ in pairs], dtype=dtype)
+        values = np.array([complex(c) * p.phase for p, c in pairs], dtype=complex)
+        order = np.lexsort((x, z))  # stable: equal strings keep their input order
+        x, z, values = x[order], z[order], values[order]
+        first = np.ones(len(x), dtype=bool)
+        first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+        run = np.cumsum(first) - 1
+        # bincount adds each run in order onto +0.0, as a dict merge onto 0j does.
+        coeffs = np.bincount(run, values.real).astype(complex)
+        coeffs.imag = np.bincount(run, values.imag)
+        keep = np.abs(coeffs) >= ZERO_TOL
+        return cls._canonical(n, x[first][keep], z[first][keep], coeffs[keep])
+
+    @classmethod
+    def _canonical(cls, n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
+        """Wrap arrays that are already canonical, without copying them;
+        they become read-only."""
+        s = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (n, x, z, coeffs)):
+            if name != "n":
+                value.setflags(write=False)
+            object.__setattr__(s, name, value)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PauliSum is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return PauliSum._canonical, (self.n, self.x, self.z, self.coeffs)
+
+    @property
+    def terms(self) -> tuple:
+        """(PauliString, complex) pairs in canonical order."""
+        return tuple((PauliString(self.n, x, z), c)
+                     for x, z, c in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist()))
 
     @classmethod
     def from_label(cls, label: str, coeff: complex = 1.0) -> "PauliSum":
@@ -182,10 +205,20 @@ class PauliSum:
         return cls(n, ())
 
     def coefficient(self, p: PauliString) -> complex:
-        return dict(self.terms).get(p.phase_free(), 0j)
+        hit = (self.x == p.x_mask) & (self.z == p.z_mask) & (p.n == self.n)
+        return complex(self.coeffs[hit].sum())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PauliSum):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.x, other.x)
+                and np.array_equal(self.z, other.z) and np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.terms))
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
@@ -202,19 +235,27 @@ class PauliSum:
 
     def is_hermitian(self, tol: float = ZERO_TOL) -> bool:
         """Real coefficients on phase-free keys realize a Hermitian matrix."""
-        return all(abs(c.imag) < tol for _, c in self.terms)
+        return bool(np.all(np.abs(self.coeffs.imag) < tol))
 
     @property
     def has_identity_term(self) -> bool:
-        return any(p.is_identity for p, _ in self.terms)
+        return bool(np.any((self.x == 0) & (self.z == 0)))
+
+    def _term_texts(self):
+        """'(re,im) LETTERS' per term, the letters read from the masks."""
+        shifts = np.arange(self.n - 1, -1, -1).astype(self.x.dtype)  # most significant qubit first
+        codes = (self.x[:, None] >> shifts & 1) + 2 * (self.z[:, None] >> shifts & 1)
+        labels = np.frombuffer(_LETTERS.encode(), np.uint8)[codes.astype(np.int64)].view(f"S{self.n}")
+        return (f"({c.real:.17g},{c.imag:.17g}) {label.decode()}"
+                for label, c in zip(labels[:, 0].tolist(), self.coeffs.tolist()))
 
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""
-        return " + ".join(_term_text(p, c) for p, c in self.terms)
+        return " + ".join(self._term_texts())
 
     def to_text(self) -> str:
         """Multi-line form: one '(re,im) LETTERS' term per line."""
-        return "\n".join(_term_text(p, c) for p, c in self.terms)
+        return "\n".join(self._term_texts())
 
     @classmethod
     def from_line(cls, line: str) -> "PauliSum":
@@ -227,28 +268,18 @@ class PauliSum:
 
     @classmethod
     def _from_term_strings(cls, chunks) -> "PauliSum":
-        pairs = []
-        n = None
-        for chunk in chunks:
-            p, c = _parse_term(chunk)
-            if n is None:
-                n = p.n
-            pairs.append((p, c))
-        if n is None:
+        pairs = [_parse_term(chunk) for chunk in chunks]
+        if not pairs:
             raise ValueError("empty Pauli sum text")
-        return cls(n, tuple(pairs))
+        return cls(pairs[0][0].n, pairs)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not len(self):
             return f"PauliSum(n={self.n}, 0)"
         return f"PauliSum({self.to_line()})"
 
 
 _TERM_RE = re.compile(r"^\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)\s+([IXYZ]+)$")
-
-
-def _term_text(p: PauliString, c: complex) -> str:
-    return f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}"
 
 
 def _parse_term(chunk: str) -> tuple[PauliString, complex]:
@@ -260,41 +291,28 @@ def _parse_term(chunk: str) -> tuple[PauliString, complex]:
 
 def pauli_commutator(a: PauliString, b: PauliString) -> PauliSum:
     """Commutator a*b - b*a as a sum: empty, or one term 2*(phase of ab)."""
-    if a.n != b.n:
-        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    if paulis_commute(a, b):
+    if paulis_commute(a, b):  # raises on differing qubit counts
         return PauliSum.zero(a.n)
-    prod = pauli_multiply(a, b)
-    return PauliSum(a.n, ((prod.phase_free(), 2.0 * prod.phase),))
+    return PauliSum(a.n, ((pauli_multiply(a, b), 2.0),))
 
 
 def sum_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     """Bilinear expansion of the commutator over all term pairs."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    pairs = []
-    for p, ca in a.terms:
-        for q, cb in b.terms:
-            if not paulis_commute(p, q):
-                prod = pauli_multiply(p, q)
-                pairs.append((prod.phase_free(), 2.0 * ca * cb * prod.phase))
-    return PauliSum(a.n, tuple(pairs))
+    right = b.terms
+    # The sum folds each product's phase into its coefficient.
+    return PauliSum(a.n, [(pauli_multiply(p, q), 2.0 * ca * cb)
+                          for p, ca in a.terms for q, cb in right if not paulis_commute(p, q)])
 
 
-def _check_cap(n: int, max_qubits: int):
-    if n > max_qubits:
-        raise CapacityError(
-            f"dense realization of {n} qubits exceeds the cap of {max_qubits}"
-        )
-
-
-def pauli_to_matrix(p: PauliString, max_qubits: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n realization: i**phase_exp times the letter kron,
     filled as the monomial matrix it is (see sum_to_matrix)."""
-    return sum_to_matrix(PauliSum(p.n, ((p, 1.0),)), max_qubits)
+    return sum_to_matrix(PauliSum(p.n, ((p, 1.0),)))
 
 
-def sum_to_matrix(s: PauliSum, max_qubits: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def sum_to_matrix(s: PauliSum) -> np.ndarray:
     """Dense realization of a sum, linear in the coefficients.
 
     A phase-free string is a monomial matrix,
@@ -304,15 +322,15 @@ def sum_to_matrix(s: PauliSum, max_qubits: int = DEFAULT_MATRIX_CAP) -> np.ndarr
     block at a time, so every entry gets the same float additions in the
     same order as a sum of kron products would give it.
     """
-    _check_cap(s.n, max_qubits)
+    if s.n > DEFAULT_MATRIX_CAP:
+        raise CapacityError(f"dense realization of {s.n} qubits exceeds the cap of {DEFAULT_MATRIX_CAP}")
     dim = 1 << s.n
     out = np.zeros((dim, dim), dtype=complex)
     b = np.arange(dim)
-    x = np.array([p.x_mask for p, _ in s.terms], dtype=np.int64)[:, None]
-    z = np.array([p.z_mask for p, _ in s.terms], dtype=np.int64)[:, None]
-    value = np.array([c * PHASES[_y_count(p) % 4] for p, c in s.terms], dtype=complex)[:, None]
+    x, z = s.x[:, None], s.z[:, None]
+    value = (s.coeffs * np.array(PHASES)[np.bitwise_count(s.x & s.z) % 4])[:, None]
     step = max(1, _REALIZATION_BLOCK >> s.n)
-    for lo in range(0, len(s.terms), step):
+    for lo in range(0, len(s), step):
         hi = lo + step
         odd = np.bitwise_count(b & z[lo:hi]) & 1  # uint8: select with it, no arithmetic
         entries = np.where(odd, -value[lo:hi], value[lo:hi])

@@ -109,7 +109,7 @@ class SymmetryElement:
         return cls(perm.n, perm=perm)
 
     @classmethod
-    def from_unitary(cls, matrix: np.ndarray, tol: float = RAW_UNITARITY_TOL) -> "SymmetryElement":
+    def from_unitary(cls, matrix: np.ndarray) -> "SymmetryElement":
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"raw symmetry must be square, got shape {m.shape}")
@@ -118,7 +118,7 @@ class SymmetryElement:
         if 1 << n != dim:
             raise DimensionError(f"matrix dimension {dim} is not a power of two")
         residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
-        if residual >= tol:
+        if residual >= RAW_UNITARITY_TOL:
             raise NotUnitaryError(
                 f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}"
             )

@@ -67,7 +67,7 @@ def identity_unitary(n: int) -> Unitary:
     return Unitary(np.eye(1 << n))
 
 
-def exp_generator(h: PauliSum, alpha: float, max_qubits: int = 10) -> Unitary:
+def exp_generator(h: PauliSum, alpha: float) -> Unitary:
     """exp(-i*alpha/2 * H) for a Hermitian generator sum H.
 
     Computed through the Hermitian eigendecomposition of the realization,
@@ -79,7 +79,7 @@ def exp_generator(h: PauliSum, alpha: float, max_qubits: int = 10) -> Unitary:
         raise ValueError(
             "generator must be Hermitian (real coefficients on phase-free terms)"
         )
-    hm = sum_to_matrix(h, max_qubits=max_qubits)
+    hm = sum_to_matrix(h)
     w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
     lambdas = np.exp(-0.5j * alpha * w)
     u = Unitary((v * lambdas) @ v.conj().T)
@@ -155,10 +155,10 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(members, starts)
 
 
-def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cluster_tol: float):
+def _assemble(vectors: np.ndarray, lambdas: np.ndarray):
     """Cluster eigenvalues, re-orthonormalize per cluster, sort by theta."""
     reps = []
-    for members in _cluster_indices(lambdas, cluster_tol):
+    for members in _cluster_indices(lambdas, CLUSTER_TOL):
         rep = np.mean(lambdas[members])
         reps.append((float(np.angle(rep / abs(rep))), members))
     reps.sort(key=lambda item: item[0])
@@ -177,7 +177,7 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cluster_tol: float):
     return EigDecomposition(p, thetas, tuple(clusters))
 
 
-def _pencil_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition:
+def _pencil_decomposition(m: np.ndarray) -> EigDecomposition:
     """Joint diagonalization of the Hermitian parts (A+A+)/2 and (A-A+)/2i.
 
     For a normal A the two commute, so refining the eigenspaces of the
@@ -190,7 +190,7 @@ def _pencil_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition
     start = 0
     dim = m.shape[0]
     for stop in range(1, dim + 1):
-        if stop < dim and w[stop] - w[stop - 1] <= cluster_tol:
+        if stop < dim and w[stop] - w[stop - 1] <= CLUSTER_TOL:
             continue
         block = v[:, start:stop]
         sub = block.conj().T @ im_part @ block
@@ -201,38 +201,37 @@ def _pencil_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition
         start = stop
     lambdas = w + 1j * im_vals
     lambdas /= np.abs(lambdas)
-    return _assemble(v, lambdas, cluster_tol)
+    return _assemble(v, lambdas)
 
 
-def _general_decomposition(m: np.ndarray, cluster_tol: float) -> EigDecomposition:
+def _general_decomposition(m: np.ndarray) -> EigDecomposition:
     lambdas, vectors = np.linalg.eig(m)
     lambdas = lambdas / np.abs(lambdas)
-    return _assemble(vectors, lambdas, cluster_tol)
+    return _assemble(vectors, lambdas)
 
 
-def eig_unitary(a, cluster_tol: float = CLUSTER_TOL,
-                residual_tol: float = RECONSTRUCTION_TOL) -> EigDecomposition:
+def eig_unitary(a) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
     Tries the spectrum a Unitary from exp_generator carries, the
     Hermitian-pencil route, then a general complex eigensolve; the first
-    whose P reconstructs the matrix and is orthonormal within residual_tol wins.
+    whose P reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL wins.
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     stored = getattr(a, "_spectrum", None)
     routes = [_pencil_decomposition, _general_decomposition]
     if stored is not None:
-        routes.insert(0, lambda _, tol: _assemble(*stored, tol))
+        routes.insert(0, lambda _: _assemble(*stored))
     for route in routes:
-        dec = route(m, cluster_tol)
+        dec = route(m)
         p = dec.eigenvectors
         recon = float(np.linalg.norm(dec.reconstruct() - m))
         ortho = float(np.linalg.norm(p.conj().T @ p - np.eye(len(m))))
-        if recon < residual_tol and ortho < residual_tol:
+        if recon < RECONSTRUCTION_TOL and ortho < RECONSTRUCTION_TOL:
             return dec
     raise NumericError(
         f"unitary eigendecomposition failed: reconstruction residual {recon:.3e}, "
-        f"orthonormality residual {ortho:.3e}, target {residual_tol:.1e}"
+        f"orthonormality residual {ortho:.3e}, target {RECONSTRUCTION_TOL:.1e}"
     )
 
 

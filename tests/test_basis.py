@@ -271,8 +271,7 @@ def split_orbit(basis, k):
     elements = (basis.elements[:k]
                 + (PauliSum(basis.n, terms[:half]), PauliSum(basis.n, terms[half:]))
                 + basis.elements[k + 1:])
-    index = {p: i for i, e in enumerate(elements) for p, _ in e.terms}
-    return InvariantBasis(basis.n, basis.group, elements, index)
+    return InvariantBasis(basis.n, basis.group, elements)
 
 
 def assert_matches_scalar(basis):

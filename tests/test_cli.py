@@ -11,9 +11,11 @@ from symsu import (
     Circuit,
     circuit_to_matrix,
     exp_generator,
+    PauliString,
     PauliSum,
     matrix_from_pairs,
     save_matrix,
+    synthesize_pauli_exponential,
 )
 from symsu.cli import main
 
@@ -250,6 +252,19 @@ class TestSynthCommand:
         circuit = Circuit.from_text(out)
         exact = exp_generator(PauliSum.from_label("XZY"), 0.7)
         assert fro(circuit_to_matrix(circuit).matrix - exact.matrix) < 1e-10
+
+    def test_seventy_letter_string(self, capsys):
+        # Wider than an int64 mask: the sum's Python-int masks give the
+        # same circuit as the string itself.
+        label = "XYZIZYXXIYZZIXYIIZXY" * 3 + "XYZIZYXXIY"
+        code, out, _ = run(capsys, "synth", "--pauli", label, "--alpha", "0.3")
+        assert code == 0
+        assert out == synthesize_pauli_exponential(PauliString.from_label(label), 0.3).to_text() + "\n"
+        circuit = Circuit.from_text(out)
+        weight = 70 - label.count("I")
+        assert circuit.n == 70 and circuit.count("CNOT") == 2 * (weight - 1)
+        rz, = [g for g in circuit.gates if g.kind == "RZ"]
+        assert rz.qubits == (69 - min(label.index(ch) for ch in "XYZ"),)
 
     def test_circuit_parses_and_matches(self, capsys, tmp_path):
         sum_path = tmp_path / "sum.txt"

@@ -1,5 +1,8 @@
 """Symbolic Pauli algebra against hand values and the dense oracle."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,31 @@ def string_pairs():
             st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.integers(0, 3)),
         ).map(lambda ab: (PauliString(n, *ab[0]), PauliString(n, *ab[1])))
     )
+
+
+def dict_merge(pairs):
+    """Canonical terms by a plain dict merge: phase folded into the
+    coefficient, equal strings summed in input order from 0j, |c| < 1e-12
+    dropped, sorted by (z_mask, x_mask)."""
+    merged = {}
+    for p, c in pairs:
+        key = PauliString(p.n, p.x_mask, p.z_mask)
+        merged[key] = merged.get(key, 0j) + complex(c) * (1, 1j, -1, -1j)[p.phase_exp]
+    kept = [(p, c) for p, c in merged.items() if abs(c) >= 1e-12]
+    return tuple(sorted(kept, key=lambda t: (t[0].z_mask, t[0].x_mask)))
+
+
+# A few strings per example, drawn with repeats, so that duplicates merge;
+# coefficients from a small signed set, so that some cancel exactly.
+raw_term_lists = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+             min_size=1, max_size=4, unique=True),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                       st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.1, -0.1, 2j, -2j, 0.3 - 0.7j])),
+             max_size=12),
+)).map(lambda t: (t[0], [(PauliString(t[0], *t[1][k % len(t[1])], phase), c)
+                         for k, phase, c in t[2]]))
 
 
 class TestPauliString:
@@ -185,6 +213,48 @@ class TestPauliSum:
         with pytest.raises(DimensionError):
             PauliSum(2, ((P("X"), 1.0),))
 
+    @settings(max_examples=200, deadline=None)
+    @given(raw_term_lists)
+    def test_canonical_form_matches_dict_merge(self, case):
+        n, pairs = case
+        for order in (pairs, pairs[::-1]):
+            s = PauliSum(n, order)
+            expected = dict_merge(order)
+            assert s.terms == expected
+            assert len(s) == len(expected)
+            assert s == PauliSum(n, expected)
+            assert [p.to_label() for p, _ in s.terms] == [p.to_label() for p, _ in expected]
+
+    def test_wider_than_int64_masks(self):
+        # 70 qubits: the masks are Python ints, the sum still canonical.
+        a = "XYZI" * 17 + "ZX"
+        b = "Y" + "I" * 68 + "Z"
+        pairs = [(P(a), 0.5), (P(b, 2), 1.5), (P(a), 0.25), (P(b), 1.5)]
+        s = PauliSum(70, pairs)
+        assert s.terms == dict_merge(pairs) == ((P(a), 0.75 + 0j),)
+        t = PauliSum.from_labels(70, [(a, 1.0), (b, -2.0)])
+        assert [p.to_label() for p, _ in t.terms] == [a, b]  # b has the larger z mask, bit 69
+        assert t.coefficient(P(b)) == -2.0 and t.coefficient(P("Z" * 70)) == 0
+        assert PauliSum.from_line(t.to_line()) == t
+
+    def test_seventy_letter_label_round_trip(self):
+        label = "XYZIZYXXIY" * 7
+        s = PauliSum.from_label(label)
+        assert s.to_line() == f"(1,0) {label}"
+        assert PauliSum.from_line(s.to_line()) == s
+        assert PauliSum.from_text(s.to_text()) == s
+        (p, c), = s.terms
+        assert p == P(label) and c == 1
+
+    def test_immutable_and_copyable(self):
+        s = PauliSum.from_labels(2, [("XY", 0.5), ("ZI", -1j)])
+        with pytest.raises(AttributeError):
+            s.n = 3
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 2.0
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert twin == s and twin.terms == s.terms
+
     def test_arithmetic(self):
         s = PauliSum.from_label("X") + PauliSum.from_label("Y")
         assert len(s) == 2
@@ -213,6 +283,21 @@ class TestSumCommutator:
         assert len(sum_commutator(a, b)) == 0
         oracle = dense_label("XX") @ dense_label("ZZ") - dense_label("ZZ") @ dense_label("XX")
         assert fro(oracle) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), *(
+        st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                           st.complex_numbers(max_magnitude=2.0)), min_size=1, max_size=6)
+        for _ in range(2)))))
+    def test_matches_dense_commutator(self, case):
+        n, a_pairs, b_pairs = case
+        a, b = PauliSum.from_labels(n, a_pairs), PauliSum.from_labels(n, b_pairs)
+
+        def dense(s):  # terms below 1e-12 are dropped, so the bound allows 36 of them
+            return dense_sum([(p.to_label(), coeff) for p, coeff in s.terms] or [("I" * n, 0)])
+
+        am, bm = dense(a), dense(b)
+        assert fro(dense(sum_commutator(a, b)) - (am @ bm - bm @ am)) < 1e-9
 
     def test_antisymmetry(self):
         a = PauliSum.from_labels(2, [("XI", 0.7), ("YZ", 1.0)])
