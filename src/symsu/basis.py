@@ -216,9 +216,10 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     squared residual is sum |c|^2 - |sum c|^2 / |O_k|, members absent from
     the commutator counting as 0, and strings in no orbit add |c|^2.  With
     the unit coefficients of build_basis every sum is an exact integer.
-    The worst pair is the first to reach the maximum, in (i, j) order;
-    with other coefficients both routes round, and pairs whose residuals
-    tie exactly may then be ordered differently.
+    The worst pair is the first to reach the maximum, in (i, j) order.
+    Restriction: with coefficients not all 1 it rounds once per target orbit,
+    so residuals that tie exactly can rank in another order than on the
+    scalar in_span route; unit-coefficient build_basis bases are exact.
     """
     n, d = basis.n, len(basis)
     sizes = np.array([len(e) for e in basis.elements], dtype=np.int64)

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -125,6 +126,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_check(args) -> int:
+    start = time.perf_counter()
     m = load_matrix(args.matrix)
     dim = m.shape[0]
     n = dim.bit_length() - 1
@@ -146,6 +148,7 @@ def cmd_check(args) -> int:
             "tol": args.tol,
             "invariant": flag,
             "max_defect": worst,
+            "wall_s": time.perf_counter() - start,
             "defects": [{"element": _element_label(el), "defect": d} for el, d in defects],
         }
         _emit(json.dumps(data, indent=2), _resolve_out(args.out))

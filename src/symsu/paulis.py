@@ -233,9 +233,9 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def is_hermitian(self, tol: float = ZERO_TOL) -> bool:
-        """Real coefficients on phase-free keys realize a Hermitian matrix."""
-        return bool(np.all(np.abs(self.coeffs.imag) < tol))
+    def is_hermitian(self) -> bool:
+        """Imaginary parts below ZERO_TOL on phase-free keys realize a Hermitian matrix."""
+        return bool(np.all(np.abs(self.coeffs.imag) < ZERO_TOL))
 
     @property
     def has_identity_term(self) -> bool:

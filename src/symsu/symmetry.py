@@ -27,9 +27,6 @@ RAW_UNITARITY_TOL = 1e-10
 DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
 
-# Matrix entries per block of _permutation_defects; bounds its stacked differences.
-_DEFECT_BLOCK = 1 << 12
-
 
 def _basis_permutations(images: np.ndarray) -> np.ndarray:
     """Row e is the basis-index table of the wire permutation images[e]:
@@ -324,24 +321,17 @@ def _square(u) -> np.ndarray:
 def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
     """||S U - U S|| for the wire permutation S of each image row.
 
-    With s the basis-index table and inv its inverse, S U - U S is the 2-D
-    difference m[inv, :] - m[:, s].  The index tables and differences of a
-    block of rows are built together; each norm is taken of that 2-D
-    difference alone, so a row's defect does not depend on its block.
+    The entries of S U - U S are those of S U S+ - U in another order, and
+    S U S+ is U seen as a (2,)*2n tensor (axis k of each half is qubit
+    n-1-k) with the wire permutation applied to its row and column axes.
     """
-    if 1 << images.shape[1] != m.shape[0]:
-        raise DimensionError(f"matrix dim {m.shape[0]} does not match {images.shape[1]} qubits")
-    columns = np.ascontiguousarray(m.T)  # row c is column c of m
-    block = max(1, _DEFECT_BLOCK >> 2 * images.shape[1])
-    out = np.empty(len(images))
-    for start in range(0, len(images), block):
-        tables = _basis_permutations(images[start:start + block])
-        inverses = np.empty_like(tables)
-        inverses[np.arange(len(tables))[:, None], tables] = np.arange(m.shape[0])
-        diffs = m[inverses, :]
-        diffs -= columns[tables].transpose(0, 2, 1)
-        out[start:start + len(diffs)] = [np.linalg.norm(diff) for diff in diffs]
-    return out
+    n = images.shape[1]
+    if 1 << n != m.shape[0]:
+        raise DimensionError(f"matrix dim {m.shape[0]} does not match {n} qubits")
+    t = m.reshape((2,) * 2 * n)
+    axes = np.empty_like(images)
+    np.put_along_axis(axes, n - 1 - images, np.arange(n - 1, -1, -1), axis=1)
+    return np.array([np.linalg.norm(t.transpose(a) - t) for a in np.hstack((axes, axes + n)).tolist()])
 
 
 def symmetry_defect(u, element) -> float:

@@ -26,9 +26,39 @@ CLUSTER_TOL = 1e-8
 
 RECONSTRUCTION_TOL = 1e-9
 
+_REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost more than they save
+
+
+def _unitarity_residual(m: np.ndarray) -> float:
+    """||M M+ - 1||_F; from _REAL_PRODUCT_DIM on, for M = A + iB, Re(M M+) =
+    A A^T + B B^T is one symmetric product of M's interleaved real view and
+    Im(M M+) = K - K^T with K = B A^T."""
+    dim = len(m)
+    if dim < _REAL_PRODUCT_DIM:
+        return float(np.linalg.norm(m @ m.conj().T - np.eye(dim)))
+    r = np.ascontiguousarray(m).view(np.float64).reshape(dim, -1)
+    re = r @ r.T
+    re.flat[::dim + 1] -= 1.0
+    sq = np.vdot(re, re)
+    if np.iscomplexobj(m):
+        k = np.ascontiguousarray(m.imag) @ np.ascontiguousarray(m.real).T
+        im = k - k.T
+        sq += np.vdot(im, im)
+    return float(np.sqrt(sq))
+
+
+def _spectral_product(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """P diag(d) P+, from two real products when P is real (from _REAL_PRODUCT_DIM on)."""
+    if np.iscomplexobj(p) or len(p) < _REAL_PRODUCT_DIM:
+        return (p * d) @ p.conj().T
+    out = ((p * d.real) @ p.T).astype(complex)
+    out.imag = (p * d.imag) @ p.T
+    return out
+
 
 class Unitary:
-    """A dense square matrix validated to be unitary at construction."""
+    """A dense square matrix validated to be unitary at construction: the
+    residual ||UU+ - 1||_F of the stored matrix, by _unitarity_residual."""
 
     __slots__ = ("matrix", "unitarity_residual", "_eig", "_spectrum")
 
@@ -39,7 +69,7 @@ class Unitary:
         dim = m.shape[0]
         if dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
-        residual = float(np.linalg.norm(m @ m.conj().T - np.eye(dim)))
+        residual = _unitarity_residual(m)
         if residual >= tol:
             raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
         m.setflags(write=False)
@@ -82,7 +112,7 @@ def exp_generator(h: PauliSum, alpha: float) -> Unitary:
     hm = sum_to_matrix(h)
     w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
     lambdas = np.exp(-0.5j * alpha * w)
-    u = Unitary((v * lambdas) @ v.conj().T)
+    u = Unitary(_spectral_product(v, lambdas))
     u._spectrum = (v, lambdas)
     return u
 
@@ -130,8 +160,7 @@ class EigDecomposition:
         return np.exp(1j * self.thetas)
 
     def reconstruct(self, t: float = 1.0) -> np.ndarray:
-        p = self.eigenvectors
-        return (p * np.exp(1j * t * self.thetas)) @ p.conj().T
+        return _spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas))
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -164,7 +193,7 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray):
     reps.sort(key=lambda item: item[0])
 
     dim = len(lambdas)
-    p = np.empty((dim, dim), dtype=complex)
+    p = np.empty((dim, dim), dtype=vectors.dtype)  # real eigenvectors stay real
     thetas = np.empty(dim)
     clusters = []
     col = 0
@@ -177,31 +206,26 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray):
     return EigDecomposition(p, thetas, tuple(clusters))
 
 
-def _pencil_decomposition(m: np.ndarray) -> EigDecomposition:
-    """Joint diagonalization of the Hermitian parts (A+A+)/2 and (A-A+)/2i.
+def _cayley_decomposition(m: np.ndarray) -> EigDecomposition:
+    """One Hermitian eigensolve of the Cayley transform H = i(1 - A')(1 + A')^-1
+    of A' = exp(i phi) A, whose eigenvalue tan(theta'/2) has slope at least 1/2
+    in the eigenphase theta' = theta + phi.
 
-    For a normal A the two commute, so refining the eigenspaces of the
-    real part by the imaginary part yields orthonormal eigenvectors of A.
+    So eigenvectors are as well conditioned as the eigenphases are apart; the
+    real part cos(theta) would map theta and -theta alike.  phi rotates onto -1,
+    where tan(theta'/2) diverges, the middle of the widest gap between the
+    candidate eigenphases +-arccos of the real part's eigenvalues.
     """
-    re_part = (m + m.conj().T) / 2
-    im_part = (m - m.conj().T) / 2j
-    w, v = np.linalg.eigh(re_part)
-    im_vals = np.empty_like(w)
-    start = 0
-    dim = m.shape[0]
-    for stop in range(1, dim + 1):
-        if stop < dim and w[stop] - w[stop - 1] <= CLUSTER_TOL:
-            continue
-        block = v[:, start:stop]
-        sub = block.conj().T @ im_part @ block
-        sub = (sub + sub.conj().T) / 2
-        wi, rot = np.linalg.eigh(sub)
-        v[:, start:stop] = block @ rot
-        im_vals[start:stop] = wi
-        start = stop
-    lambdas = w + 1j * im_vals
-    lambdas /= np.abs(lambdas)
-    return _assemble(v, lambdas)
+    cos = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2), -1.0, 1.0)
+    phases = np.sort(np.concatenate((np.arccos(cos), -np.arccos(cos))))
+    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    phi = np.pi - phases[k] - gaps[k] / 2
+    a, eye = np.exp(1j * phi) * m, np.eye(len(m))
+    h = 1j * np.linalg.solve(eye + a, eye - a)
+    mu, v = np.linalg.eigh((h + h.conj().T) / 2)
+    theta = np.pi - np.mod(np.pi + phi - 2 * np.arctan(mu), 2 * np.pi)  # in (-pi, pi]
+    return _assemble(v, np.exp(1j * theta))
 
 
 def _general_decomposition(m: np.ndarray) -> EigDecomposition:
@@ -213,20 +237,19 @@ def _general_decomposition(m: np.ndarray) -> EigDecomposition:
 def eig_unitary(a) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
-    Tries the spectrum a Unitary from exp_generator carries, the
-    Hermitian-pencil route, then a general complex eigensolve; the first
+    Tries the spectrum a Unitary from exp_generator carries, the Cayley
+    route, then a general complex eigensolve; the first
     whose P reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL wins.
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     stored = getattr(a, "_spectrum", None)
-    routes = [_pencil_decomposition, _general_decomposition]
+    routes = [_cayley_decomposition, _general_decomposition]
     if stored is not None:
         routes.insert(0, lambda _: _assemble(*stored))
     for route in routes:
         dec = route(m)
-        p = dec.eigenvectors
         recon = float(np.linalg.norm(dec.reconstruct() - m))
-        ortho = float(np.linalg.norm(p.conj().T @ p - np.eye(len(m))))
+        ortho = _unitarity_residual(dec.eigenvectors)  # = ||P+P - 1|| for a square P
         if recon < RECONSTRUCTION_TOL and ortho < RECONSTRUCTION_TOL:
             return dec
     raise NumericError(

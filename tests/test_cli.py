@@ -177,6 +177,14 @@ class TestCheckCommand:
         data = json.loads(out)
         assert code == 1 and data["invariant"] is False
         assert data["max_defect"] == pytest.approx(2 * np.sqrt(2))
+        assert isinstance(data["wall_s"], float) and data["wall_s"] >= 0
+
+    def test_text_format_has_no_wall_time(self, capsys, tmp_path):
+        # the wall time is JSON-only, so the default output stays byte-stable
+        path = tmp_path / "xi.json"
+        save_matrix(path, dense_label("XI"))
+        outs = [run(capsys, "check", str(path), "--symmetry", "full_swap")[1] for _ in range(2)]
+        assert outs[0] == outs[1] and "wall" not in outs[0]
 
 
 class TestPathCommand:

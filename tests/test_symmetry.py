@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsu import (
     DimensionError,
@@ -28,6 +29,7 @@ from symsu import (
     symmetry_defect,
 )
 from symsu.basis import _cycle_counts
+from symsu.symmetry import _permutation_defects
 
 from conftest import dense_label, fro, generator_sets
 
@@ -354,6 +356,27 @@ class TestDefectAndInvariance:
     def test_nan_matrix_is_not_invariant(self, s2):
         flag, worst = is_invariant(np.full((4, 4), np.nan), s2)
         assert not flag and np.isnan(worst)
+
+
+class TestPermutationDefectKernel:
+    """The axis-permutation kernel against the dense product S U - U S."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle(self, n, count, seed):
+        rng = np.random.default_rng(seed)
+        images = np.array([rng.permutation(n) for _ in range(count)], dtype=np.int64)
+        dim = 1 << n
+        # distinct weights on the wires: no wire permutation but the identity commutes
+        weighted = [("I" * (n - 1 - i) + "Z" + "I" * i, 0.3 + 0.4 * i) for i in range(n)]
+        lopsided = exp_generator(PauliSum.from_labels(n, weighted + [("X" * n, 0.5)]), 1.1).matrix
+        for m in (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), lopsided):
+            oracle = [fro(s @ m - m @ s) for s in
+                      (QubitPermutation(n, row).to_matrix() for row in images.tolist())]
+            got = _permutation_defects(m, images)
+            assert np.allclose(got, oracle, rtol=1e-12, atol=1e-14)
+            moved = (images != np.arange(n)).any(axis=1)
+            assert (got[moved] > 1e-3).all() and (got[~moved] == 0).all()
 
 
 class TestSpecsAndPresets:

@@ -1,5 +1,7 @@
 """Exponential map, invariant sampling, eigenphase paths, SU projection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +29,7 @@ from symsu import (
 )
 from symsu import unitary_ops
 from symsu.paulis import PauliString
-from symsu.unitary_ops import _cluster_indices
+from symsu.unitary_ops import UNITARITY_TOL, _cluster_indices, _spectral_product, _unitarity_residual
 
 from conftest import dense_label, dense_sum, fro
 
@@ -65,6 +67,24 @@ def invariant_parity_sum(n: int, group, rng, odd_y: bool, count: int = 4) -> Pau
         term = elements[int(k)] * float(rng.normal())
         h = term if h is None else h + term
     return h
+
+
+def complex_products():
+    """Route every product of unitary_ops through complex arithmetic: the oracle
+    for the real products it uses from _REAL_PRODUCT_DIM on."""
+    return mock.patch.object(unitary_ops, "_REAL_PRODUCT_DIM", 1 << 30)
+
+
+def real_products():
+    """Route every product of unitary_ops through real arithmetic where it can."""
+    return mock.patch.object(unitary_ops, "_REAL_PRODUCT_DIM", 1)
+
+
+def random_unitary(rng, dim: int, real: bool) -> np.ndarray:
+    z = rng.normal(size=(dim, dim))
+    if not real:
+        z = z + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
 
 
 def union_find_clusters(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -113,6 +133,73 @@ class TestUnitaryType:
         u = random_invariant(2, preset_group("full_swap", 2), seed=5, depth=4)
         again = matrix_from_pairs(matrix_to_pairs(u.matrix))
         assert np.array_equal(again, u.matrix)
+
+
+class TestRealProducts:
+    """The real-product kernels against the complex products they replace."""
+
+    KINDS = ["real", "complex", "real unitary", "unitary", "just below tol", "just above tol"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(1, 64), kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    @example(dim=64, kind="just below tol", seed=0)
+    @example(dim=64, kind="just above tol", seed=0)
+    def test_residual_matches_complex_product(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "real":
+            m = rng.normal(size=(dim, dim))
+        elif kind == "complex":
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        else:
+            m = random_unitary(rng, dim, real=kind == "real unitary")
+        if kind.startswith("just"):
+            # ||s^2 Q Q+ - 1|| = (s^2 - 1) sqrt(dim), 1% from the tolerance
+            target = UNITARITY_TOL * (0.99 if "below" in kind else 1.01)
+            m = m * np.sqrt(1 + target / np.sqrt(dim))
+        oracle = float(np.linalg.norm(m @ m.conj().T - np.eye(dim)))
+        for route in (real_products, complex_products):
+            with route():
+                got = _unitarity_residual(m)
+            assert abs(got - oracle) <= 1e-12 * (1 + oracle)
+            if kind.startswith("just"):
+                assert (got < UNITARITY_TOL) == ("below" in kind)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+    def test_real_spectral_product_matches_complex(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        p = random_unitary(rng, dim, real=True)
+        d = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        with real_products():
+            got = _spectral_product(p, d)
+        oracle = (p.astype(complex) * d) @ p.astype(complex).conj().T
+        assert np.abs(got - oracle).max() < 1e-13
+
+    def test_real_route_keeps_checks_at_scale(self):
+        # n = 8 is above _REAL_PRODUCT_DIM: an even Y count in every term keeps
+        # the eigenvectors real, an odd count keeps them complex
+        n = 8
+        group = preset_group("cyclic", n)
+        pad = "I" * (n - 3)
+        chains = {np.float64: [(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],
+                  np.complex128: [(pad + "IXY", 0.9), (pad + "IIZ", 0.7)]}
+
+        def run(terms):
+            h = None
+            for label, c in terms:
+                s = symmetrize(PauliString.from_label(label), group) * c
+                h = s if h is None else h + s
+            u = exp_generator(h, 2.9)
+            dtype = eig_unitary(u).eigenvectors.dtype
+            return dtype, [connectedness_path(u, t).matrix for t in (0.0, 0.5, 1.0)] + [project_to_su(u).matrix]
+
+        for dtype, terms in chains.items():
+            got_dtype, fast = run(terms)
+            with complex_products():
+                _, oracle = run(terms)
+            assert got_dtype == dtype
+            for a, b in zip(fast, oracle):
+                assert fro(a - b) < 1e-12
 
 
 class TestExpGenerator:
@@ -299,7 +386,7 @@ class TestStoredSpectrum:
             if alpha > 10:  # eigenphases wrap past +-pi
                 w = np.linalg.eigvalsh(dense_sum([(p.to_label(), c) for p, c in h.terms]))
                 assert 0.5 * alpha * np.abs(w).max() > 2 * np.pi
-            fresh = Unitary(u.matrix)  # no stored spectrum: the pencil route
+            fresh = Unitary(u.matrix)  # no stored spectrum: the Cayley route
             for t in (0.0, 0.3, 0.5, 0.77, 1.0):
                 assert fro(connectedness_path(u, t).matrix
                            - connectedness_path(fresh, t).matrix) < 1e-10
@@ -322,9 +409,9 @@ class TestStoredSpectrum:
 
     def test_chain_needs_no_pencil_route(self, monkeypatch):
         def refuse(*_):
-            raise AssertionError("a second eigensolve ran on the pencil route")
+            raise AssertionError("a second eigensolve ran on the Cayley route")
 
-        monkeypatch.setattr(unitary_ops, "_pencil_decomposition", refuse)
+        monkeypatch.setattr(unitary_ops, "_cayley_decomposition", refuse)
         n = 8
         group = preset_group("cyclic", n)
         pad = "I" * (n - 3)
@@ -365,6 +452,27 @@ class TestConnectednessPath:
         for t in np.arange(0.1, 1.0, 0.1):
             flag, _ = is_invariant(connectedness_path(u, float(t)).matrix, s3, 1e-8)
             assert flag
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_eigenphases_straddling_the_branch_cut(self, dim):
+        # eigenphases near +-pi lie on both sides of the cut at -1, so any mixing
+        # of their eigenvectors moves A(1/2) by up to twice the mixing; cos(theta)
+        # is flat there, so the real part alone cannot tell them apart
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            near = np.pi - np.array([4e-4, 2.5e-4])
+            thetas = np.concatenate((near, -near, rng.uniform(-3.0, 3.0, dim - 4)))
+            q = random_unitary(rng, dim, real=False)
+            a = Unitary((q * np.exp(1j * thetas)) @ q.conj().T)
+            oracle = (q * np.exp(0.5j * thetas)) @ q.conj().T
+            assert fro(connectedness_path(a, 0.5).matrix - oracle) < 1e-10
+
+    def test_dihedral_path_from_a_file_stays_invariant(self):
+        # the matrix alone, as `symsu path` reads it: no stored spectrum
+        group = preset_group("dihedral", 6)
+        u = Unitary(random_invariant(6, group, seed=8, depth=6).matrix)
+        for t in np.linspace(0.0, 1.0, 11):
+            assert is_invariant(connectedness_path(u, float(t)).matrix, group, 1e-9)[0]
 
     def test_lipschitz_continuity(self, s2):
         u = random_invariant(2, s2, seed=4, depth=6)
