@@ -3,7 +3,9 @@
 Numerically exercises three structural facts about symmetry-invariant
 unitaries: products stay invariant, exponentials of symmetrized
 generators are invariant, and every invariant unitary is joined to the
-identity by a path that stays invariant the whole way.
+identity by a path that stays invariant the whole way.  Each defect is
+the worst over the group's generators, as is_invariant measures it: an
+element that is a word of k generators has a defect of at most k times it.
 """
 
 import numpy as np

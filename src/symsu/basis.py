@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from .paulis import PHASES, PauliString, PauliSum
-from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations
+from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations, _image_rows
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
@@ -25,20 +25,16 @@ _CLOSURE_BLOCK = 1 << 11
 
 
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
-    """Wire-image rows of the generators of a permutation group.
-
-    Groups with a raw-unitary element are refused.  A raw generator can
-    still occur in a permutation group, when it equals one of the group's
-    permutations up to phase; it is skipped, since it moves no string.
-    """
+    """Wire-image rows of the generators of a permutation group; groups with
+    a raw-unitary element are refused.  A raw generator equal to one of the
+    group's permutations up to phase moves no string, and is skipped."""
     if group.images is None:
         raw = sum(not e.is_permutation for e in group.elements)
         raise UnsupportedSymmetryError(
             "orbit symmetrization supports qubit-permutation groups only; "
             f"group contains {raw} raw unitary element(s)"
         )
-    return np.array([g.perm.image for g in group.generators if g.is_permutation],
-                    dtype=np.int64).reshape(-1, group.n)
+    return _image_rows(group.n, group.generators)
 
 
 def _orbit(z: int, x: int, moves) -> set:

@@ -68,7 +68,8 @@ def _at_least(value: int, low: int, flag: str):
         raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
-def _resolve_group(symmetry: str, n: int | None) -> SymmetryGroup:
+def _resolve_group(symmetry: str, n: int | None, given: str | None = None) -> SymmetryGroup:
+    """The preset or spec-file group on n qubits; given says where n came from, if not --n."""
     if n is not None:
         _at_least(n, 1, "--n")
     if symmetry in PRESETS:
@@ -80,8 +81,16 @@ def _resolve_group(symmetry: str, n: int | None) -> SymmetryGroup:
         raise ValueError(f"--symmetry {symmetry!r} is neither a preset nor a file")
     group = load_group(path)
     if n is not None and group.n != n:
-        raise ValueError(f"symmetry file is for n={group.n}, but --n {n} was given")
+        raise ValueError(f"symmetry file is for n={group.n}, but {given or f'--n {n} was given'}")
     return group
+
+
+def _matrix_group(symmetry: str, dim: int) -> SymmetryGroup:
+    """The group for a dim x dim matrix file, whose size fixes the qubit count."""
+    n = dim.bit_length() - 1
+    if n < 1 or 1 << n != dim:
+        raise ValueError(f"matrix dimension {dim} is not 2^n for a qubit count n >= 1")
+    return _resolve_group(symmetry, n, f"the matrix is {dim}x{dim} (n={n})")
 
 
 def _element_label(element) -> str:
@@ -128,11 +137,7 @@ def cmd_dim(args) -> int:
 def cmd_check(args) -> int:
     start = time.perf_counter()
     m = load_matrix(args.matrix)
-    dim = m.shape[0]
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    group = _resolve_group(args.symmetry, n)
+    group = _matrix_group(args.symmetry, m.shape[0])
     try:
         Unitary(m)
     except NotUnitaryError as exc:
@@ -143,7 +148,7 @@ def cmd_check(args) -> int:
     worst = max(d for _, d in defects)
     if args.format == "json":
         data = {
-            "n": n,
+            "n": group.n,
             "group": group.name,
             "tol": args.tol,
             "invariant": flag,
@@ -163,9 +168,8 @@ def cmd_check(args) -> int:
 def cmd_path(args) -> int:
     _at_least(args.samples, 1, "--samples")
     m = load_matrix(args.matrix)
+    group = _matrix_group(args.symmetry, m.shape[0])
     u = Unitary(m)  # non-unitary input is a usage error for path sampling
-    n = u.n
-    group = _resolve_group(args.symmetry, n)
     lines = _csv_header(args, "path")
     lines.append("t,invariance_defect,unitarity_residual")
     for k in range(args.samples + 1):

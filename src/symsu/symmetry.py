@@ -5,7 +5,7 @@ matrices) or raw unitaries such as CNOT.  Groups are closed under
 composition from a generator list; a group of wire permutations is held as
 one array of wire images, a row per element.  The invariance of a matrix U
 under a group is measured by the worst Frobenius defect ||S U - U S|| over
-the elements.
+the generators: U commutes with every element iff it commutes with them.
 
 Qubit index 0 is the least significant bit of a basis-state index, which
 fixes the bit-permutation formula for permutation matrices.
@@ -34,6 +34,11 @@ def _basis_permutations(images: np.ndarray) -> np.ndarray:
     n = images.shape[1]
     bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
     return (1 << images) @ bits
+
+
+def _image_rows(n: int, elements) -> np.ndarray:
+    """Wire-image rows of the permutation elements; raw unitaries are left out."""
+    return np.array([e.perm.image for e in elements if e.is_permutation], dtype=np.int64).reshape(-1, n)
 
 
 @dataclass(frozen=True, order=True)
@@ -72,11 +77,7 @@ class QubitPermutation:
 
     def permute_mask(self, mask: int) -> int:
         """Move bit i of mask to bit image[i]."""
-        out = 0
-        for i in range(self.n):
-            if (mask >> i) & 1:
-                out |= 1 << self.image[i]
-        return out
+        return sum(1 << dest for i, dest in enumerate(self.image) if mask >> i & 1)
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
@@ -115,10 +116,8 @@ class SymmetryElement:
         if 1 << n != dim:
             raise DimensionError(f"matrix dimension {dim} is not a power of two")
         residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
-        if residual >= RAW_UNITARITY_TOL:
-            raise NotUnitaryError(
-                f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}"
-            )
+        if not residual < RAW_UNITARITY_TOL:
+            raise NotUnitaryError(f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}")
         m.setflags(write=False)
         return cls(n, matrix=m)
 
@@ -198,7 +197,7 @@ class SymmetryGroup:
         else:
             self._elements = tuple(elements)
             if all(e.is_permutation for e in self._elements):
-                self.images = np.array([e.perm.image for e in self._elements], dtype=np.int64).reshape(-1, n)
+                self.images = _image_rows(n, self._elements)
         if self.images is not None:
             self.images.setflags(write=False)
 
@@ -238,7 +237,7 @@ def _phase_key(element: SymmetryElement) -> bytes:
     return (element.phase_normalized().view(np.float64).round(9) + 0.0).tobytes()
 
 
-def _close(identity: SymmetryElement, generators, cap: int) -> list:
+def _close(identity: SymmetryElement, generators) -> list:
     """Breadth-first closure of the generators under left composition,
     one element per `_phase_key`, in discovery order."""
     known = {_phase_key(identity): identity}
@@ -250,8 +249,9 @@ def _close(identity: SymmetryElement, generators, cap: int) -> list:
                 q = g.compose(e)
                 k = _phase_key(q)
                 if k not in known:
-                    if len(known) >= cap:
-                        raise GroupClosureError(f"raw-unitary group exceeded the cap of {cap} elements")
+                    if len(known) >= DEFAULT_CLOSURE_CAP:
+                        raise GroupClosureError(
+                            f"raw-unitary group exceeded the cap of {DEFAULT_CLOSURE_CAP} elements")
                     known[k] = q
                     nxt.append(q)
         frontier = nxt
@@ -281,24 +281,22 @@ def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
     return (known[:, None] // weights % n).astype(np.int64)
 
 
-def generate_group(n: int, generators, cap: int = DEFAULT_CLOSURE_CAP,
-                   name: str = "custom") -> SymmetryGroup:
+def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
     """Breadth-first closure of the generators under composition.
 
     Permutation generators close as image rows, deduplicated exactly and
     sorted, at most 8! = 40 320 of them; any group with a raw unitary is
     deduplicated up to a global phase by `_phase_key`, identity included,
-    up to ``cap`` elements.  All generators are invertible, so closing
-    under products alone also yields every inverse and the identity.
+    up to DEFAULT_CLOSURE_CAP elements.  All generators are invertible, so
+    closing under products alone also yields every inverse and the identity.
     """
     gens = [_coerce_element(g) for g in generators]
     for g in gens:
         if g.n != n:
             raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
     if all(g.is_permutation for g in gens):
-        images = np.array([g.perm.image for g in gens], dtype=np.int64).reshape(-1, n)
-        return SymmetryGroup(n, gens, _close_images(n, images), name=name)
-    return SymmetryGroup(n, gens, _close(SymmetryElement.identity(n), gens, cap), name=name)
+        return SymmetryGroup(n, gens, _close_images(n, _image_rows(n, gens)), name=name)
+    return SymmetryGroup(n, gens, _close(SymmetryElement.identity(n), gens), name=name)
 
 
 def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
@@ -311,10 +309,11 @@ def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
     return PauliString(s.n, p.permute_mask(s.x_mask), p.permute_mask(s.z_mask), s.phase_exp)
 
 
-def _square(u) -> np.ndarray:
+def _square(u, n: int) -> np.ndarray:
+    """u (a Unitary or an array) as a complex matrix on n qubits."""
     m = np.asarray(getattr(u, "matrix", u), dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape != (1 << n, 1 << n):
+        raise DimensionError(f"expected a {1 << n}x{1 << n} matrix for {n} qubits, got shape {m.shape}")
     return m
 
 
@@ -326,8 +325,6 @@ def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
     n-1-k) with the wire permutation applied to its row and column axes.
     """
     n = images.shape[1]
-    if 1 << n != m.shape[0]:
-        raise DimensionError(f"matrix dim {m.shape[0]} does not match {n} qubits")
     t = m.reshape((2,) * 2 * n)
     axes = np.empty_like(images)
     np.put_along_axis(axes, n - 1 - images, np.arange(n - 1, -1, -1), axis=1)
@@ -336,35 +333,35 @@ def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 def symmetry_defect(u, element) -> float:
     """Frobenius norm of S U - U S; zero iff U commutes with S."""
-    m = _square(u)
     perm = element.perm if isinstance(element, SymmetryElement) else element
     if isinstance(perm, QubitPermutation):
-        return float(_permutation_defects(m, np.array([perm.image], dtype=np.int64))[0])
+        return float(_permutation_defects(_square(u, perm.n), np.array([perm.image], dtype=np.int64))[0])
     sm = element.matrix if isinstance(element, SymmetryElement) else np.asarray(element, dtype=complex)
-    if sm.shape != m.shape:
-        raise DimensionError(f"dimension mismatch: {sm.shape} vs {m.shape}")
+    m = _square(u, len(sm).bit_length() - 1)
     return float(np.linalg.norm(sm @ m - m @ sm))
 
 
-def _defects(u, group: SymmetryGroup, generators_only: bool = False) -> np.ndarray:
-    """symmetry_defect of each element of the group (or each generator), in
-    order; the elements of a permutation group are swept as image rows."""
-    if group.images is not None and not generators_only:
-        return _permutation_defects(_square(u), group.images)
-    members = group.generators if generators_only else group.elements
-    return np.array([symmetry_defect(u, e) for e in members])
+def _defects(u, group: SymmetryGroup) -> np.ndarray:
+    """symmetry_defect of each element of the group, in order; the elements
+    of a permutation group are swept as image rows."""
+    if group.images is not None:
+        return _permutation_defects(_square(u, group.n), group.images)
+    return np.array([symmetry_defect(u, e) for e in group.elements])
 
 
-def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10,
-                 generators_only: bool = False) -> tuple[bool, float]:
-    """(flag, max residual) of the invariance condition over the group.
+def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10) -> tuple[bool, float]:
+    """(flag, max residual) of the invariance condition over the generators.
 
-    Checking generators alone is sufficient because products preserve
-    invariance, but the full sweep is the default so that tests of that
-    very fact do not assume it.  Each defect equals symmetry_defect of its
-    element, bit for bit.
+    U commutes with every element iff it commutes with the generators; as
+    d(gh) <= d(g) + d(h), an element that is a word of k generators has a
+    defect of at most k times the residual.  Each defect is symmetry_defect
+    of its generator, bit for bit (0.0 with none); a non-finite U gives NaN.
     """
-    worst = float(_defects(u, group, generators_only).max(initial=0.0))
+    m = _square(u, group.n)
+    if not np.isfinite(m).all():
+        return False, float("nan")
+    worst = max([0.0, *_permutation_defects(m, _image_rows(group.n, group.generators)).tolist(),
+                 *(symmetry_defect(m, g) for g in group.generators if not g.is_permutation)])
     return worst < tol, worst
 
 

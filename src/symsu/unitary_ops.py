@@ -70,7 +70,7 @@ class Unitary:
         if dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
         residual = _unitarity_residual(m)
-        if residual >= tol:
+        if not residual < tol:
             raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
         m.setflags(write=False)
         self.matrix = m

@@ -37,8 +37,15 @@ from symsu import (
     synthesize_pauli_exponential,
     synthesize_sum_exponential,
 )
+from symsu.symmetry import _defects
 
 from conftest import orbit_terms_commute
+
+
+def _full_sweep(m, group) -> float:
+    """Worst defect over every group element, the oracle for `is_invariant`,
+    which checks the generators only: the sweep `symsu check` prints."""
+    return float(_defects(m, group).max())
 
 
 def _line(num: int, name: str, ok: bool, detail: str = ""):
@@ -133,10 +140,13 @@ def test_criterion_4_composition():
             total += 1
             u1 = random_invariant(n, group, seed=2 * k, depth=6, basis=basis)
             u2 = random_invariant(n, group, seed=2 * k + 1, depth=6, basis=basis)
+            product = compose(u1, u2).matrix
             ok1, _ = is_invariant(u1.matrix, group, tol)
             ok2, _ = is_invariant(u2.matrix, group, tol)
-            ok, _ = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
-            if not (ok1 and ok2 and ok):
+            ok, _ = is_invariant(product, group, 3 * tol)
+            swept = (_full_sweep(u1.matrix, group) < tol and _full_sweep(u2.matrix, group) < tol
+                     and _full_sweep(product, group) < 3 * tol)
+            if not (ok1 and ok2 and ok and swept):
                 failures += 1
     _line(4, "composition", failures == 0, f"{total} pairs, {failures} failures")
     assert failures == 0
@@ -159,17 +169,21 @@ def test_criterion_5_connectedness_path():
             if start >= 1e-9 or end >= 1e-9:
                 failures.append(f"n={n} seed={5000 + k}: endpoints {start:.2e}, {end:.2e}")
             for t in grid:
-                ok, defect = is_invariant(connectedness_path(u, float(t)).matrix, group, 1e-8)
-                if not ok:
-                    failures.append(f"n={n} seed={5000 + k} t={t:.1f}: defect {defect:.2e}")
+                point = connectedness_path(u, float(t)).matrix
+                ok, defect = is_invariant(point, group, 1e-8)
+                swept = _full_sweep(point, group)
+                if not ok or swept >= 1e-8:
+                    failures.append(f"n={n} seed={5000 + k} t={t:.1f}: defect {defect:.2e}, "
+                                    f"full sweep {swept:.2e}")
             projected = project_to_su(u)
             det_err = abs(np.linalg.det(projected.matrix) - 1)
             _, before = is_invariant(u.matrix, group, 1e-8)
             _, after = is_invariant(projected.matrix, group, 1e-8)
             if det_err >= 1e-10:
                 failures.append(f"n={n} seed={5000 + k}: |det-1| {det_err:.2e}")
-            if abs(before - after) >= 1e-12:
-                failures.append(f"n={n} seed={5000 + k}: defect changed {abs(before - after):.2e}")
+            for b, a in ((before, after), (_full_sweep(u.matrix, group), _full_sweep(projected.matrix, group))):
+                if abs(b - a) >= 1e-12:
+                    failures.append(f"n={n} seed={5000 + k}: defect changed {abs(b - a):.2e}")
     _line(5, "connectedness path", not failures, f"{total} unitaries, 11-point grid")
     assert not failures, failures[:10]
 
@@ -228,7 +242,7 @@ def test_criterion_6_circuit_round_trip():
                 if mismatch >= 1e-9:
                     failures.append(f"n={n} {rep}: round-trip mismatch {mismatch:.3e}")
                 ok, _ = is_invariant(u.matrix, group, 1e-9)
-                if not ok:
+                if not ok or _full_sweep(u.matrix, group) >= 1e-9:
                     failures.append(f"n={n} {rep}: compiled circuit not invariant")
                 expected_cnots = sum(2 * (p.weight - 1) for p, _ in element.terms)
                 if circuit.count("CNOT") != expected_cnots:

@@ -187,6 +187,42 @@ class TestCheckCommand:
         assert outs[0] == outs[1] and "wall" not in outs[0]
 
 
+class TestMatrixFileInput:
+    """`check` and `path` take the qubit count from the matrix file."""
+
+    @pytest.mark.parametrize("command", ["check", "path"])
+    def test_non_finite_matrix_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.json"
+        save_matrix(path, np.full((2, 2), np.nan))
+        err = assert_rejected(capsys, command, str(path), "--symmetry", "trivial")
+        assert "finite" in err
+
+    def test_non_finite_raw_generator_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "nan_spec.json"
+        spec.write_text(json.dumps({"n": 1, "generators": [{"unitary": [[[np.nan, 0], [0, 0]],
+                                                                        [[0, 0], [1, 0]]]}]}))
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(2))
+        err = assert_rejected(capsys, "check", str(path), "--symmetry", str(spec))
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["check", "path"])
+    def test_one_by_one_matrix_names_its_dimension(self, capsys, tmp_path, command):
+        path = tmp_path / "scalar.json"
+        save_matrix(path, np.eye(1))
+        err = assert_rejected(capsys, command, str(path), "--symmetry", "trivial")
+        assert "matrix dimension 1" in err and "--n" not in err
+
+    @pytest.mark.parametrize("command", ["check", "path"])
+    def test_spec_size_mismatch_names_the_matrix(self, capsys, tmp_path, command):
+        spec = tmp_path / "swap.json"
+        spec.write_text(json.dumps({"n": 2, "generators": [{"perm": [1, 0]}]}))
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(2))
+        err = assert_rejected(capsys, command, str(path), "--symmetry", str(spec))
+        assert "symmetry file is for n=2, but the matrix is 2x2 (n=1)" in err and "--n" not in err
+
+
 class TestPathCommand:
     def test_identity_input(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
@@ -333,6 +369,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--n", "4", "--symmetry", "dihedral",
                            "--pairs", "3", "--paths", "2", "--depth", "4")
         assert code == 0 and out.count("PASS") == 4
+
+    def test_six_qubit_full_swap_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "6", "--symmetry", "full_swap",
+                           "--pairs", "5", "--paths", "2")
+        assert code == 0 and out.count("PASS") == 4
+        assert out.splitlines()[-1] == "verify: all suites passed"
 
     def test_zero_sample_suites_skipped(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--symmetry", "full_swap",

@@ -29,7 +29,7 @@ from symsu import (
     symmetry_defect,
 )
 from symsu.basis import _cycle_counts
-from symsu.symmetry import _permutation_defects
+from symsu.symmetry import DEFAULT_CLOSURE_CAP, _defects, _permutation_defects
 
 from conftest import dense_label, fro, generator_sets
 
@@ -183,8 +183,9 @@ class TestGroupGeneration:
         # an irrational rotation never closes
         theta = 1.0
         rz = np.diag([1.0, np.exp(1j * theta)])
-        with pytest.raises(GroupClosureError, match="raw-unitary group exceeded the cap of 64 elements"):
-            generate_group(1, [SymmetryElement.from_unitary(rz)], cap=64)
+        with pytest.raises(GroupClosureError,
+                           match=f"raw-unitary group exceeded the cap of {DEFAULT_CLOSURE_CAP} elements"):
+            generate_group(1, [SymmetryElement.from_unitary(rz)])
 
     def test_raw_unitary_phase_dedup(self):
         phased_swap = np.exp(0.7j) * SWAP
@@ -231,6 +232,11 @@ class TestGroupGeneration:
     def test_non_unitary_raw_element_rejected(self):
         with pytest.raises(NotUnitaryError):
             SymmetryElement.from_unitary(np.array([[1, 1], [0, 1]]))
+
+    def test_non_finite_raw_element_rejected(self):
+        for m in (np.full((2, 2), np.nan), np.diag([1.0, np.inf])):
+            with pytest.raises(NotUnitaryError):
+                SymmetryElement.from_unitary(m)
 
     def test_mismatched_generator_dimension(self):
         with pytest.raises(DimensionError):
@@ -309,9 +315,9 @@ class TestDefectAndInvariance:
     def test_generator_sufficiency(self, s3):
         for seed in range(5):
             u = random_invariant(3, s3, seed=seed, depth=5)
-            _, gen_res = is_invariant(u.matrix, s3, 1e-10, generators_only=True)
-            full_flag, full_res = is_invariant(u.matrix, s3, 1e-10)
-            assert gen_res < 1e-12 and full_flag
+            _, gen_res = is_invariant(u.matrix, s3, 1e-10)
+            full_res = _defects(u.matrix, s3).max()
+            assert gen_res < 1e-12
             assert full_res < 1e-10
 
     def test_composition_bounded_by_three_tol(self, s2):
@@ -337,25 +343,35 @@ class TestDefectAndInvariance:
         u = random_invariant(n, group, seed=n, depth=2).matrix
         noisy = u + 1e-3 * np.random.default_rng(n).normal(size=u.shape)
         for m in (u, noisy):
-            worst = max(symmetry_defect(m, e) for e in group.elements)
-            assert is_invariant(m, group) == (worst < 1e-10, worst)
+            assert _defects(m, group).tolist() == [symmetry_defect(m, e) for e in group.elements]
             worst = max((symmetry_defect(m, e) for e in group.generators), default=0.0)
-            assert is_invariant(m, group, generators_only=True) == (worst < 1e-10, worst)
+            assert is_invariant(m, group) == (worst < 1e-10, worst)
 
     def test_raw_sweep_is_elementwise_maximum(self):
         group = gl32_group()
         rng = np.random.default_rng(4)
         for m in (np.eye(8) + 0.5 * np.ones((8, 8)), rng.normal(size=(8, 8))):
-            worst = max(symmetry_defect(m, e) for e in group.elements)
+            assert _defects(m, group).tolist() == [symmetry_defect(m, e) for e in group.elements]
+            worst = max(symmetry_defect(m, e) for e in group.generators)
             assert is_invariant(m, group) == (worst < 1e-10, worst)
 
-    def test_sweep_dimension_mismatch(self, s2):
-        with pytest.raises(DimensionError):
-            is_invariant(np.eye(8), s2)
+    # Every preset, trivial (no generators) included, and a raw-unitary group.
+    INPUT_CHECK_GROUPS = [(name, n) for name in ("full_swap", "cyclic", "dihedral", "trivial")
+                          for n in (1, 2, 3)]
 
-    def test_nan_matrix_is_not_invariant(self, s2):
-        flag, worst = is_invariant(np.full((4, 4), np.nan), s2)
-        assert not flag and np.isnan(worst)
+    def test_sweep_dimension_mismatch(self):
+        for group in [preset_group(*case) for case in self.INPUT_CHECK_GROUPS] + [gl32_group()]:
+            for m in (np.eye(1 << (group.n + 1)), np.eye(2, 4)):
+                with pytest.raises(DimensionError):
+                    is_invariant(m, group)
+
+    def test_nan_matrix_is_not_invariant(self):
+        for group in [preset_group(*case) for case in self.INPUT_CHECK_GROUPS] + [gl32_group()]:
+            for bad in (np.nan, np.inf):
+                m = np.eye(1 << group.n, dtype=complex)
+                m[-1, 0] = bad
+                flag, worst = is_invariant(m, group)
+                assert not flag and np.isnan(worst)
 
 
 class TestPermutationDefectKernel:

@@ -124,6 +124,22 @@ class TestUnitaryType:
         with pytest.raises(DimensionError):
             Unitary(np.eye(3))
 
+    @pytest.mark.parametrize("dim", [2, 64])  # both routes of the residual kernel
+    def test_non_finite_rejected(self, dim):
+        # a NaN residual must not pass for a small one
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotUnitaryError):
+                Unitary(np.full((dim, dim), bad))
+            m = np.eye(dim, dtype=complex)
+            m[0, 1] = complex(0, bad)
+            with pytest.raises(NotUnitaryError):
+                Unitary(m)
+
+    def test_pairs_with_non_finite_entries_rejected(self):
+        for pairs in ([[[float("nan"), 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, float("inf")]]]):
+            with pytest.raises(ValueError, match="finite"):
+                matrix_from_pairs(pairs)
+
     def test_matrix_is_read_only(self):
         u = identity_unitary(1)
         with pytest.raises(ValueError):
