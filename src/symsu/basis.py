@@ -27,8 +27,9 @@ _CLOSURE_BLOCK = 1 << 11
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
     """Wire-image rows of the generators of a permutation group; groups with
     a raw-unitary element are refused.  A raw generator equal to one of the
-    group's permutations up to phase moves no string, and is skipped."""
-    if group.images is None:
+    group's permutations up to phase moves no string, and is skipped.  Only
+    a group with a raw generator is closed, to tell the two apart."""
+    if not group._is_permutation_group():
         raw = sum(not e.is_permutation for e in group.elements)
         raise UnsupportedSymmetryError(
             "orbit symmetrization supports qubit-permutation groups only; "

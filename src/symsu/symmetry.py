@@ -1,11 +1,12 @@
 """Finite symmetry groups on qubits and the invariance condition S U S+ = U.
 
 Symmetry elements are qubit permutations (realized as basis-permutation
-matrices) or raw unitaries such as CNOT.  Groups are closed under
-composition from a generator list; a group of wire permutations is held as
-one array of wire images, a row per element.  The invariance of a matrix U
-under a group is measured by the worst Frobenius defect ||S U - U S|| over
-the generators: U commutes with every element iff it commutes with them.
+matrices) or raw unitaries such as CNOT.  A group is held as its generator
+list and closed under composition only when its elements are first read;
+a closed group of wire permutations is one array of wire images, a row per
+element.  The invariance of a matrix U under a group is measured by the
+worst Frobenius defect ||S U - U S|| over the generators: U commutes with
+every element iff it commutes with them, so invariance never closes a group.
 
 Qubit index 0 is the least significant bit of a basis-state index, which
 fixes the bit-permutation formula for permutation matrices.
@@ -115,6 +116,8 @@ class SymmetryElement:
         n = dim.bit_length() - 1
         if 1 << n != dim:
             raise DimensionError(f"matrix dimension {dim} is not a power of two")
+        if not np.isfinite(m).all():
+            raise NotUnitaryError("raw symmetry has a non-finite entry")
         residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
         if not residual < RAW_UNITARITY_TOL:
             raise NotUnitaryError(f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}")
@@ -144,25 +147,6 @@ class SymmetryElement:
         m.setflags(write=False)
         return SymmetryElement(self.n, matrix=m)
 
-    def inverse(self) -> "SymmetryElement":
-        if self.perm is not None:
-            return SymmetryElement.from_permutation(self.perm.inverse())
-        m = self.matrix.conj().T.copy()
-        m.setflags(write=False)
-        return SymmetryElement(self.n, matrix=m)
-
-    def phase_normalized(self) -> np.ndarray:
-        """Matrix rescaled so its first sizeable entry is positive real.
-
-        S and exp(i phi) S induce the same conjugation, so this is the
-        canonical representative used for deduplication.
-        """
-        m = self.to_matrix()
-        flat = m.ravel()
-        # Every unitary row has an entry of magnitude >= 1/sqrt(dim).
-        pivot = flat[(abs(flat) > 1e-6).argmax()]
-        return m * (abs(pivot) / pivot)
-
     def __repr__(self) -> str:
         if self.perm is not None:
             return f"SymmetryElement(perm={list(self.perm.image)})"
@@ -178,68 +162,73 @@ def _coerce_element(obj) -> SymmetryElement:
 
 
 class SymmetryGroup:
-    """A finite, composition-closed set of symmetry elements.
+    """A finite symmetry group, held as its generators.
 
-    A wire-permutation group is held as ``images``, an (|G|, n) array of
-    wire images (``elements`` may be given as one), and builds ``elements``
-    from the rows on first use.  Any other group has ``images`` None.
+    The group is closed only when ``images``, ``elements`` or ``len`` is
+    first read, and the result is kept.  A wire-permutation group has
+    ``images``, an (|G|, n) array of wire images, and builds ``elements``
+    from the rows; any other group has ``images`` None.
     """
 
-    __slots__ = ("n", "generators", "images", "_elements", "name")
+    __slots__ = ("n", "generators", "name", "_images", "_elements")
 
-    def __init__(self, n: int, generators, elements, name: str = "custom"):
+    def __init__(self, n: int, generators, name: str = "custom"):
         self.n = n
         self.generators = tuple(generators)
         self.name = name
-        self.images, self._elements = None, None
-        if isinstance(elements, np.ndarray):
-            self.images = elements
-        else:
-            self._elements = tuple(elements)
-            if all(e.is_permutation for e in self._elements):
-                self.images = _image_rows(n, self._elements)
-        if self.images is not None:
-            self.images.setflags(write=False)
+        self._images = self._elements = None
+
+    def _is_permutation_group(self) -> bool:
+        """Whether every element is a wire permutation.  Known without
+        closure when every generator is one; otherwise the group is closed,
+        and a raw generator counts only if `_close` met a permutation with
+        its phase key first."""
+        return all(g.is_permutation for g in self.generators) or all(e.is_permutation for e in self.elements)
+
+    @property
+    def images(self) -> np.ndarray | None:
+        if self._images is None and self._is_permutation_group():
+            # With a raw generator, _is_permutation_group has listed the elements.
+            rows = (_close_images(self.n, _image_rows(self.n, self.generators))
+                    if self._elements is None else _image_rows(self.n, self._elements))
+            rows.setflags(write=False)
+            self._images = rows
+        return self._images
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(SymmetryElement.from_permutation(QubitPermutation(self.n, row))
-                                   for row in self.images.tolist())
+            self._elements = (_close(SymmetryElement.identity(self.n), self.generators)
+                              if any(not g.is_permutation for g in self.generators) else
+                              tuple(SymmetryElement.from_permutation(QubitPermutation(self.n, row))
+                                    for row in self.images.tolist()))
         return self._elements
 
     def __len__(self) -> int:
         return len(self.elements) if self.images is None else len(self.images)
 
-    def validate(self):
-        """Re-verify that the element set is a group: identity, inverses,
-        and closure under composition, with elements equal up to a global
-        phase (`_phase_key`).  Quadratic in the group order, so meant for
-        small groups and tests; `generate_group` output is closed by
-        construction."""
-        keys = {_phase_key(e) for e in self.elements}
-        if _phase_key(SymmetryElement.identity(self.n)) not in keys:
-            raise GroupClosureError("identity element missing")
-        for a in self.elements:
-            if _phase_key(a.inverse()) not in keys:
-                raise GroupClosureError(f"inverse of {a!r} missing")
-            for b in self.elements:
-                if _phase_key(a.compose(b)) not in keys:
-                    raise GroupClosureError(f"product {a!r} * {b!r} missing")
-
     def __repr__(self) -> str:
-        return f"SymmetryGroup(n={self.n}, name={self.name!r}, size={len(self)})"
+        return f"SymmetryGroup(n={self.n}, name={self.name!r}, generators={len(self.generators)})"
 
 
 def _phase_key(element: SymmetryElement) -> bytes:
-    """Hashable identity of an element up to global phase: the bytes of its
-    phase-normalized matrix rounded to 9 decimals, with -0.0 folded to 0.0."""
-    return (element.phase_normalized().view(np.float64).round(9) + 0.0).tobytes()
+    """Hashable identity of an element up to global phase.
+
+    S and exp(i phi) S induce the same conjugation, so the matrix is
+    rescaled to make its first sizeable entry positive real (every unitary
+    row has an entry of magnitude >= 1/sqrt(dim)); the key is the bytes of
+    that matrix rounded to 9 decimals, with -0.0 folded to 0.0.
+    """
+    m = element.to_matrix()
+    flat = m.ravel()
+    pivot = flat[(abs(flat) > 1e-6).argmax()]
+    return ((m * (abs(pivot) / pivot)).view(np.float64).round(9) + 0.0).tobytes()
 
 
-def _close(identity: SymmetryElement, generators) -> list:
+def _close(identity: SymmetryElement, generators) -> tuple:
     """Breadth-first closure of the generators under left composition,
-    one element per `_phase_key`, in discovery order."""
+    one element per `_phase_key`, in discovery order.  Generators are
+    invertible, so products alone also yield every inverse."""
     known = {_phase_key(identity): identity}
     frontier = [identity]
     while frontier:
@@ -255,7 +244,7 @@ def _close(identity: SymmetryElement, generators) -> list:
                     known[k] = q
                     nxt.append(q)
         frontier = nxt
-    return list(known.values())
+    return tuple(known.values())
 
 
 def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
@@ -282,21 +271,17 @@ def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
 
 
 def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
-    """Breadth-first closure of the generators under composition.
-
-    Permutation generators close as image rows, deduplicated exactly and
-    sorted, at most 8! = 40 320 of them; any group with a raw unitary is
-    deduplicated up to a global phase by `_phase_key`, identity included,
-    up to DEFAULT_CLOSURE_CAP elements.  All generators are invertible, so
-    closing under products alone also yields every inverse and the identity.
+    """The group of the generators, coerced to elements and checked to act
+    on n qubits.  Nothing is closed here: `SymmetryGroup` closes on first
+    read of its elements, as image rows (exact, sorted, at most 8! =
+    40 320) when every generator is a permutation, else element by element
+    up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
     gens = [_coerce_element(g) for g in generators]
     for g in gens:
         if g.n != n:
             raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
-    if all(g.is_permutation for g in gens):
-        return SymmetryGroup(n, gens, _close_images(n, _image_rows(n, gens)), name=name)
-    return SymmetryGroup(n, gens, _close(SymmetryElement.identity(n), gens), name=name)
+    return SymmetryGroup(n, gens, name=name)
 
 
 def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:

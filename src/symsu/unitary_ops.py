@@ -69,6 +69,8 @@ class Unitary:
         dim = m.shape[0]
         if dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
+        if not np.isfinite(m).all():
+            raise NotUnitaryError("matrix has a non-finite entry")
         residual = _unitarity_residual(m)
         if not residual < tol:
             raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")

@@ -215,6 +215,16 @@ class TestBurnside:
         assert [closed_form_dimension(p, 8) for p in ("full_swap", "cyclic", "dihedral")] == [
             164, 8229, 4434]
 
+    def test_phased_raw_swap_is_absorbed(self):
+        # e^{0.7i} SWAP conjugates as the swap does; the swap permutation, met first, absorbs it
+        swap = QubitPermutation.transposition(2, 0, 1)
+        mixed = generate_group(2, [swap, SymmetryElement.from_unitary(np.exp(0.7j) * swap.to_matrix())])
+        full = preset_group("full_swap", 2)
+        assert mixed.images is not None
+        assert ([e.to_line() for e in build_basis(2, mixed).elements]
+                == [e.to_line() for e in build_basis(2, full).elements])
+        assert burnside_dimension(2, mixed) == burnside_dimension(2, full) == 9
+
     def test_subgroup_monotonicity(self):
         dims = [burnside_dimension(4, preset_group(name, 4))
                 for name in ("trivial", "cyclic", "dihedral", "full_swap")]

@@ -14,7 +14,9 @@ from symsu import (
     PauliString,
     PauliSum,
     matrix_from_pairs,
+    preset_group,
     save_matrix,
+    symmetrize,
     synthesize_pauli_exponential,
 )
 from symsu.cli import main
@@ -136,6 +138,15 @@ class TestDimCommand:
         path = tmp_path / "rz.json"
         path.write_text(json.dumps({"n": 1, "generators": [{"unitary": rz}]}))
         err = assert_rejected(capsys, "dim", "--n", "1", "--symmetry", str(path))
+        assert "exceeded the cap of 10000 elements" in err
+        # diag(1, e^i) never closes; path sweeps the generator, check lists the elements
+        diag = tmp_path / "diag.json"
+        save_matrix(diag, np.diag([1.0, np.exp(0.4j)]))
+        code, out, _ = run(capsys, "path", str(diag), "--symmetry", str(path),
+                           "--samples", "2", "--no-header")
+        rows = out.strip().splitlines()[1:]
+        assert code == 0 and len(rows) == 3 and all(float(row.split(",")[1]) < 1e-12 for row in rows)
+        err = assert_rejected(capsys, "check", str(diag), "--symmetry", str(path))
         assert "exceeded the cap of 10000 elements" in err
 
 
@@ -282,6 +293,21 @@ class TestPathCommand:
         path = tmp_path / "eye.json"
         save_matrix(path, np.eye(4))
         assert_rejected(capsys, "path", str(path), "--symmetry", "full_swap", "--samples", "-2")
+
+    def test_full_swap_nine_qubits_sweeps_the_generators(self, capsys, tmp_path):
+        # path reads the 8 transpositions only; check lists all 9! elements and refuses
+        group = preset_group("full_swap", 9)
+        h = (0.7 * symmetrize(PauliString.from_label("XZ" + "I" * 7), group)
+             + 0.3 * symmetrize(PauliString.from_label("YY" + "I" * 7), group))
+        path = tmp_path / "u9.json"
+        save_matrix(path, exp_generator(h, 1.1).matrix)
+        code, out, _ = run(capsys, "path", str(path), "--symmetry", "full_swap",
+                           "--samples", "2", "--no-header")
+        rows = out.strip().splitlines()[1:]
+        assert code == 0 and len(rows) == 3
+        assert all(float(row.split(",")[1]) < 1e-8 for row in rows)
+        err = assert_rejected(capsys, "check", str(path), "--symmetry", "full_swap")
+        assert "exceeded the cap of 40320 elements" in err
 
 
 class TestSynthCommand:

@@ -17,19 +17,22 @@ from symsu import (
     PauliSum,
     QubitPermutation,
     SymmetryElement,
-    SymmetryGroup,
+    build_basis,
     conjugate_pauli,
+    connectedness_path,
     exp_generator,
     generate_group,
     group_from_spec,
     is_invariant,
     load_group,
+    pauli_orbit,
     preset_group,
     random_invariant,
+    symmetrize,
     symmetry_defect,
 )
 from symsu.basis import _cycle_counts
-from symsu.symmetry import DEFAULT_CLOSURE_CAP, _defects, _permutation_defects
+from symsu.symmetry import DEFAULT_CLOSURE_CAP, _defects, _permutation_defects, _phase_key
 
 from conftest import dense_label, fro, generator_sets
 
@@ -68,6 +71,24 @@ def index_map_closure(maps, size: int) -> set:
 
 def gl32_group():
     return generate_group(3, [index_map_matrix(cnot_map(c, t, 3)) for c, t in GL32_CNOTS])
+
+
+def validate(n: int, elements):
+    """Oracle of a group's element list: the identity, every inverse and
+    every product are in it, equal up to a global phase (`_phase_key`);
+    raises GroupClosureError naming what is missing.  Quadratic in the
+    group order."""
+    keys = {_phase_key(e) for e in elements}
+    if _phase_key(SymmetryElement.identity(n)) not in keys:
+        raise GroupClosureError("identity element missing")
+    for a in elements:
+        inverse = (SymmetryElement.from_permutation(a.perm.inverse()) if a.is_permutation
+                   else SymmetryElement.from_unitary(a.matrix.conj().T.copy()))
+        if _phase_key(inverse) not in keys:
+            raise GroupClosureError(f"inverse of {a!r} missing")
+        for b in elements:
+            if _phase_key(a.compose(b)) not in keys:
+                raise GroupClosureError(f"product {a!r} * {b!r} missing")
 
 
 class TestQubitPermutation:
@@ -160,17 +181,16 @@ class TestGroupGeneration:
         assert len(preset_group("dihedral", n)) == (2 * n if n > 2 else n)
 
     def test_validate_accepts_generated_groups(self):
-        preset_group("full_swap", 3).validate()
+        validate(3, preset_group("full_swap", 3).elements)
         cz = np.diag([1.0, 1.0, 1.0, -1.0])
-        generate_group(2, [QubitPermutation.transposition(2, 0, 1),
-                           SymmetryElement.from_unitary(cz)]).validate()
+        validate(2, generate_group(2, [QubitPermutation.transposition(2, 0, 1),
+                                       SymmetryElement.from_unitary(cz)]).elements)
 
     def test_validate_rejects_non_closed_set(self):
         swap = SymmetryElement.from_permutation(QubitPermutation.transposition(3, 0, 1))
         rot = SymmetryElement.from_permutation(QubitPermutation(3, (1, 2, 0)))
-        broken = SymmetryGroup(3, (swap, rot), (SymmetryElement.identity(3), swap, rot))
         with pytest.raises(GroupClosureError):
-            broken.validate()
+            validate(3, (SymmetryElement.identity(3), swap, rot))
 
     def test_generator_order_irrelevant(self):
         gens = [QubitPermutation.transposition(4, 0, 1),
@@ -183,9 +203,10 @@ class TestGroupGeneration:
         # an irrational rotation never closes
         theta = 1.0
         rz = np.diag([1.0, np.exp(1j * theta)])
+        group = generate_group(1, [SymmetryElement.from_unitary(rz)])  # built, not closed
         with pytest.raises(GroupClosureError,
                            match=f"raw-unitary group exceeded the cap of {DEFAULT_CLOSURE_CAP} elements"):
-            generate_group(1, [SymmetryElement.from_unitary(rz)])
+            len(group)
 
     def test_raw_unitary_phase_dedup(self):
         phased_swap = np.exp(0.7j) * SWAP
@@ -216,18 +237,17 @@ class TestGroupGeneration:
         assert len(generate_group(2, [rot])) == 7
 
     def test_validate_accepts_gl32_quickly(self):
-        group = gl32_group()
+        elements = gl32_group().elements
         start = time.perf_counter()
-        group.validate()
+        validate(3, elements)
         assert time.perf_counter() - start < 1.0
 
     def test_validate_rejects_raw_set_missing_a_product(self):
         swap = SymmetryElement.from_unitary(SWAP)
         cz = SymmetryElement.from_unitary(np.diag([1.0, 1.0, 1.0, -1.0]))
         # swap * cz is missing; every element here is its own inverse.
-        broken = SymmetryGroup(2, (swap, cz), (SymmetryElement.identity(2), swap, cz))
         with pytest.raises(GroupClosureError, match="product"):
-            broken.validate()
+            validate(2, (SymmetryElement.identity(2), swap, cz))
 
     def test_non_unitary_raw_element_rejected(self):
         with pytest.raises(NotUnitaryError):
@@ -241,6 +261,34 @@ class TestGroupGeneration:
     def test_mismatched_generator_dimension(self):
         with pytest.raises(DimensionError):
             generate_group(3, [QubitPermutation.transposition(2, 0, 1)])
+
+
+class TestLazyClosure:
+    def test_generator_readers_do_not_close(self):
+        group = preset_group("full_swap", 4)
+        is_invariant(np.eye(16), group)
+        pauli_orbit(PauliString.from_label("XZII"), group)
+        symmetrize(PauliString.from_label("XYII"), group)
+        build_basis(4, group)
+        assert group._images is None and group._elements is None
+        assert len(group) == 24
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_groups_past_the_cap_build_and_refuse_when_listed(self, n):
+        group = preset_group("full_swap", n)
+        assert repr(group) == f"SymmetryGroup(n={n}, name='full_swap', generators={n - 1})"
+        with pytest.raises(GroupClosureError, match="exceeded the cap of 40320 elements"):
+            len(group)
+
+    def test_ten_qubit_invariance_and_path(self):
+        group = preset_group("full_swap", 10)
+        h = (0.7 * symmetrize(PauliString.from_label("XZ" + "I" * 8), group)
+             + 0.3 * symmetrize(PauliString.from_label("YY" + "I" * 8), group))
+        u = exp_generator(h, 1.1)
+        flag, defect = is_invariant(u, group)
+        assert flag and defect < 1e-10
+        assert is_invariant(connectedness_path(u, 0.5).matrix, group, 1e-8)[0]
+        assert group._images is None and group._elements is None
 
 
 class TestConjugatePauli:
