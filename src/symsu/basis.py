@@ -25,15 +25,13 @@ _CLOSURE_BLOCK = 1 << 11
 
 
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
-    """Wire-image rows of the generators of a permutation group; groups with
-    a raw-unitary element are refused.  A raw generator equal to one of the
-    group's permutations up to phase moves no string, and is skipped.  Only
-    a group with a raw generator is closed, to tell the two apart."""
+    """Wire-image rows of the generators of a permutation group; a group
+    with a raw-unitary generator is refused, without closing it."""
     if not group._is_permutation_group():
-        raw = sum(not e.is_permutation for e in group.elements)
+        raw = sum(not g.is_permutation for g in group.generators)
         raise UnsupportedSymmetryError(
             "orbit symmetrization supports qubit-permutation groups only; "
-            f"group contains {raw} raw unitary element(s)"
+            f"group has {raw} raw unitary generator(s)"
         )
     return _image_rows(group.n, group.generators)
 

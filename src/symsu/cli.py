@@ -175,7 +175,7 @@ def cmd_path(args) -> int:
     for k in range(args.samples + 1):
         t = k / args.samples
         point = connectedness_path(u, t)
-        _, defect = is_invariant(point.matrix, group, args.tol)
+        _, defect = is_invariant(point.matrix, group)
         lines.append(f"{_fmt(t)},{_fmt(defect)},{_fmt(point.unitarity_residual)}")
     _emit("\n".join(lines), _resolve_out(args.out))
     return 0
@@ -316,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--symmetry", required=True)
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out")
     p.add_argument("--no-header", action="store_true")
     p.set_defaults(func=cmd_path, n=None)

@@ -8,25 +8,27 @@ import numpy as np
 def matrix_to_pairs(m: np.ndarray) -> list:
     """Nested lists of [re, im] pairs, row major."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_pairs(data) -> np.ndarray:
-    """Inverse of matrix_to_pairs; ValueError for any other shape of data or a non-finite entry."""
+    """Inverse of matrix_to_pairs, bit for bit; ValueError for another shape or a non-finite entry."""
     try:
-        m = np.array([[complex(float(re), float(im)) for re, im in row] for row in data], dtype=complex)
+        pairs = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"matrix data must be rows of [re, im] pairs: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix data must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(f"matrix data must be rows of [re, im] pairs, got shape {pairs.shape}")
+    if pairs.shape[0] != pairs.shape[1]:
+        raise ValueError(f"matrix data must be square, got shape {pairs.shape[:2]}")
+    if not np.isfinite(pairs).all():
         raise ValueError("matrix data must be finite, got NaN or infinity")
-    return m
+    return pairs.view(complex)[..., 0]
 
 
 def save_matrix(path, m: np.ndarray):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_pairs(m), fh)
+        fh.write(json.dumps(matrix_to_pairs(m)))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -154,11 +154,19 @@ class SymmetryElement:
 
 
 def _coerce_element(obj) -> SymmetryElement:
-    if isinstance(obj, SymmetryElement):
-        return obj
+    """obj as an element; a raw unitary equal up to phase (`_phase_key`) to the wire
+    permutation read off where each |1 << i> goes becomes that permutation."""
     if isinstance(obj, QubitPermutation):
         return SymmetryElement.from_permutation(obj)
-    return SymmetryElement.from_unitary(np.asarray(obj))
+    e = obj if isinstance(obj, SymmetryElement) else SymmetryElement.from_unitary(np.asarray(obj))
+    if e.is_permutation:
+        return e
+    rows = abs(e.matrix[:, 1 << np.arange(e.n)]).argmax(axis=0).tolist()
+    try:
+        perm = SymmetryElement.from_permutation(QubitPermutation(e.n, [r.bit_length() - 1 for r in rows]))
+    except ValueError:  # the columns do not land on single wires
+        return e
+    return perm if _phase_key(perm) == _phase_key(e) else e
 
 
 class SymmetryGroup:
@@ -179,18 +187,13 @@ class SymmetryGroup:
         self._images = self._elements = None
 
     def _is_permutation_group(self) -> bool:
-        """Whether every element is a wire permutation.  Known without
-        closure when every generator is one; otherwise the group is closed,
-        and a raw generator counts only if `_close` met a permutation with
-        its phase key first."""
-        return all(g.is_permutation for g in self.generators) or all(e.is_permutation for e in self.elements)
+        """Whether every generator, hence every element, is a wire permutation."""
+        return all(g.is_permutation for g in self.generators)
 
     @property
     def images(self) -> np.ndarray | None:
         if self._images is None and self._is_permutation_group():
-            # With a raw generator, _is_permutation_group has listed the elements.
-            rows = (_close_images(self.n, _image_rows(self.n, self.generators))
-                    if self._elements is None else _image_rows(self.n, self._elements))
+            rows = _close_images(self.n, _image_rows(self.n, self.generators))
             rows.setflags(write=False)
             self._images = rows
         return self._images
@@ -199,7 +202,7 @@ class SymmetryGroup:
     def elements(self) -> tuple:
         if self._elements is None:
             self._elements = (_close(SymmetryElement.identity(self.n), self.generators)
-                              if any(not g.is_permutation for g in self.generators) else
+                              if self.images is None else
                               tuple(SymmetryElement.from_permutation(QubitPermutation(self.n, row))
                                     for row in self.images.tolist()))
         return self._elements
@@ -271,11 +274,11 @@ def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
 
 
 def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
-    """The group of the generators, coerced to elements and checked to act
-    on n qubits.  Nothing is closed here: `SymmetryGroup` closes on first
-    read of its elements, as image rows (exact, sorted, at most 8! =
-    40 320) when every generator is a permutation, else element by element
-    up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
+    """The group of the generators, coerced to elements (`_coerce_element`)
+    and checked to act on n qubits.  Nothing is closed here: `SymmetryGroup`
+    closes on first read of its elements, as image rows (exact, sorted, at
+    most 8! = 40 320) when every generator is a permutation, else element by
+    element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
     gens = [_coerce_element(g) for g in generators]
     for g in gens:

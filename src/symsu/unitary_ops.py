@@ -20,8 +20,8 @@ from .symmetry import SymmetryGroup
 UNITARITY_TOL = 1e-9
 
 # Eigenvalues closer than this on the unit circle are treated as one
-# degenerate cluster; the eigenvectors are re-orthonormalized per cluster
-# so the spectral projectors, not individual vectors, carry the meaning.
+# degenerate cluster with one theta: its spectral projector, not its
+# individual eigenvectors, carries the meaning.
 CLUSTER_TOL = 1e-8
 
 RECONSTRUCTION_TOL = 1e-9
@@ -157,10 +157,6 @@ class EigDecomposition:
     thetas: np.ndarray
     clusters: tuple
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.thetas)
-
     def reconstruct(self, t: float = 1.0) -> np.ndarray:
         return _spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas))
 
@@ -186,26 +182,19 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(members, starts)
 
 
-def _assemble(vectors: np.ndarray, lambdas: np.ndarray):
-    """Cluster eigenvalues, re-orthonormalize per cluster, sort by theta."""
+def _assemble(vectors: np.ndarray, lambdas: np.ndarray) -> EigDecomposition:
+    """Cluster the eigenvalues of a Hermitian eigensolve's orthonormal
+    columns and gather the columns cluster by cluster, sorted by theta."""
     reps = []
     for members in _cluster_indices(lambdas, CLUSTER_TOL):
         rep = np.mean(lambdas[members])
         reps.append((float(np.angle(rep / abs(rep))), members))
     reps.sort(key=lambda item: item[0])
-
-    dim = len(lambdas)
-    p = np.empty((dim, dim), dtype=vectors.dtype)  # real eigenvectors stay real
-    thetas = np.empty(dim)
-    clusters = []
-    col = 0
-    for theta, members in reps:
-        stop = col + len(members)
-        p[:, col:stop] = np.linalg.qr(vectors[:, members])[0]
-        thetas[col:stop] = theta
-        clusters.append((col, stop))
-        col = stop
-    return EigDecomposition(p, thetas, tuple(clusters))
+    sizes = [len(members) for _, members in reps]
+    stops = np.cumsum(sizes).tolist()
+    return EigDecomposition(vectors[:, np.concatenate([members for _, members in reps])],
+                            np.repeat([theta for theta, _ in reps], sizes),
+                            tuple(zip([0] + stops[:-1], stops)))
 
 
 def _cayley_decomposition(m: np.ndarray) -> EigDecomposition:
@@ -230,24 +219,17 @@ def _cayley_decomposition(m: np.ndarray) -> EigDecomposition:
     return _assemble(v, np.exp(1j * theta))
 
 
-def _general_decomposition(m: np.ndarray) -> EigDecomposition:
-    lambdas, vectors = np.linalg.eig(m)
-    lambdas = lambdas / np.abs(lambdas)
-    return _assemble(vectors, lambdas)
-
-
 def eig_unitary(a) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
-    Tries the spectrum a Unitary from exp_generator carries, the Cayley
-    route, then a general complex eigensolve; the first
-    whose P reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL wins.
+    Both routes are Hermitian eigensolves: the spectrum a Unitary from
+    exp_generator carries, then the Cayley route.  The first whose P
+    reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL
+    wins; NumericError names the last route's residuals if none does.
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     stored = getattr(a, "_spectrum", None)
-    routes = [_cayley_decomposition, _general_decomposition]
-    if stored is not None:
-        routes.insert(0, lambda _: _assemble(*stored))
+    routes = ([] if stored is None else [lambda _: _assemble(*stored)]) + [_cayley_decomposition]
     for route in routes:
         dec = route(m)
         recon = float(np.linalg.norm(dec.reconstruct() - m))

@@ -138,8 +138,9 @@ class TestDimCommand:
         path = tmp_path / "rz.json"
         path.write_text(json.dumps({"n": 1, "generators": [{"unitary": rz}]}))
         err = assert_rejected(capsys, "dim", "--n", "1", "--symmetry", str(path))
-        assert "exceeded the cap of 10000 elements" in err
-        # diag(1, e^i) never closes; path sweeps the generator, check lists the elements
+        assert "qubit-permutation groups only; group has 1 raw unitary generator(s)" in err
+        # diag(1, e^i) never closes; dim refuses it unclosed, path sweeps the
+        # generator, check lists the elements and names the cap
         diag = tmp_path / "diag.json"
         save_matrix(diag, np.diag([1.0, np.exp(0.4j)]))
         code, out, _ = run(capsys, "path", str(diag), "--symmetry", str(path),

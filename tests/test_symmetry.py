@@ -223,7 +223,10 @@ class TestGroupGeneration:
     def test_cnots_generate_gl32(self):
         maps = [cnot_map(c, t, 3) for c, t in GL32_CNOTS]
         assert len(index_map_closure(maps, 8)) == 168
-        assert len(gl32_group()) == 168
+        group = gl32_group()
+        # a CNOT moves a wire's basis state onto two wires: it stays a raw generator
+        assert not any(g.is_permutation for g in group.generators)
+        assert group.images is None and len(group) == 168
 
     def test_phased_hadamard_and_s_generate_clifford_group(self):
         # The single-qubit Clifford group modulo phase has order 24.

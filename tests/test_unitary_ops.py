@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from symsu import (
     DimensionError,
     NotUnitaryError,
+    NumericError,
     PauliSum,
     Unitary,
     build_basis,
@@ -149,6 +150,20 @@ class TestUnitaryType:
         u = random_invariant(2, preset_group("full_swap", 2), seed=5, depth=4)
         again = matrix_from_pairs(matrix_to_pairs(u.matrix))
         assert np.array_equal(again, u.matrix)
+
+    def test_json_pairs_keep_every_bit(self):
+        m = np.array([[complex(-0.0, 0.0), 1e-300 + 1e300j], [0.1 - 0.0j, complex(0.0, -0.0)]])
+        pairs = matrix_to_pairs(m)
+        assert pairs[0][0] == [-0.0, 0.0] and all(type(v) is float for row in pairs for pair in row for v in pair)
+        assert matrix_from_pairs(pairs).view(np.float64).tobytes() == m.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize("data", [[[[1, 0], [0]], [[0, 0], [1, 0]]],  # ragged
+                                      [[[1, 0, 0]]],  # not a pair
+                                      [[[1, 0], [0, 0]]],  # not square
+                                      [[[1j, 0]]], "text", []])
+    def test_pairs_of_another_shape_rejected(self, data):
+        with pytest.raises(ValueError, match="matrix data must"):
+            matrix_from_pairs(data)
 
 
 class TestRealProducts:
@@ -366,6 +381,30 @@ class TestEigUnitary:
         dec = eig_unitary(Unitary(d))
         assert fro(dec.reconstruct() - d) < 1e-9
         assert len(dec.clusters) == 2
+
+    def test_non_unitary_input_names_both_residuals(self):
+        with pytest.raises(NumericError, match=r"reconstruction residual 1\.000e\+00, "
+                                               r"orthonormality residual \S+, target 1\.0e-09"):
+            eig_unitary(np.diag([1.0, 2.0]))
+
+    def test_hermitian_eigensolves_only(self, monkeypatch):
+        # Both routes are eigh outputs, orthonormal as they come: no general
+        # eigensolve and no per-cluster QR, even for a degenerate spectrum.
+        def refuse(*_, **__):
+            raise AssertionError("a general eigensolve or a QR ran")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        h = symmetrize(PauliString.from_label("XIIIII"), preset_group("full_swap", 6))
+        u = exp_generator(h, 0.9)
+        decs = [eig_unitary(u.matrix)]  # no stored spectrum: the Cayley route
+        monkeypatch.setattr(unitary_ops, "_cayley_decomposition", refuse)
+        decs.append(eig_unitary(u))  # the stored route alone
+        for dec in decs:
+            assert len(dec.clusters) == 7  # eigenvalues of X1 + ... + X6: -6, -4, ..., 6
+            p = dec.eigenvectors
+            assert fro(p.conj().T @ p - np.eye(64)) < 1e-12
+            assert fro(dec.reconstruct() - u.matrix) < 1e-10
 
 
 class TestClusterIndices:
