@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from .paulis import PHASES, PauliString, PauliSum
-from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations, _image_rows
+from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
@@ -27,13 +27,10 @@ _CLOSURE_BLOCK = 1 << 11
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
     """Wire-image rows of the generators of a permutation group; a group
     with a raw-unitary generator is refused, without closing it."""
-    if not group._is_permutation_group():
-        raw = sum(not g.is_permutation for g in group.generators)
-        raise UnsupportedSymmetryError(
-            "orbit symmetrization supports qubit-permutation groups only; "
-            f"group has {raw} raw unitary generator(s)"
-        )
-    return _image_rows(group.n, group.generators)
+    if group._raw:
+        raise UnsupportedSymmetryError("orbit symmetrization supports qubit-permutation groups only; "
+                                       f"group has {len(group._raw)} raw unitary generator(s)")
+    return group._perm_images
 
 
 def _orbit(z: int, x: int, moves) -> set:
@@ -78,6 +75,7 @@ def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
 class InvariantBasis:
     """One symmetrized element per Pauli-string orbit, identity excluded.
 
+    The group and every element must act on n qubits, else DimensionError.
     The orbit table ``_orbit_of`` is derived from the elements: entry
     z << n | x is the index of the element holding that string, or
     len(elements) for a string in no element (the identity).
@@ -89,6 +87,8 @@ class InvariantBasis:
     _orbit_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if {self.group.n, *(e.n for e in self.elements)} != {self.n}:
+            raise DimensionError(f"the group and every element must act on the basis's {self.n} qubits")
         d = len(self.elements)
         keys = np.concatenate([e.z << self.n | e.x for e in self.elements] + [np.empty(0, np.int64)])
         table = np.full(1 << 2 * self.n, d, dtype=np.int64)

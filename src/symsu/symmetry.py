@@ -37,11 +37,6 @@ def _basis_permutations(images: np.ndarray) -> np.ndarray:
     return (1 << images) @ bits
 
 
-def _image_rows(n: int, elements) -> np.ndarray:
-    """Wire-image rows of the permutation elements; raw unitaries are left out."""
-    return np.array([e.perm.image for e in elements if e.is_permutation], dtype=np.int64).reshape(-1, n)
-
-
 @dataclass(frozen=True, order=True)
 class QubitPermutation:
     """A relabeling of wires; image[i] is the destination wire of qubit i."""
@@ -172,28 +167,34 @@ def _coerce_element(obj) -> SymmetryElement:
 class SymmetryGroup:
     """A finite symmetry group, held as its generators.
 
+    Each generator (a `QubitPermutation`, `SymmetryElement` or unitary
+    matrix) is coerced by `_coerce_element` and must act on n qubits, else
+    DimensionError.  They are split once: ``_perm_images``, the read-only
+    (k, n) wire images of the permutation generators, and ``_raw``, the rest.
     The group is closed only when ``images``, ``elements`` or ``len`` is
-    first read, and the result is kept.  A wire-permutation group has
+    first read, and the result is kept.  A group with no raw generator has
     ``images``, an (|G|, n) array of wire images, and builds ``elements``
     from the rows; any other group has ``images`` None.
     """
 
-    __slots__ = ("n", "generators", "name", "_images", "_elements")
+    __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_images", "_elements")
 
     def __init__(self, n: int, generators, name: str = "custom"):
-        self.n = n
-        self.generators = tuple(generators)
-        self.name = name
+        gens = tuple(_coerce_element(g) for g in generators)
+        for g in gens:
+            if g.n != n:
+                raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
+        perms = [g.perm.image for g in gens if g.is_permutation]
+        self.n, self.generators, self.name = n, gens, name
+        self._perm_images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+        self._perm_images.setflags(write=False)
+        self._raw = tuple(g for g in gens if not g.is_permutation)
         self._images = self._elements = None
-
-    def _is_permutation_group(self) -> bool:
-        """Whether every generator, hence every element, is a wire permutation."""
-        return all(g.is_permutation for g in self.generators)
 
     @property
     def images(self) -> np.ndarray | None:
-        if self._images is None and self._is_permutation_group():
-            rows = _close_images(self.n, _image_rows(self.n, self.generators))
+        if self._images is None and not self._raw:
+            rows = _close_images(self.n, self._perm_images)
             rows.setflags(write=False)
             self._images = rows
         return self._images
@@ -274,17 +275,13 @@ def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
 
 
 def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
-    """The group of the generators, coerced to elements (`_coerce_element`)
-    and checked to act on n qubits.  Nothing is closed here: `SymmetryGroup`
-    closes on first read of its elements, as image rows (exact, sorted, at
-    most 8! = 40 320) when every generator is a permutation, else element by
+    """The group of the generators on n qubits: `SymmetryGroup(n, generators,
+    name)`, which coerces and size-checks them and closes nothing.  On first
+    read of its elements it closes as image rows (exact, sorted, at most
+    8! = 40 320) when every generator is a permutation, else element by
     element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
-    gens = [_coerce_element(g) for g in generators]
-    for g in gens:
-        if g.n != n:
-            raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
-    return SymmetryGroup(n, gens, name=name)
+    return SymmetryGroup(n, generators, name)
 
 
 def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
@@ -348,8 +345,8 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10) -> tuple[bool, flo
     m = _square(u, group.n)
     if not np.isfinite(m).all():
         return False, float("nan")
-    worst = max([0.0, *_permutation_defects(m, _image_rows(group.n, group.generators)).tolist(),
-                 *(symmetry_defect(m, g) for g in group.generators if not g.is_permutation)])
+    worst = max([0.0, *_permutation_defects(m, group._perm_images).tolist(),
+                 *(symmetry_defect(m, g) for g in group._raw)])
     return worst < tol, worst
 
 
@@ -421,9 +418,9 @@ def group_from_spec(spec: dict) -> SymmetryGroup:
     for entry in raw:
         perm = entry.get("perm") if isinstance(entry, dict) else None
         if isinstance(perm, (list, tuple)) and all(type(i) is int for i in perm):
-            gens.append(SymmetryElement.from_permutation(QubitPermutation(n, tuple(perm))))
+            gens.append(QubitPermutation(n, tuple(perm)))
         elif isinstance(entry, dict) and "unitary" in entry:
-            gens.append(SymmetryElement.from_unitary(matrix_from_pairs(entry["unitary"])))
+            gens.append(matrix_from_pairs(entry["unitary"]))
         else:
             raise ValueError(f"generator entry needs 'perm' (a list of wires) or 'unitary': {entry!r}")
     return generate_group(n, gens)

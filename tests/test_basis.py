@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from symsu import (
     CapacityError,
+    DimensionError,
     InvariantBasis,
     PauliString,
     PauliSum,
@@ -169,6 +170,16 @@ class TestBuildBasis:
         with pytest.raises(CapacityError):
             build_basis(9, g)
 
+    def test_basis_on_another_qubit_count_rejected(self, s2, s3):
+        # Orbit tables of 2-qubit elements read at n = 3 gave in_span("XII") 1.0,
+        # and at n = 1 an IndexError; build_basis already refused the mismatch.
+        elements = build_basis(2, s2).elements
+        for n, group in ((3, s2), (1, s2), (3, s3)):
+            with pytest.raises(DimensionError):
+                InvariantBasis(n, group, elements)
+        with pytest.raises(DimensionError):
+            build_basis(3, s2)
+
 
 def closed_form_dimension(preset, n):
     """Orbits of the 4^n strings under the preset, minus the identity, from
@@ -210,6 +221,14 @@ class TestBurnside:
         for n in range(1, 9):
             assert burnside_dimension(n, preset_group(preset, n)) == closed_form_dimension(preset, n)
         assert len(build_basis(8, preset_group(preset, 8))) == closed_form_dimension(preset, 8)
+
+    @pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
+    def test_closed_forms_past_int64_closure_keys(self, preset):
+        # _close_images keys its rows by Python ints from n = 16 on
+        dims = [burnside_dimension(n, preset_group(preset, n)) for n in (15, 16, 20)]
+        assert dims == [closed_form_dimension(preset, n) for n in (15, 16, 20)]
+        assert dims == {"cyclic": [71_582_943, 268_439_589, 54_975_633_975],
+                        "dihedral": [35_824_239, 134_301_714, 27_489_127_707]}[preset]
 
     def test_closed_forms_at_eight_qubits(self):
         assert [closed_form_dimension(p, 8) for p in ("full_swap", "cyclic", "dihedral")] == [

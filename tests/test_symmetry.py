@@ -17,6 +17,7 @@ from symsu import (
     PauliSum,
     QubitPermutation,
     SymmetryElement,
+    SymmetryGroup,
     build_basis,
     conjugate_pauli,
     connectedness_path,
@@ -262,8 +263,25 @@ class TestGroupGeneration:
                 SymmetryElement.from_unitary(m)
 
     def test_mismatched_generator_dimension(self):
-        with pytest.raises(DimensionError):
-            generate_group(3, [QubitPermutation.transposition(2, 0, 1)])
+        for build in (generate_group, SymmetryGroup):
+            with pytest.raises(DimensionError, match="generator acts on 2 qubits, group is on 3"):
+                build(3, [QubitPermutation.transposition(2, 0, 1)])
+
+    def test_constructor_coerces_every_generator_form(self):
+        # SWAP as a permutation, a permutation element, a raw element or an
+        # array; e^{0.7i} SWAP as a raw element or an array.  Every list, in
+        # either order or with the phased swap alone, is the swap group.
+        perm = QubitPermutation.transposition(2, 0, 1)
+        swaps = (perm, SymmetryElement.from_permutation(perm), SymmetryElement.from_unitary(SWAP), SWAP)
+        phased = (SymmetryElement.from_unitary(np.exp(0.7j) * SWAP), np.exp(0.7j) * SWAP)
+        lists = [[a, b] for a in swaps for b in phased] + [[b, a] for a in swaps for b in phased]
+        for gens in lists + [[b] for b in phased]:
+            direct, generated = SymmetryGroup(2, gens), generate_group(2, gens)
+            assert ([g.is_permutation for g in direct.generators]
+                    == [g.is_permutation for g in generated.generators] == [True] * len(gens))
+            assert direct.images.tolist() == generated.images.tolist() == [[0, 1], [1, 0]]
+            assert direct._perm_images.tolist() == [[1, 0]] * len(gens) and not direct._raw
+            assert not direct._perm_images.flags.writeable
 
 
 class TestLazyClosure:
