@@ -78,13 +78,16 @@ class InvariantBasis:
     The group and every element must act on n qubits, else DimensionError.
     The orbit table ``_orbit_of`` is derived from the elements: entry
     z << n | x is the index of the element holding that string, or
-    len(elements) for a string in no element (the identity).
+    len(elements) for a string in no element (the identity).  ``_spectra``
+    maps an element's index to its realization's eigenpairs once unitary_ops
+    has exponentiated it: one 2^n x 2^n matrix per element at most.
     """
 
     n: int
     group: SymmetryGroup
     elements: tuple
     _orbit_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if {self.group.n, *(e.n for e in self.elements)} != {self.n}:

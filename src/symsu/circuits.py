@@ -14,6 +14,7 @@ silent approximate splitting.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class Gate:
             raise ValueError("CNOT control and target must differ")
         if (self.kind == "RZ") != (self.angle is not None):
             raise ValueError("exactly the RZ gate carries an angle")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"RZ angle must be finite, got {self.angle}")
 
     @classmethod
     def h(cls, q: int) -> "Gate":
@@ -172,6 +175,8 @@ def synthesize_sum_exponential(s: PauliSum, alpha: float) -> Circuit:
     """
     if not s.is_hermitian():
         raise ValueError("sum exponential needs real coefficients")
+    if not math.isfinite(alpha):  # a sum whose coefficients are all 0 has no RZ gate to refuse it
+        raise ValueError(f"angle alpha must be finite, got {alpha}")
     terms = s.terms
     for (p, _), (q, _) in itertools.combinations(terms, 2):
         if not paulis_commute(p, q):

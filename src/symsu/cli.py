@@ -24,9 +24,9 @@ from .serialize import load_matrix, matrix_to_pairs
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
     Unitary,
+    _basis_exp,
     compose,
     connectedness_path,
-    exp_generator,
     project_to_su,
     random_invariant,
 )
@@ -66,6 +66,11 @@ def _csv_header(args, command: str) -> list[str]:
 def _at_least(value: int, low: int, flag: str):
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
+def _positive_finite(value: float, flag: str):
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{flag} must be a positive finite number, got {value}")
 
 
 def _resolve_group(symmetry: str, n: int | None, given: str | None = None) -> SymmetryGroup:
@@ -136,6 +141,7 @@ def cmd_dim(args) -> int:
 
 def cmd_check(args) -> int:
     start = time.perf_counter()
+    _positive_finite(args.tol, "--tol")
     m = load_matrix(args.matrix)
     group = _matrix_group(args.symmetry, m.shape[0])
     try:
@@ -208,6 +214,7 @@ def cmd_random(args) -> int:
 def cmd_verify(args) -> int:
     for flag in ("pairs", "paths", "depth"):
         _at_least(getattr(args, flag), 0, "--" + flag)
+    _positive_finite(args.tol, "--tol")
     group = _resolve_group(args.symmetry, args.n)
     basis = build_basis(group.n, group)
     tol = args.tol
@@ -236,9 +243,9 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     ok = True
-    for element in basis.elements:
+    for k in range(len(basis)):
         alpha = float(rng.uniform(0.0, 2.0 * np.pi))
-        flag, defect = is_invariant(exp_generator(element, alpha).matrix, group, tol)
+        flag, defect = is_invariant(_basis_exp(basis, k, alpha).matrix, group, tol)
         ok = ok and flag
         worst = max(worst, defect)
     results.append(("exp_invariance", len(basis), ok,

@@ -99,24 +99,41 @@ def identity_unitary(n: int) -> Unitary:
     return Unitary(np.eye(1 << n))
 
 
-def exp_generator(h: PauliSum, alpha: float) -> Unitary:
-    """exp(-i*alpha/2 * H) for a Hermitian generator sum H.
-
-    Computed through the Hermitian eigendecomposition of the realization,
-    so the result is unitary up to eigensolver error.  The eigenpairs stay
-    on the result, where eig_unitary finds them.  A sum with an even number
-    of Y letters in every term has a real realization, solved as such.
-    """
+def _generator_spectrum(h: PauliSum) -> tuple:
+    """Eigenpairs (w, v) of H's realization, with v read-only since a basis shares it."""
     if not h.is_hermitian():
-        raise ValueError(
-            "generator must be Hermitian (real coefficients on phase-free terms)"
-        )
+        raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
     hm = sum_to_matrix(h)
     w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
+    v.setflags(write=False)
+    return w, v
+
+
+def _spectral_exp(w: np.ndarray, v: np.ndarray, alpha: float) -> Unitary:
+    """exp(-i*alpha/2 * H) from H's eigenpairs, which stay on the result for eig_unitary."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"angle alpha must be finite, got {alpha}")
     lambdas = np.exp(-0.5j * alpha * w)
     u = Unitary(_spectral_product(v, lambdas))
     u._spectrum = (v, lambdas)
     return u
+
+
+def exp_generator(h: PauliSum, alpha: float) -> Unitary:
+    """exp(-i*alpha/2 * H) for a Hermitian generator sum H and a finite alpha.
+
+    Computed through the Hermitian eigendecomposition of the realization,
+    so the result is unitary up to eigensolver error.  A sum with an even
+    number of Y letters in every term has a real realization, solved as such.
+    """
+    return _spectral_exp(*_generator_spectrum(h), alpha)
+
+
+def _basis_exp(basis: InvariantBasis, k: int, alpha: float) -> Unitary:
+    """exp_generator(basis.elements[k], alpha), eigensolving each element once per basis."""
+    if k not in basis._spectra:
+        basis._spectra[k] = _generator_spectrum(basis.elements[k])
+    return _spectral_exp(*basis._spectra[k], alpha)
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
@@ -141,7 +158,7 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
     for _ in range(depth):
         k = int(rng.integers(len(basis)))
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        u = exp_generator(basis.elements[k], alpha).matrix @ u
+        u = _basis_exp(basis, k, alpha).matrix @ u
     return Unitary(u)
 
 

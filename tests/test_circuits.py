@@ -72,6 +72,13 @@ class TestGateAndCircuitTypes:
         with pytest.raises(ValueError):
             Circuit.from_text("QUBITS 2\nRX 0 0.5")
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match=f"RZ angle must be finite, got {angle}"):
+            Circuit.from_text(f"QUBITS 1\nRZ 0 {angle}")
+        with pytest.raises(ValueError, match="RZ angle must be finite"):
+            Gate.rz(0, float(angle))
+
 
 class TestTwoPauliCondition:
     def test_xx_plus_yy(self):

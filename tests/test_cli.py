@@ -9,6 +9,7 @@ import pytest
 
 from symsu import (
     Circuit,
+    build_basis,
     circuit_to_matrix,
     exp_generator,
     PauliString,
@@ -19,6 +20,7 @@ from symsu import (
     symmetrize,
     synthesize_pauli_exponential,
 )
+from symsu import unitary_ops
 from symsu.cli import main
 
 from conftest import dense_label, fro
@@ -191,6 +193,13 @@ class TestCheckCommand:
         assert data["max_defect"] == pytest.approx(2 * np.sqrt(2))
         assert isinstance(data["wall_s"], float) and data["wall_s"] >= 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, tol):
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(4))
+        err = assert_rejected(capsys, "check", str(path), "--symmetry", "full_swap", "--tol", tol)
+        assert "--tol must be a positive finite number" in err
+
     def test_text_format_has_no_wall_time(self, capsys, tmp_path):
         # the wall time is JSON-only, so the default output stays byte-stable
         path = tmp_path / "xi.json"
@@ -357,6 +366,15 @@ class TestSynthCommand:
         code, _, err = run(capsys, "synth", "--alpha", "0.5")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_rejected(self, capsys, tmp_path, alpha):
+        err = assert_rejected(capsys, "synth", "--pauli", "XX", f"--alpha={alpha}")
+        assert f"angle alpha must be finite, got {alpha}" in err
+        sum_path = tmp_path / "zero.txt"  # no term survives, so no gate carries the angle
+        sum_path.write_text("(0,0) XX\n")
+        err = assert_rejected(capsys, "synth", "--sum-file", str(sum_path), f"--alpha={alpha}")
+        assert f"angle alpha must be finite, got {alpha}" in err
+
 
 class TestRandomCommand:
     def test_output_is_invariant_unitary(self, capsys, tmp_path):
@@ -412,6 +430,23 @@ class TestVerifyCommand:
                             "exp_invariance": "PASS", "path": "SKIP"}
         assert out.splitlines()[-1] == (
             "verify: no failures; skipped with no samples: composition, path")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        err = assert_rejected(capsys, "verify", "--n", "2", "--symmetry", "full_swap", "--tol", tol)
+        assert "--tol must be a positive finite number" in err
+
+    def test_each_element_realized_once_per_command(self, capsys, monkeypatch):
+        # The eigenpairs kept for each basis element die with the command's
+        # basis: a second identical command realizes every element again.
+        realized = []
+        original = unitary_ops.sum_to_matrix
+        monkeypatch.setattr(unitary_ops, "sum_to_matrix", lambda s: realized.append(s) or original(s))
+        dim = len(build_basis(5, preset_group("dihedral", 5)))
+        argv = ("verify", "--n", "5", "--symmetry", "dihedral")
+        for command in (1, 2):
+            assert run(capsys, *argv)[0] == 0
+            assert len(realized) == command * dim == command * 135
 
 
 class TestMiscellaneous:

@@ -279,6 +279,11 @@ class TestExpGenerator:
         with pytest.raises(ValueError):
             exp_generator(PauliSum.from_labels(1, [("X", 1j)]), 0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"angle alpha must be finite, got {alpha}"):
+            exp_generator(PauliSum.from_label("XX"), alpha)
+
     def test_commuting_diagram(self, s2):
         # symmetrize then exponentiate lands in the invariant group
         basis = build_basis(2, s2)
@@ -336,6 +341,51 @@ class TestRandomInvariant:
         a = random_invariant(2, s2, seed=1, depth=8)
         b = random_invariant(2, s2, seed=2, depth=8)
         assert fro(a.matrix - b.matrix) > 1e-3
+
+
+class TestBasisSpectra:
+    """Each element's eigenpairs are kept on its basis; the exponentials
+    built from them are bit for bit those of exp_generator."""
+
+    CASES = [(preset, n) for preset in ("full_swap", "cyclic", "dihedral") for n in (2, 3, 4, 5)]
+
+    @pytest.mark.parametrize("preset, n", CASES)
+    def test_random_invariant_matches_explicit_product(self, preset, n):
+        group = preset_group(preset, n)
+        basis = build_basis(n, group)
+        for seed in range(3):  # later seeds draw elements whose spectra are kept
+            rng = np.random.default_rng(seed)
+            oracle = np.eye(1 << n, dtype=complex)
+            for _ in range(8):
+                k = int(rng.integers(len(basis)))
+                alpha = float(rng.uniform(0.0, 2.0 * np.pi))
+                oracle = exp_generator(basis.elements[k], alpha).matrix @ oracle
+            u = random_invariant(n, group, seed, 8, basis=basis)
+            assert np.array_equal(u.matrix, oracle)
+
+    @pytest.mark.parametrize("preset, n", CASES)
+    def test_element_factor_matches_exp_generator(self, preset, n):
+        basis = build_basis(n, preset_group(preset, n))
+        rng = np.random.default_rng(n)
+        for k, element in enumerate(basis.elements):
+            alpha = float(rng.uniform(0.0, 2.0 * np.pi))
+            oracle = exp_generator(element, alpha).matrix
+            for _ in range(2):  # the second call reads the kept spectrum
+                assert np.array_equal(unitary_ops._basis_exp(basis, k, alpha).matrix, oracle)
+        real = [np.isrealobj(v) for _, v in basis._spectra.values()]
+        assert len(real) == len(basis) and any(real) and not all(real)
+
+    def test_kept_spectra_are_read_only(self, s2):
+        basis = build_basis(2, s2)
+        u = unitary_ops._basis_exp(basis, 0, 0.3)
+        _, v = basis._spectra[0]
+        assert u._spectrum[0] is v and not v.flags.writeable
+
+    def test_filled_basis_compares_as_fresh(self, s3):
+        fresh, filled = build_basis(3, s3), build_basis(3, s3)
+        random_invariant(3, s3, seed=0, depth=8, basis=filled)
+        assert filled._spectra and not fresh._spectra
+        assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
 
 
 class TestEigUnitary:
