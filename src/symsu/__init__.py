@@ -7,6 +7,8 @@ unitary to the identity, and compile invariant generators into CNOT-ladder
 circuits.
 """
 
+from types import ModuleType as _ModuleType
+
 from .basis import (
     ClosureReport,
     InvariantBasis,
@@ -73,59 +75,6 @@ from .unitary_ops import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "Circuit",
-    "ClosureReport",
-    "DimensionError",
-    "EigDecomposition",
-    "Gate",
-    "GroupClosureError",
-    "InvariantBasis",
-    "NotUnitaryError",
-    "NumericError",
-    "PauliString",
-    "PauliSum",
-    "PRESETS",
-    "ProductFormulaError",
-    "QubitPermutation",
-    "SymmetryElement",
-    "SymmetryGroup",
-    "SymsuError",
-    "Unitary",
-    "UnsupportedSymmetryError",
-    "build_basis",
-    "burnside_dimension",
-    "circuit_to_matrix",
-    "closure_report",
-    "compose",
-    "conjugate_pauli",
-    "connectedness_path",
-    "eig_unitary",
-    "exp_generator",
-    "generate_group",
-    "group_from_spec",
-    "identity_unitary",
-    "in_span",
-    "is_invariant",
-    "load_group",
-    "load_matrix",
-    "matrix_from_pairs",
-    "matrix_to_pairs",
-    "pauli_commutator",
-    "pauli_multiply",
-    "pauli_orbit",
-    "pauli_to_matrix",
-    "paulis_commute",
-    "preset_group",
-    "project_to_su",
-    "random_invariant",
-    "save_matrix",
-    "sum_commutator",
-    "sum_to_matrix",
-    "symmetrize",
-    "symmetry_defect",
-    "synthesize_pauli_exponential",
-    "synthesize_sum_exponential",
-    "two_pauli_condition",
-]
+# Every public name imported above; the submodules are not part of it.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

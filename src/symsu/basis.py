@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from .paulis import PHASES, PauliString, PauliSum
-from .symmetry import QubitPermutation, SymmetryGroup, _basis_permutations
+from .symmetry import SymmetryGroup, _move_masks
 
 # Full 4^n enumeration is capped at this many qubits.
 DEFAULT_ENUMERATION_CAP = 8
@@ -33,37 +33,28 @@ def _generator_images(group: SymmetryGroup) -> np.ndarray:
     return group._perm_images
 
 
-def _orbit(z: int, x: int, moves) -> set:
-    """Orbit of the mask pair (z, x) by breadth-first search over the
-    generators, each given as its mask map (mask -> permuted mask).
-
-    The group is finite, so every inverse is a power of a generator and
-    the generators alone reach the whole group orbit.
-    """
-    seen = {(z, x)}
-    frontier = [(z, x)]
-    while frontier:
-        nxt = []
-        for mz, mx in frontier:
-            for move in moves:
-                q = (move(mz), move(mx))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
 def pauli_orbit(s: PauliString, group: SymmetryGroup) -> frozenset:
     """Orbit of a string under conjugation by the group, phase kept.
 
-    Found from the generators alone; no group element is enumerated.
+    Breadth-first from the generators alone, one array move per generator
+    and round; no group element is enumerated.  The group is finite, so
+    every inverse is a power of a generator.
     """
     if s.n != group.n:
         raise DimensionError(f"string on {s.n} qubits, group on {group.n}")
-    moves = [QubitPermutation(group.n, row).permute_mask for row in _generator_images(group).tolist()]
-    return frozenset(PauliString(s.n, x, z, s.phase_exp)
-                     for z, x in _orbit(s.z_mask, s.x_mask, moves))
+    images = _generator_images(group).tolist()
+    dtype = np.int64 if s.n <= 62 else object  # Python-int masks above 62 qubits, as in PauliSum
+    z, x = fz, fx = np.array([s.z_mask], dtype=dtype), np.array([s.x_mask], dtype=dtype)
+    while len(fz):
+        az = np.concatenate([z] + [_move_masks(fz, row) for row in images])
+        ax = np.concatenate([x] + [_move_masks(fx, row) for row in images])
+        order = np.lexsort((ax, az))  # stable: a known string sorts before its new copies
+        sz, sx = az[order], ax[order]
+        first = np.r_[True, (sz[1:] != sz[:-1]) | (sx[1:] != sx[:-1])]
+        keep = order[first]
+        new = keep[keep >= len(z)]
+        fz, fx, z, x = az[new], ax[new], az[keep], ax[keep]
+    return frozenset(PauliString(s.n, mx, mz, s.phase_exp) for mz, mx in zip(z.tolist(), x.tolist()))
 
 
 def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
@@ -93,9 +84,10 @@ class InvariantBasis:
         if {self.group.n, *(e.n for e in self.elements)} != {self.n}:
             raise DimensionError(f"the group and every element must act on the basis's {self.n} qubits")
         d = len(self.elements)
-        keys = np.concatenate([e.z << self.n | e.x for e in self.elements] + [np.empty(0, np.int64)])
+        z, x = (np.concatenate([getattr(e, name) for e in self.elements] + [np.empty(0, np.int64)])
+                for name in "zx")
         table = np.full(1 << 2 * self.n, d, dtype=np.int64)
-        table[keys] = np.repeat(np.arange(d), [len(e) for e in self.elements])
+        table[z << self.n | x] = np.repeat(np.arange(d), [len(e) for e in self.elements])
         table.setflags(write=False)
         object.__setattr__(self, "_orbit_of", table)
 
@@ -109,28 +101,45 @@ class InvariantBasis:
         return f"InvariantBasis(n={self.n}, group={self.group.name!r}, dim={len(self)})"
 
 
+def _orbit_table(n: int, images) -> np.ndarray:
+    """Orbit number of every string key z << n | x under the wire
+    permutations of the image rows, from -1 (the identity, key 0) in the
+    order of the orbits' smallest keys.
+
+    Every key is moved once per generator; then each key pulls the label
+    of its image, pushes its label to its image (a move is a bijection) and
+    jumps to its label's label, until no label changes.  Labels only fall
+    and stay in the orbit, so each ends as its orbit's smallest key.
+    """
+    keys = np.arange(1 << 2 * n)
+    z, x = keys >> n, keys & ((1 << n) - 1)
+    moves = [_move_masks(z, row) << n | _move_masks(x, row) for row in images]
+    label = keys
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+            new[move] = np.minimum(new[move], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return (np.cumsum(label == keys) - 2)[label]  # roots are the smallest keys
+
+
 def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
     """Enumerate all 4^n strings, orbit by orbit, in (z_mask, x_mask) order.
 
-    Each orbit is found from the generators' mask tables, so the group
-    elements are never enumerated.  The orbit of every string key
-    z << n | x goes into one table; one sort of it lists each orbit's
-    strings together, in canonical order.
+    The orbits come from the generators' moves on all string keys
+    (`_orbit_table`), never from the group elements; one sort of the table
+    lists each orbit's strings together, in canonical order.
     """
     if group.n != n:
         raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_ENUMERATION_CAP} qubits")
-    moves = [table.__getitem__ for table in _basis_permutations(_generator_images(group)).tolist()]
+    table = _orbit_table(n, _generator_images(group).tolist())
     size = 1 << n
-    orbit_of = [-1] * (size * size)  # the identity (key 0) keeps -1: its orbit is excluded
-    count = 0
-    for key in range(1, size * size):
-        if orbit_of[key] < 0:
-            for mz, mx in _orbit(key >> n, key & (size - 1), moves):
-                orbit_of[mz << n | mx] = count
-            count += 1
-    table = np.array(orbit_of)
     keys = np.argsort(table, kind="stable")[1:]  # by orbit, then by key
     x, z, ones = keys & (size - 1), keys >> n, np.ones(len(keys), dtype=complex)
     ends = np.cumsum(np.bincount(table[1:])).tolist()
@@ -141,13 +150,17 @@ def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:
     """Cycles of the wire permutation of each image row, fixed points
-    included: the wires that are the smallest of their cycle."""
-    wire = np.arange(images.shape[1])
-    low, reach = np.broadcast_to(wire, images.shape), images
-    for _ in range(images.shape[1] - 1):  # reach is the image after k + 1 steps
-        low = np.minimum(low, reach)
-        reach = np.take_along_axis(images, reach, axis=1)
-    return (low == wire).sum(axis=1)
+    included: the wires that are the smallest of their cycle.  One wire
+    at a time, so that every temporary is one entry per row."""
+    flat, base = images.ravel(), np.arange(0, images.size, images.shape[1])
+    counts = np.zeros(len(images), dtype=np.int64)
+    for wire in range(images.shape[1]):
+        low = reach = images[:, wire]  # reach is the image after k + 1 steps
+        for _ in range(images.shape[1] - 2):
+            reach = flat[base + reach]
+            low = np.minimum(low, reach)
+        counts += low >= wire
+    return counts
 
 
 def burnside_dimension(n: int, group: SymmetryGroup) -> int:

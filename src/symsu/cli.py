@@ -19,7 +19,7 @@ import numpy as np
 from .basis import build_basis, burnside_dimension, closure_report
 from .circuits import synthesize_sum_exponential
 from .errors import NotUnitaryError, ProductFormulaError, SymsuError
-from .paulis import PauliSum
+from .paulis import PauliSum, _labels, _stacked, _sum_texts
 from .serialize import load_matrix, matrix_to_pairs
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
@@ -106,21 +106,22 @@ def _element_label(element) -> str:
 
 def cmd_basis(args) -> int:
     group = _resolve_group(args.symmetry, args.n)
-    basis = build_basis(group.n, group)
     if args.format == "json":
+        basis = build_basis(group.n, group)
+        x, z, coeffs, bounds = _stacked(basis.elements)
+        labels = np.strings.decode(_labels(basis.n, x, z)).tolist()
+        terms = [list(term) for term in zip(coeffs.real.tolist(), coeffs.imag.tolist(), labels)]
         data = {
             "n": basis.n,
             "group": group.name,
             "dimension": len(basis),
-            "elements": [
-                [[c.real, c.imag, p.to_label()] for p, c in e.terms]
-                for e in basis.elements
-            ],
+            "elements": [terms[lo:hi] for lo, hi in bounds],
         }
         _emit(json.dumps(data, indent=2), _resolve_out(args.out))
     else:
-        lines = [e.to_line() for e in basis.elements]
-        lines.append(f"dim {len(basis)}")
+        # One line per element; the basis is freed before the lines are joined.
+        lines = _sum_texts(build_basis(group.n, group).elements, " + ")
+        lines.append(f"dim {len(lines)}")
         _emit("\n".join(lines), _resolve_out(args.out))
     return 0
 

@@ -35,9 +35,13 @@ DEFAULT_MATRIX_CAP = 10
 # Matrix entries per block of sum_to_matrix; bounds its temporary arrays.
 _REALIZATION_BLOCK = 1 << 14
 
+# Terms per block of _sum_texts; bounds its temporary arrays.
+_TEXT_BLOCK = 1 << 13
+
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
+_LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
 _X_DIGITS, _Z_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
@@ -241,21 +245,13 @@ class PauliSum:
     def has_identity_term(self) -> bool:
         return bool(np.any((self.x == 0) & (self.z == 0)))
 
-    def _term_texts(self):
-        """'(re,im) LETTERS' per term, the letters read from the masks."""
-        shifts = np.arange(self.n - 1, -1, -1).astype(self.x.dtype)  # most significant qubit first
-        codes = (self.x[:, None] >> shifts & 1) + 2 * (self.z[:, None] >> shifts & 1)
-        labels = np.frombuffer(_LETTERS.encode(), np.uint8)[codes.astype(np.int64)].view(f"S{self.n}")
-        return (f"({c.real:.17g},{c.imag:.17g}) {label.decode()}"
-                for label, c in zip(labels[:, 0].tolist(), self.coeffs.tolist()))
-
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""
-        return " + ".join(self._term_texts())
+        return _sum_texts([self], " + ")[0]
 
     def to_text(self) -> str:
         """Multi-line form: one '(re,im) LETTERS' term per line."""
-        return "\n".join(self._term_texts())
+        return _sum_texts([self], "\n")[0]
 
     @classmethod
     def from_line(cls, line: str) -> "PauliSum":
@@ -277,6 +273,44 @@ class PauliSum:
         if not len(self):
             return f"PauliSum(n={self.n}, 0)"
         return f"PauliSum({self.to_line()})"
+
+
+def _labels(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Letter strings of the mask pairs, most significant qubit first, as an
+    array of n-byte strings; built one qubit column at a time."""
+    letters = np.empty((len(x), n), dtype=np.uint8)
+    for column, q in enumerate(range(n - 1, -1, -1)):
+        code = (x >> q & 1) + 2 * (z >> q & 1)
+        letters[:, column] = _LETTER_BYTES[code.astype(np.intp, copy=False)]  # object dtype above 62 qubits
+    return letters.view(f"S{n}").reshape(len(x))
+
+
+def _stacked(sums) -> tuple:
+    """x masks, z masks and coefficients of the terms of all sums, one array
+    each, and the (start, end) slice bounds of every sum's terms."""
+    ends = np.cumsum([len(s) for s in sums]).tolist()
+    x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums]) for name in ("x", "z", "coeffs"))
+    return x, z, coeffs, list(zip([0] + ends, ends))
+
+
+def _sum_texts(sums, sep: str) -> list:
+    """One text per sum, all on one qubit count: its '(re,im) LETTERS'
+    terms joined by sep.  Per block of whole sums, the letters are read
+    from the masks at once, and each distinct coefficient is formatted once,
+    keyed by its bytes so that -0.0, 0.0 and nan keep texts of their own.
+    """
+    ends = np.cumsum([len(s) for s in sums])
+    lines, lo, joint = [], 0, sep.encode()
+    while lo < len(sums):
+        # Up to _TEXT_BLOCK terms; a longer sum is a block of its own.
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - len(sums[lo]) + _TEXT_BLOCK, "right")))
+        x, z, coeffs, bounds = _stacked(sums[lo:hi])
+        values, at = np.unique(coeffs.view("V16"), return_inverse=True)
+        texts = np.array([f"({c.real:.17g},{c.imag:.17g}) " for c in values.view(complex).tolist()], "S")
+        terms = np.strings.add(texts[at], _labels(sums[0].n, x, z))
+        lines += [joint.join(terms[a:b].tolist()).decode() for a, b in bounds]
+        lo = hi
+    return lines
 
 
 _TERM_RE = re.compile(r"^\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)\s+([IXYZ]+)$")

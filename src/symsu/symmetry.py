@@ -29,12 +29,16 @@ DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
 
 
-def _basis_permutations(images: np.ndarray) -> np.ndarray:
-    """Row e is the basis-index table of the wire permutation images[e]:
-    bit i of every index moves to bit images[e, i]."""
-    n = images.shape[1]
-    bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
-    return (1 << images) @ bits
+def _move_masks(masks: np.ndarray, image) -> np.ndarray:
+    """Masks with bit i moved to bit image[i], by one shift per distinct
+    distance image[i] - i: at most n steps over the whole array."""
+    selected = {}
+    for i, dest in enumerate(image):
+        selected[dest - i] = selected.get(dest - i, 0) | 1 << i
+    out = np.zeros_like(masks)
+    for shift, sel in selected.items():
+        out |= (masks & sel) << shift if shift >= 0 else (masks & sel) >> -shift
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -77,9 +81,8 @@ class QubitPermutation:
 
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
-        s = _basis_permutations(np.array([self.image], dtype=np.int64))[0]
         m = np.zeros((dim, dim), dtype=complex)
-        m[s, np.arange(dim)] = 1.0
+        m[_move_masks(np.arange(dim), self.image), np.arange(dim)] = 1.0
         return m
 
 

@@ -1,7 +1,9 @@
 """Orbit symmetrization, dimension counts, and algebraic closure."""
 
 import itertools
+import json
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from symsu import (
     closure_report,
     conjugate_pauli,
     generate_group,
+    group_from_spec,
     in_span,
     is_invariant,
     pauli_orbit,
@@ -109,6 +112,97 @@ class TestOrbitEngineProperties:
             for element in basis.elements:
                 conjugated = tuple((conjugate_pauli(e.perm, p), c) for p, c in element.terms)
                 assert PauliSum(n, conjugated) == element
+
+
+
+def scalar_orbit(z, x, moves):
+    """Orbit of the mask pair (z, x) by breadth-first search over the
+    generators' mask maps (mask -> permuted mask), one pair at a time: the
+    scalar walk that build_basis and pauli_orbit made before they moved
+    whole arrays, kept as their oracle."""
+    seen = {(z, x)}
+    frontier = [(z, x)]
+    while frontier:
+        nxt = []
+        for mz, mx in frontier:
+            for move in moves:
+                q = (move(mz), move(mx))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def scalar_orbits(n, group):
+    """Every non-identity orbit as a sorted list of keys z << n | x, in the
+    order of their smallest keys."""
+    moves = [e.perm.permute_mask for e in group.generators]
+    size = 1 << n
+    orbits, placed = [], {0}
+    for key in range(1, size * size):
+        if key not in placed:
+            orbit = sorted(mz << n | mx for mz, mx in scalar_orbit(key >> n, key & (size - 1), moves))
+            placed.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+def assert_matches_scalar_orbits(n, group, pauli_orbit_stride=1):
+    """build_basis (table and elements) and pauli_orbit against scalar_orbits."""
+    orbits = scalar_orbits(n, group)
+    basis = build_basis(n, group)
+    table = np.full(4 ** n, len(orbits))
+    for k, orbit in enumerate(orbits):
+        table[orbit] = k
+    assert np.array_equal(basis._orbit_of, table)
+    # Canonical term order is (z, x) order, which is key order.
+    assert [(e.z << n | e.x).tolist() for e in basis.elements] == orbits
+    assert all(np.array_equal(e.coeffs, np.ones(len(e), dtype=complex)) for e in basis.elements)
+    size = 1 << n
+    for orbit in orbits[::pauli_orbit_stride]:
+        strings = {PauliString(n, key & (size - 1), key >> n, 3) for key in orbit}
+        assert pauli_orbit(min(strings), group) == strings
+
+
+class TestScalarOrbitOracle:
+    """The array orbit engine against the scalar breadth-first walk."""
+
+    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral", "trivial"])
+    def test_presets_up_to_six_qubits(self, preset):
+        for n in range(1, 7):
+            assert_matches_scalar_orbits(n, preset_group(preset, n))
+
+    def test_trivial_eight_qubits(self):
+        assert_matches_scalar_orbits(8, preset_group("trivial", 8), pauli_orbit_stride=97)
+
+    def test_shipped_square_example(self):
+        group = group_from_spec(json.loads(files("symsu").joinpath("data/square_dihedral.json").read_text()))
+        assert_matches_scalar_orbits(group.n, group)
+
+    @settings(max_examples=30, deadline=None)
+    @given(generator_sets(5))
+    def test_drawn_generator_sets(self, case):
+        n, images = case
+        assert_matches_scalar_orbits(n, generate_group(n, [QubitPermutation(n, tuple(im)) for im in images]))
+
+    @pytest.mark.parametrize("label", ["XXXYYYZZZI", "XXYYZZIIII", "XYZIIIIIII"])
+    def test_ten_qubit_orbit_sizes_are_multinomials(self, label):
+        counts = [label.count(letter) for letter in "IXYZ"]
+        multinomial = math.factorial(10) // math.prod(math.factorial(c) for c in counts)
+        orbit = pauli_orbit(P(label), preset_group("full_swap", 10))
+        assert len(orbit) == multinomial
+        assert all(sorted(p.to_label()) == sorted(label) for p in orbit)
+
+    def test_orbit_above_62_qubits(self):
+        # Masks are Python ints there; the orbit is every rotation and its reflection.
+        label = "XY" + "I" * 67 + "ZZ" + "I" * 3
+        n = len(label)
+        turns = {label[k:] + label[:k] for k in range(n)}
+        for preset, expected in (("cyclic", turns), ("dihedral", turns | {t[::-1] for t in turns})):
+            orbit = pauli_orbit(PauliString.from_label(label, 1), preset_group(preset, n))
+            assert {p.to_label() for p in orbit} == expected
+            assert {p.phase_exp for p in orbit} == {1}
 
 
 class TestSymmetrize:

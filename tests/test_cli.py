@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -63,6 +64,18 @@ class TestBasisCommand:
                            "--format", "json")
         data = json.loads(out)
         assert code == 0 and data["dimension"] == 9 and len(data["elements"]) == 9
+
+    @pytest.mark.parametrize("preset, n", [("dihedral", 4), ("full_swap", 5), ("trivial", 2)])
+    def test_text_and_json_match_per_term_forms(self, capsys, preset, n):
+        basis = build_basis(n, preset_group(preset, n))
+        lines = [" + ".join(f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in e.terms)
+                 for e in basis.elements]
+        _, out, _ = run(capsys, "basis", "--n", str(n), "--symmetry", preset)
+        assert out == "\n".join(lines + [f"dim {len(basis)}"]) + "\n"
+        data = {"n": n, "group": preset, "dimension": len(basis),
+                "elements": [[[c.real, c.imag, p.to_label()] for p, c in e.terms] for e in basis.elements]}
+        _, out, _ = run(capsys, "basis", "--n", str(n), "--symmetry", preset, "--format", "json")
+        assert out == json.dumps(data, indent=2) + "\n"
 
     def test_elements_parse_back(self, capsys):
         _, out, _ = run(capsys, "basis", "--n", "2", "--symmetry", "full_swap")
@@ -476,6 +489,12 @@ class TestMiscellaneous:
         ))
         code, out, _ = run(capsys, "basis", "--symmetry", str(spec))
         assert code == 0 and out.strip().endswith("dim 54")
+
+    def test_public_names(self):
+        import symsu
+
+        assert len(symsu.__all__) == 54 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
+        assert not any(inspect.ismodule(getattr(symsu, name)) for name in symsu.__all__)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

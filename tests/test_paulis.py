@@ -21,6 +21,8 @@ from symsu import (
     sum_to_matrix,
 )
 
+from symsu import paulis
+
 from conftest import dense_label, dense_sum, fro
 
 
@@ -369,6 +371,34 @@ class TestSerialization:
         c = 0.1234567890123456789
         s = PauliSum.from_labels(1, [("X", c)])
         assert PauliSum.from_text(s.to_text()).coefficient(P("X")).real == c
+
+    def test_special_coefficients_match_per_term_format(self):
+        # PauliSum() would merge -0.0 into 0.0 and drop nan, so the arrays are wrapped as given.
+        nan, inf = float("nan"), float("inf")
+        coeffs = np.array([complex(-0.0, 0.0), 0j, complex(0.0, -0.0), complex(nan, -0.0), complex(inf, -inf),
+                           0.1 + 2j, complex(-3e-300, 1e300), 1 / 3, complex(-0.0, nan)])
+        s = PauliSum._canonical(4, np.arange(9, dtype=np.int64), np.full(9, 5, dtype=np.int64), coeffs)
+        expected = [f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms]
+        assert expected[:5] == ["(-0,0) IZIZ", "(0,0) IZIY", "(0,-0) IZXZ", "(nan,-0) IZXY", "(inf,-inf) IYIZ"]
+        assert s.to_text() == "\n".join(expected)
+        assert s.to_line() == " + ".join(expected)
+
+    def test_blocks_of_sums_match_per_sum_lines(self, monkeypatch):
+        # Blocks of up to three terms hold whole sums, up to four of them; a longer sum is alone.
+        monkeypatch.setattr(paulis, "_TEXT_BLOCK", 3)
+        rng = np.random.default_rng(5)
+        sums = [PauliSum(3, [(PauliString(3, int(k) & 7, int(k) >> 3), complex(*rng.integers(-2, 3, 2)))
+                             for k in rng.choice(64, size=size, replace=False)])
+                for size in (1, 5, 2, 1, 0, 0, 1, 3, 0, 4, 1, 1, 1)]
+        expected = [" + ".join(f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms)
+                    for s in sums]
+        assert paulis._sum_texts(sums, " + ") == expected
+
+    def test_labels_above_62_qubits(self):
+        label = "XY" + "I" * 66 + "ZX"
+        s = PauliSum.from_labels(70, [(label, 0.5), (label[::-1], -1)])
+        assert s.x.dtype == object
+        assert s.to_text().splitlines() == [f"(-1,0) {label[::-1]}", f"(0.5,0) {label}"]
 
     def test_malformed_text(self):
         with pytest.raises(ValueError):
