@@ -114,12 +114,10 @@ class TestOrbitEngineProperties:
                 assert PauliSum(n, conjugated) == element
 
 
-
 def scalar_orbit(z, x, moves):
     """Orbit of the mask pair (z, x) by breadth-first search over the
     generators' mask maps (mask -> permuted mask), one pair at a time: the
-    scalar walk that build_basis and pauli_orbit made before they moved
-    whole arrays, kept as their oracle."""
+    reference for the array orbit engine of build_basis and pauli_orbit."""
     seen = {(z, x)}
     frontier = [(z, x)]
     while frontier:
