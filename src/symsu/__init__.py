@@ -53,7 +53,6 @@ from .symmetry import (
     QubitPermutation,
     SymmetryElement,
     SymmetryGroup,
-    conjugate_pauli,
     generate_group,
     group_from_spec,
     is_invariant,
@@ -68,7 +67,6 @@ from .unitary_ops import (
     connectedness_path,
     eig_unitary,
     exp_generator,
-    identity_unitary,
     project_to_su,
     random_invariant,
 )

@@ -9,16 +9,14 @@ onto the span: a sum lies in it iff its coefficients are constant on
 every orbit, which avoids any numerical rank decisions.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
-from .paulis import PHASES, PauliString, PauliSum
+from .paulis import DEFAULT_MATRIX_CAP, PHASES, PauliString, PauliSum
 from .symmetry import SymmetryGroup, _move_masks
-
-# Full 4^n enumeration is capped at this many qubits.
-DEFAULT_ENUMERATION_CAP = 8
 
 # Term pairs per block of closure_report; bounds its temporary arrays.
 _CLOSURE_BLOCK = 1 << 11
@@ -63,39 +61,84 @@ def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
 
 
 @dataclass(frozen=True)
+class _Elements(Sequence):
+    """A basis's elements, each wrapped as a PauliSum from its slice of the
+    basis arrays when it is read; slices are tuples."""
+
+    basis: "InvariantBasis"
+
+    def __len__(self) -> int:
+        return len(self.basis)
+
+    def __getitem__(self, k):
+        b, k = self.basis, range(len(self))[k]
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
+        lo, hi = b.offsets[k:k + 2].tolist()
+        return PauliSum._canonical(b.n, b.x[lo:hi], b.z[lo:hi], b.coeffs[lo:hi])
+
+
+@dataclass(frozen=True, eq=False)
 class InvariantBasis:
     """One symmetrized element per Pauli-string orbit, identity excluded.
 
-    The group and every element must act on n qubits, else DimensionError.
-    The orbit table ``_orbit_of`` is derived from the elements: entry
-    z << n | x is the index of the element holding that string, or
-    len(elements) for a string in no element (the identity).  ``_spectra``
-    maps an element's index to its realization's eigenpairs once unitary_ops
-    has exponentiated it: one 2^n x 2^n matrix per element at most.
+    Element k is terms ``offsets[k]:offsets[k + 1]`` of the read-only ``x``,
+    ``z`` (masks) and ``coeffs`` arrays, in canonical order.  A group or mask
+    not on n qubits raises DimensionError; an element that is empty, unsorted,
+    holds the identity or shares a string with another raises ValueError.
+    Entry z << n | x of ``_orbit_of`` is the index of the element holding that
+    string, else len(self).  ``_spectra`` caches eigenpairs for unitary_ops.
     """
 
     n: int
     group: SymmetryGroup
-    elements: tuple
-    _orbit_of: np.ndarray = field(init=False, repr=False, compare=False)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
+    offsets: np.ndarray
+    _orbit_of: np.ndarray = field(init=False, repr=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if {self.group.n, *(e.n for e in self.elements)} != {self.n}:
-            raise DimensionError(f"the group and every element must act on the basis's {self.n} qubits")
-        d = len(self.elements)
-        z, x = (np.concatenate([getattr(e, name) for e in self.elements] + [np.empty(0, np.int64)])
-                for name in "zx")
-        table = np.full(1 << 2 * self.n, d, dtype=np.int64)
-        table[z << self.n | x] = np.repeat(np.arange(d), [len(e) for e in self.elements])
+        for name in ("x", "z", "coeffs", "offsets"):
+            value = np.asarray(getattr(self, name), dtype=complex if name == "coeffs" else np.int64)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        n, offsets, keys, sizes = self.n, self.offsets, self.z << self.n | self.x, np.diff(self.offsets)
+        if self.group.n != n or np.any((self.x | self.z) >> n):
+            raise DimensionError(f"the group and every element must act on the basis's {n} qubits")
+        if offsets[:1].tolist() != [0] or not offsets[-1] == len(keys) == len(self.coeffs):
+            raise ValueError("offsets must rise from 0 to the number of terms")  # np.repeat refuses a fall
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        table = np.full(1 << 2 * n, len(sizes), dtype=np.int64)
+        table[keys] = owner
+        bad = (keys == 0) | (np.bincount(keys, minlength=len(table))[keys] > 1)  # identity, shared
+        bad[1:] |= (keys[1:] <= keys[:-1]) & (owner[1:] == owner[:-1])  # unsorted in an element
+        if np.any(bad) or np.any(sizes == 0):
+            k = min(owner[bad].tolist() + np.flatnonzero(sizes == 0).tolist())
+            raise ValueError(f"basis element {k} is empty, unsorted, holds the identity string "
+                             "or shares a string with another element")
         table.setflags(write=False)
         object.__setattr__(self, "_orbit_of", table)
 
+    @property
+    def elements(self) -> _Elements:
+        return _Elements(self)
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.offsets) - 1
 
     def orbit_members(self, index: int) -> tuple:
         return tuple(p for p, _ in self.elements[index].terms)
+
+    def _value(self) -> tuple:
+        return self.n, self.group, *(a.tobytes() for a in (self.x, self.z, self.coeffs, self.offsets))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, InvariantBasis) and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     def __repr__(self) -> str:
         return f"InvariantBasis(n={self.n}, group={self.group.name!r}, dim={len(self)})"
@@ -132,20 +175,17 @@ def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
 
     The orbits come from the generators' moves on all string keys
     (`_orbit_table`), never from the group elements; one sort of the table
-    lists each orbit's strings together, in canonical order.
+    lists each orbit's strings together, in canonical order.  Capped at
+    DEFAULT_MATRIX_CAP qubits, as dense realizations are.
     """
     if group.n != n:
         raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_ENUMERATION_CAP} qubits")
+    if n > DEFAULT_MATRIX_CAP:
+        raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_MATRIX_CAP} qubits")
     table = _orbit_table(n, _generator_images(group).tolist())
-    size = 1 << n
     keys = np.argsort(table, kind="stable")[1:]  # by orbit, then by key
-    x, z, ones = keys & (size - 1), keys >> n, np.ones(len(keys), dtype=complex)
-    ends = np.cumsum(np.bincount(table[1:])).tolist()
-    elements = tuple(PauliSum._canonical(n, x[lo:hi], z[lo:hi], ones[lo:hi])
-                     for lo, hi in zip([0] + ends, ends))
-    return InvariantBasis(n, group, elements)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(table[1:]))))
+    return InvariantBasis(n, group, keys & ((1 << n) - 1), keys >> n, np.ones(len(keys), complex), offsets)
 
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:
@@ -190,7 +230,7 @@ def in_span(x: PauliSum, basis: InvariantBasis) -> float:
     orbit = basis._orbit_of[x.z << x.n | x.x]
     inside = orbit < d
     k, c = orbit[inside], x.coeffs[inside]
-    size = np.bincount(basis._orbit_of, minlength=d + 1)[:d]
+    size = np.diff(basis.offsets)
     present = np.bincount(k, minlength=d)
     # The mean of each orbit, members absent from x counting as 0; real and
     # imaginary parts are divided apart, as complex / int divides them.
@@ -212,11 +252,6 @@ class ClosureReport:
     passed: bool
 
 
-def _norm_sq(v: np.ndarray) -> np.ndarray:
-    """|v|^2 without the rounding of abs(): exact for Gaussian integers."""
-    return v.real ** 2 + v.imag ** 2
-
-
 def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     """Check that every pairwise commutator stays inside the span.
 
@@ -232,19 +267,14 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     so residuals that tie exactly can rank in another order than on the
     scalar in_span route; unit-coefficient build_basis bases are exact.
     """
-    n, d = basis.n, len(basis)
-    sizes = np.array([len(e) for e in basis.elements], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    x = np.concatenate([e.x for e in basis.elements])
-    z = np.concatenate([e.z for e in basis.elements])
+    n, d, x, z, coeff, starts = basis.n, len(basis), basis.x, basis.z, basis.coeffs, basis.offsets
+    sizes = np.diff(starts)
     y = np.bitwise_count(x & z).astype(np.int64)
-    coeff = np.concatenate([e.coeffs for e in basis.elements])
     owner = np.repeat(np.arange(d), sizes)
     string_mask = (1 << 2 * n) - 1
     # Orbit d, no orbit, has infinite size, so that a string outside the
     # span keeps its whole |c|^2.
     orbit_size = np.append(sizes.astype(float), np.inf)
-    phases = np.array(PHASES)
 
     worst, worst_pair = 0.0, None
     for i in range(d - 1):
@@ -265,15 +295,15 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
                 px, pz = xa[ra, 0] ^ xb[rb], za[ra, 0] ^ zb[rb]
                 power = (ya[ra, 0] + yb[rb] - np.bitwise_count(px & pz).astype(np.int64)
                          + 2 * np.bitwise_count(za[ra, 0] & xb[rb]).astype(np.int64))
-                c = 2.0 * ca[ra, 0] * coeff[lo + rb] * phases[power % 4]
+                c = 2.0 * ca[ra, 0] * coeff[lo + rb] * np.array(PHASES)[power % 4]
                 key = (owner[lo + rb] - first) << 2 * n | pz << n | px
                 keys, at = np.unique(key, return_inverse=True)
                 sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
                 jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis._orbit_of[keys & string_mask],
                                    return_inverse=True)
-                sq = np.bincount(at, _norm_sq(sums))
+                sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)  # not abs(): exact for Gaussian integers
                 total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
-                spread = np.maximum(sq - _norm_sq(total) / orbit_size[jk % (d + 1)], 0.0)
+                spread = np.maximum(sq - (total.real ** 2 + total.imag ** 2) / orbit_size[jk % (d + 1)], 0.0)
                 residual_sq += np.bincount(jk // (d + 1), spread, minlength=len(residual_sq))
             top = int(np.argmax(residual_sq))
             r = float(np.sqrt(residual_sq[top]))

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import build_basis, burnside_dimension, closure_report
 from .circuits import synthesize_sum_exponential
 from .errors import NotUnitaryError, ProductFormulaError, SymsuError
-from .paulis import PauliSum, _labels, _stacked, _sum_texts
+from .paulis import PauliSum, _labels, _sum_texts
 from .serialize import load_matrix, matrix_to_pairs
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
@@ -106,23 +106,20 @@ def _element_label(element) -> str:
 
 def cmd_basis(args) -> int:
     group = _resolve_group(args.symmetry, args.n)
+    basis = build_basis(group.n, group)
     if args.format == "json":
-        basis = build_basis(group.n, group)
-        x, z, coeffs, bounds = _stacked(basis.elements)
-        labels = np.strings.decode(_labels(basis.n, x, z)).tolist()
-        terms = [list(term) for term in zip(coeffs.real.tolist(), coeffs.imag.tolist(), labels)]
-        data = {
-            "n": basis.n,
-            "group": group.name,
-            "dimension": len(basis),
-            "elements": [terms[lo:hi] for lo, hi in bounds],
-        }
-        _emit(json.dumps(data, indent=2), _resolve_out(args.out))
+        labels = np.strings.decode(_labels(basis.n, basis.x, basis.z)).tolist()
+        terms = [list(term) for term in zip(basis.coeffs.real.tolist(), basis.coeffs.imag.tolist(), labels)]
+        bounds = basis.offsets.tolist()
+        data = {"n": basis.n, "group": group.name, "dimension": len(basis),
+                "elements": [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]}
+        text = json.dumps(data, indent=2)
     else:
         # One line per element; the basis is freed before the lines are joined.
-        lines = _sum_texts(build_basis(group.n, group).elements, " + ")
-        lines.append(f"dim {len(lines)}")
-        _emit("\n".join(lines), _resolve_out(args.out))
+        lines = _sum_texts(basis.n, basis.x, basis.z, basis.coeffs, basis.offsets, " + ")
+        del basis
+        text = "\n".join(lines + [f"dim {len(lines)}"])
+    _emit(text, _resolve_out(args.out))
     return 0
 
 
@@ -222,14 +219,11 @@ def cmd_verify(args) -> int:
     results: list[tuple[str, int, bool, str]] = []  # name, samples, passed, detail
 
     # Products of invariant unitaries stay invariant.
-    worst = 0.0
-    ok = True
+    ok, worst = True, 0.0
     for k in range(args.pairs):
         u1 = random_invariant(group.n, group, args.seed + 2 * k, args.depth, basis=basis)
         u2 = random_invariant(group.n, group, args.seed + 2 * k + 1, args.depth, basis=basis)
-        for u in (u1, u2):
-            flag, _ = is_invariant(u.matrix, group, tol)
-            ok = ok and flag
+        ok = ok and all(is_invariant(u.matrix, group, tol)[0] for u in (u1, u2))
         flag, defect = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
         ok = ok and flag
         worst = max(worst, defect)
@@ -242,8 +236,7 @@ def cmd_verify(args) -> int:
 
     # Exponentials of symmetrized generators land in the invariant group.
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    ok = True
+    ok, worst = True, 0.0
     for k in range(len(basis)):
         alpha = float(rng.uniform(0.0, 2.0 * np.pi))
         flag, defect = is_invariant(_basis_exp(basis, k, alpha).matrix, group, tol)
@@ -253,8 +246,7 @@ def cmd_verify(args) -> int:
                     f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}"))
 
     # The eigenphase path stays invariant and hits both endpoints.
-    ok = True
-    worst = 0.0
+    ok, worst = True, 0.0
     for k in range(args.paths):
         u = random_invariant(group.n, group, args.seed + 1000 + k, args.depth, basis=basis)
         ends = {0.0: np.eye(u.dim), 1.0: u.matrix}

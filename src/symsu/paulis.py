@@ -247,11 +247,11 @@ class PauliSum:
 
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""
-        return _sum_texts([self], " + ")[0]
+        return _sum_texts(self.n, self.x, self.z, self.coeffs, (0, len(self)), " + ")[0]
 
     def to_text(self) -> str:
         """Multi-line form: one '(re,im) LETTERS' term per line."""
-        return _sum_texts([self], "\n")[0]
+        return _sum_texts(self.n, self.x, self.z, self.coeffs, (0, len(self)), "\n")[0]
 
     @classmethod
     def from_line(cls, line: str) -> "PauliSum":
@@ -285,31 +285,24 @@ def _labels(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return letters.view(f"S{n}").reshape(len(x))
 
 
-def _stacked(sums) -> tuple:
-    """x masks, z masks and coefficients of the terms of all sums, one array
-    each, and the (start, end) slice bounds of every sum's terms."""
-    ends = np.cumsum([len(s) for s in sums]).tolist()
-    x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums]) for name in ("x", "z", "coeffs"))
-    return x, z, coeffs, list(zip([0] + ends, ends))
-
-
-def _sum_texts(sums, sep: str) -> list:
-    """One text per sum, all on one qubit count: its '(re,im) LETTERS'
-    terms joined by sep.  Per block of whole sums, the letters are read
-    from the masks at once, and each distinct coefficient is formatted once,
-    keyed by its bytes so that -0.0, 0.0 and nan keep texts of their own.
-    """
-    ends = np.cumsum([len(s) for s in sums])
-    lines, lo, joint = [], 0, sep.encode()
-    while lo < len(sums):
+def _sum_texts(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, offsets, sep: str) -> list:
+    """One text per sum on n qubits, sum k being terms offsets[k]:offsets[k + 1] of
+    the arrays: its '(re,im) LETTERS' terms joined by sep.  Per block of whole
+    sums, the letters are read from the masks at once, and each distinct
+    coefficient is formatted once, keyed by its bytes so that -0.0, 0.0 and
+    nan keep texts of their own."""
+    offsets = np.asarray(offsets)
+    lines, k, joint = [], 0, sep.encode()
+    while k < len(offsets) - 1:
         # Up to _TEXT_BLOCK terms; a longer sum is a block of its own.
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - len(sums[lo]) + _TEXT_BLOCK, "right")))
-        x, z, coeffs, bounds = _stacked(sums[lo:hi])
-        values, at = np.unique(coeffs.view("V16"), return_inverse=True)
+        j = max(k + 1, int(np.searchsorted(offsets, offsets[k] + _TEXT_BLOCK, "right")) - 1)
+        lo, hi = int(offsets[k]), int(offsets[j])
+        values, at = np.unique(coeffs[lo:hi].view("V16"), return_inverse=True)
         texts = np.array([f"({c.real:.17g},{c.imag:.17g}) " for c in values.view(complex).tolist()], "S")
-        terms = np.strings.add(texts[at], _labels(sums[0].n, x, z))
-        lines += [joint.join(terms[a:b].tolist()).decode() for a, b in bounds]
-        lo = hi
+        terms = np.strings.add(texts[at], _labels(n, x[lo:hi], z[lo:hi])).tolist()
+        bounds = (offsets[k:j + 1] - lo).tolist()
+        lines += [joint.join(terms[a:b]).decode() for a, b in zip(bounds, bounds[1:])]
+        k = j
     return lines
 
 

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GroupClosureError, NotUnitaryError
-from .paulis import PauliString
 from .serialize import matrix_from_pairs
 
 RAW_UNITARITY_TOL = 1e-10
 
 # Closure caps: raw-unitary groups by default; permutation groups at 8!, the
-# order of S_8, the largest group that enumeration up to 8 qubits needs.
+# order of S_8; orbit enumeration and invariance checks read only the generators.
 DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
 
@@ -285,16 +284,6 @@ def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
     element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
     return SymmetryGroup(n, generators, name)
-
-
-def conjugate_pauli(p: QubitPermutation, s: PauliString) -> PauliString:
-    """Image of a Pauli string under wire relabeling: S s S+.
-
-    Letters move with their wires; the phase is unchanged.
-    """
-    if p.n != s.n:
-        raise DimensionError(f"qubit counts differ: {p.n} vs {s.n}")
-    return PauliString(s.n, p.permute_mask(s.x_mask), p.permute_mask(s.z_mask), s.phase_exp)
 
 
 def _square(u, n: int) -> np.ndarray:

@@ -26,6 +26,10 @@ CLUSTER_TOL = 1e-8
 
 RECONSTRUCTION_TOL = 1e-9
 
+# Bytes of element eigenpairs one basis keeps for _basis_exp, each counted as a complex
+# 2^n x 2^n matrix: all of cyclic n=6 (d = 699), 4 at n=10; later ones are not kept.
+_SPECTRA_BYTES = 1 << 26
+
 _REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost more than they save
 
 
@@ -95,10 +99,6 @@ class Unitary:
         return f"Unitary(dim={self.dim}, residual={self.unitarity_residual:.2e})"
 
 
-def identity_unitary(n: int) -> Unitary:
-    return Unitary(np.eye(1 << n))
-
-
 def _generator_spectrum(h: PauliSum) -> tuple:
     """Eigenpairs (w, v) of H's realization, with v read-only since a basis shares it."""
     if not h.is_hermitian():
@@ -130,10 +130,12 @@ def exp_generator(h: PauliSum, alpha: float) -> Unitary:
 
 
 def _basis_exp(basis: InvariantBasis, k: int, alpha: float) -> Unitary:
-    """exp_generator(basis.elements[k], alpha), eigensolving each element once per basis."""
-    if k not in basis._spectra:
-        basis._spectra[k] = _generator_spectrum(basis.elements[k])
-    return _spectral_exp(*basis._spectra[k], alpha)
+    """exp_generator(basis.elements[k], alpha), eigensolving each element once per
+    basis while its kept eigenpairs fit in _SPECTRA_BYTES."""
+    spectrum = basis._spectra.get(k) or _generator_spectrum(basis.elements[k])
+    if k not in basis._spectra and (len(basis._spectra) + 1) * 16 << 2 * basis.n <= _SPECTRA_BYTES:
+        basis._spectra[k] = spectrum
+    return _spectral_exp(*spectrum, alpha)
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
@@ -259,13 +261,6 @@ def eig_unitary(a) -> EigDecomposition:
     )
 
 
-def _cached_eig(a: Unitary) -> EigDecomposition:
-    if a._eig is None:
-        a._eig = eig_unitary(a)
-        a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
-    return a._eig
-
-
 def connectedness_path(a: Unitary, t: float) -> Unitary:
     """Point on the eigenphase-interpolation path from the identity to A.
 
@@ -276,8 +271,10 @@ def connectedness_path(a: Unitary, t: float) -> Unitary:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
-    dec = _cached_eig(a)
-    return Unitary(dec.reconstruct(t))
+    if a._eig is None:
+        a._eig = eig_unitary(a)
+        a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
+    return Unitary(a._eig.reconstruct(t))
 
 
 def project_to_su(u: Unitary) -> Unitary:

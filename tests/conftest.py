@@ -5,11 +5,15 @@ letter table so that tests of the symbolic algebra never reuse the code
 path they are checking.
 """
 
+import functools
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from symsu import preset_group
+from symsu import DimensionError, InvariantBasis, PauliString, Unitary, preset_group
 
 ORACLE_LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -74,3 +78,98 @@ def generator_sets(max_n):
     """A qubit count n <= max_n with up to three random wire permutations."""
     return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
+
+
+def conjugate_pauli(p, s: PauliString) -> PauliString:
+    """Image of a Pauli string under the wire relabeling p, S s S+: letters
+    move with their wires and the phase is unchanged."""
+    if p.n != s.n:
+        raise DimensionError(f"qubit counts differ: {p.n} vs {s.n}")
+    return PauliString(s.n, p.permute_mask(s.x_mask), p.permute_mask(s.z_mask), s.phase_exp)
+
+
+def identity_unitary(n: int) -> Unitary:
+    return Unitary(np.eye(1 << n))
+
+
+def basis_from_sums(n, group, sums) -> InvariantBasis:
+    """An InvariantBasis whose elements are the given sums: their arrays
+    stacked, element after element, with the offsets of their terms."""
+    sums = list(sums)
+    x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums] + [np.zeros(0, dtype)])
+                    for name, dtype in (("x", np.int64), ("z", np.int64), ("coeffs", complex)))
+    return InvariantBasis(n, group, x, z, coeffs, np.cumsum([0] + [len(s) for s in sums]))
+
+
+# Letters by their (x, z) bits on one wire.
+ORACLE_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+@functools.cache
+def _letter_product(a: str, b: str) -> tuple:
+    """(coeff, c) with L_a L_b = coeff L_c, read off the 2x2 matrices."""
+    m = ORACLE_LETTERS[a] @ ORACLE_LETTERS[b]
+    for c, lc in ORACLE_LETTERS.items():
+        coeff = np.trace(lc.conj().T @ m) / 2
+        if abs(coeff) > 0.5:
+            return complex(round(coeff.real), round(coeff.imag)), c
+
+
+@functools.cache
+def string_product(n: int, a: tuple, b: tuple) -> tuple:
+    """(coeff, (x, z)) with P_a P_b = coeff P_(x, z), for strings keyed by
+    their (x, z) masks: the letter products, wire by wire."""
+    letter = {bits: ch for ch, bits in ORACLE_BITS.items()}
+    coeff, x, z = 1 + 0j, 0, 0
+    for q in range(n):
+        c, ch = _letter_product(letter[a[0] >> q & 1, a[1] >> q & 1], letter[b[0] >> q & 1, b[1] >> q & 1])
+        coeff *= c
+        x |= ORACLE_BITS[ch][0] << q
+        z |= ORACLE_BITS[ch][1] << q
+    return coeff, (x, z)
+
+
+def dict_commutator(n: int, a: dict, b: dict) -> dict:
+    """[A, B] of sums held as {(x, z): coeff} dicts, term pair by term pair;
+    zero coefficients are dropped."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            (ab, key), (ba, _) = string_product(n, ka, kb), string_product(n, kb, ka)
+            if ab != ba:
+                out[key] = out.get(key, 0) + (ab - ba) * ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def dict_span_residual_sq(s: dict, orbit_of: dict, sizes: list) -> Fraction:
+    """Exact squared norm of the part of s, a dict with Gaussian-integer
+    coefficients, outside the span of unit-coefficient orbit sums: per orbit
+    sum |c|^2 - |sum c|^2 / |orbit| (members s lacks counting as 0), plus
+    |c|^2 of every string in no orbit (orbit_of maps (x, z) to its orbit)."""
+    sq, total = {}, {}
+    for key, c in s.items():
+        k = orbit_of.get(key)
+        sq[k] = sq.get(k, 0) + round(c.real) ** 2 + round(c.imag) ** 2
+        total[k] = total.get(k, 0) + c
+    residual = Fraction(sq.pop(None, 0))
+    for k, t in total.items():
+        if k is not None:
+            residual += sq[k] - Fraction(round(t.real) ** 2 + round(t.imag) ** 2, sizes[k])
+    return residual
+
+
+def dict_closure(basis) -> tuple:
+    """(pair count, max residual, first pair to reach it) over all pairwise
+    commutators of the basis elements, from dict_commutator and the exact
+    dict_span_residual_sq."""
+    sums = [dict(zip(zip(e.x.tolist(), e.z.tolist()), e.coeffs.tolist())) for e in basis.elements]
+    assert all(c == 1 for s in sums for c in s.values()), "dict_span_residual_sq needs unit coefficients"
+    orbit_of = {key: k for k, s in enumerate(sums) for key in s}
+    sizes = [len(s) for s in sums]
+    worst, worst_pair = Fraction(0), None
+    pairs = list(itertools.combinations(range(len(sums)), 2))
+    for i, j in pairs:
+        r = dict_span_residual_sq(dict_commutator(basis.n, sums[i], sums[j]), orbit_of, sizes)
+        if r > worst:
+            worst, worst_pair = r, (i, j)
+    return len(pairs), float(np.sqrt(float(worst))), worst_pair

@@ -21,7 +21,6 @@ from symsu import (
     build_basis,
     burnside_dimension,
     closure_report,
-    conjugate_pauli,
     generate_group,
     group_from_spec,
     in_span,
@@ -35,7 +34,7 @@ from symsu import (
     UnsupportedSymmetryError,
 )
 
-from conftest import generator_sets
+from conftest import basis_from_sums, conjugate_pauli, dict_closure, generator_sets
 
 
 def P(label):
@@ -258,19 +257,79 @@ class TestBuildBasis:
                 assert not (members_i & members_j)
 
     def test_capacity_cap(self, trivial1):
-        g = preset_group("trivial", 9)
-        with pytest.raises(CapacityError):
-            build_basis(9, g)
+        # The one qubit cap is the dense realization's, 10 qubits.
+        g = preset_group("trivial", 11)
+        with pytest.raises(CapacityError, match="cap of 10 qubits"):
+            build_basis(11, g)
 
     def test_basis_on_another_qubit_count_rejected(self, s2, s3):
-        # Orbit tables of 2-qubit elements read at n = 3 gave in_span("XII") 1.0,
-        # and at n = 1 an IndexError; build_basis already refused the mismatch.
-        elements = build_basis(2, s2).elements
-        for n, group in ((3, s2), (1, s2), (3, s3)):
+        # A group on another qubit count, or masks wider than n bits, is
+        # refused; build_basis refuses the mismatch too.
+        two, three = build_basis(2, s2).elements, build_basis(3, s3).elements
+        for n, group, elements in ((3, s2, two), (1, s2, two), (2, s2, three)):
             with pytest.raises(DimensionError):
-                InvariantBasis(n, group, elements)
+                basis_from_sums(n, group, elements)
         with pytest.raises(DimensionError):
             build_basis(3, s2)
+
+    @pytest.mark.parametrize("preset, n", [("full_swap", 9), ("full_swap", 10), ("cyclic", 9)])
+    def test_closed_form_sizes_past_eight_qubits(self, preset, n):
+        assert len(build_basis(n, preset_group(preset, n))) == closed_form_dimension(preset, n)
+
+    def test_builds_no_pauli_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("build_basis built a PauliSum")
+
+        monkeypatch.setattr(PauliSum, "_canonical", refuse)
+        assert len(build_basis(8, preset_group("cyclic", 8))) == 8229
+
+    def test_elements_read_like_a_tuple(self, s3):
+        basis = build_basis(3, s3)
+        elements = basis.elements
+        as_tuple = tuple(elements)
+        assert len(elements) == len(as_tuple) == 19 and list(elements) == list(as_tuple)
+        assert elements[-1] == as_tuple[-1] and elements[2:7:2] == as_tuple[2:7:2]
+        assert elements[::-1] == as_tuple[::-1] and elements[5:2] == ()
+        assert isinstance(elements[1:3], tuple) and elements[4] in elements
+        with pytest.raises(IndexError):
+            elements[19]
+        with pytest.raises(TypeError):
+            elements[0] = elements[1]
+        assert not elements[0].x.flags.writeable and not basis.x.flags.writeable
+
+
+class TestBasisValidation:
+    """The basis constructor refuses elements that would give in_span and
+    closure_report a zero orbit size or a shared orbit table entry."""
+
+    @pytest.fixture
+    def sums(self, s2):
+        return build_basis(2, s2).elements
+
+    def test_empty_element(self, s2, sums):
+        with pytest.raises(ValueError, match="basis element 1 is empty"):
+            basis_from_sums(2, s2, [sums[0], PauliSum.zero(2), *sums[1:]])
+
+    def test_shared_string(self, s2, sums):
+        xx = PauliSum.from_labels(2, [("XX", 1)])
+        with pytest.raises(ValueError, match="basis element 1 .* shares a string"):
+            basis_from_sums(2, s2, [*sums[:2], sums[2] + xx, *sums[3:]])  # element 1 is XX
+
+    def test_identity_string(self, s2, sums):
+        with pytest.raises(ValueError, match="basis element 2 .* holds the identity string"):
+            basis_from_sums(2, s2, [*sums[:2], sums[2] + PauliSum.from_labels(2, [("II", 1)]), *sums[3:]])
+
+    def test_unsorted_element_and_bad_offsets(self, s2):
+        with pytest.raises(ValueError, match="basis element 0 is empty, unsorted"):
+            InvariantBasis(2, s2, np.array([2, 1]), np.zeros(2, np.int64), np.ones(2, complex), np.array([0, 2]))
+        with pytest.raises(ValueError, match="offsets must rise from 0"):
+            InvariantBasis(2, s2, np.array([1, 2]), np.zeros(2, np.int64), np.ones(2, complex), np.array([1, 2]))
+
+    def test_scaled_basis_keeps_the_orbit_table(self, s3):
+        sums = build_basis(3, s3).elements
+        basis = basis_from_sums(3, s3, [2.0 * sums[0], *sums[1:]])
+        assert basis.elements[0] == 2.0 * sums[0] and len(basis) == 19
+        assert basis._orbit_of.tolist() == build_basis(3, s3)._orbit_of.tolist()
 
 
 def closed_form_dimension(preset, n):
@@ -376,19 +435,6 @@ class TestInSpan:
         assert in_span(combo, basis) == 0
 
 
-def scalar_closure(basis):
-    """(pair count, max residual, first pair to reach it) from the scalar
-    API: in_span of every pairwise sum_commutator."""
-    worst, worst_pair, count = 0.0, None, 0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            count += 1
-            r = in_span(sum_commutator(basis.elements[i], basis.elements[j]), basis)
-            if r > worst:
-                worst, worst_pair = r, (i, j)
-    return count, worst, worst_pair
-
-
 def split_orbit(basis, k):
     """A broken basis: orbit k replaced, in place, by its two halves."""
     terms = basis.elements[k].terms
@@ -396,12 +442,12 @@ def split_orbit(basis, k):
     elements = (basis.elements[:k]
                 + (PauliSum(basis.n, terms[:half]), PauliSum(basis.n, terms[half:]))
                 + basis.elements[k + 1:])
-    return InvariantBasis(basis.n, basis.group, elements)
+    return basis_from_sums(basis.n, basis.group, elements)
 
 
 def assert_matches_scalar(basis):
     report = closure_report(basis)
-    count, worst, worst_pair = scalar_closure(basis)
+    count, worst, worst_pair = dict_closure(basis)
     assert report.pair_count == count
     assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=0)
     assert report.worst_pair == worst_pair

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import inspect
 import json
 import subprocess
@@ -115,6 +116,38 @@ class TestBasisCommand:
         lines = out.splitlines()
         assert code == 0 and len(lines) == 165 and lines[-1] == "dim 164"
         assert sum(line.count(" + ") + 1 for line in lines[:-1]) == 4 ** 8 - 1
+
+
+    # SHA-256 of the stdout of `basis`, pinned from the PauliSum-per-element
+    # formatter that the array form replaced.
+    GOLDEN = {
+        ("full_swap", 8, "text"): "01fc294302c3f2e2d4d3644bfb1f6b29333238cf22f7310e8c053c8d337ae199",
+        ("cyclic", 8, "text"): "ef9da36344ab974fa25f9085b857fa571131c34b44fb39e8b9ee4d65bd5fbe70",
+        ("dihedral", 8, "text"): "c3ea4add07316d7aeba883bf7b96b93ea1561bae6b83edf21cbea9b95c5ee6a1",
+        ("cyclic", 5, "json"): "f4246c05c46df13e346da8d9f9212fca00592d83b5f0f49ed1a5addf1853ca21",
+        ("full_swap", 4, "json"): "3eb1161a7f6528ae342a4c3485473bb4ee143834f14428e0670a91f6e1696827",
+    }
+
+    @pytest.mark.parametrize("preset, n, fmt", list(GOLDEN))
+    def test_golden_bytes(self, capsys, preset, n, fmt):
+        code, out, _ = run(capsys, "basis", "--n", str(n), "--symmetry", preset, "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[preset, n, fmt]
+
+    def test_text_builds_no_pauli_sum(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("basis text built a PauliSum")
+
+        monkeypatch.setattr(PauliSum, "_canonical", refuse)
+        code, out, _ = run(capsys, "basis", "--n", "8", "--symmetry", "cyclic")
+        assert code == 0 and out.endswith("\ndim 8229\n")
+
+    def test_nine_qubits(self, capsys):
+        code, out, _ = run(capsys, "basis", "--n", "9", "--symmetry", "full_swap")
+        assert code == 0 and out.endswith("\ndim 219\n")
+
+    def test_past_the_cap_rejected(self, capsys):
+        err = assert_rejected(capsys, "basis", "--n", "11", "--symmetry", "full_swap")
+        assert "cap of 10 qubits" in err
 
 
 class TestDimCommand:
@@ -409,6 +442,12 @@ class TestRandomCommand:
     def test_negative_depth_rejected(self, capsys):
         assert_rejected(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--depth", "-1")
 
+    def test_nine_qubits(self, capsys, tmp_path):
+        path = tmp_path / "u9.json"
+        code, _, _ = run(capsys, "random", "--n", "9", "--symmetry", "full_swap", "--depth", "1",
+                         "--out", str(path))
+        assert code == 0 and path.read_text().startswith("[[[")  # 512 rows of [re, im] pairs
+
 
 class TestVerifyCommand:
     def test_two_qubit_swap_passes(self, capsys):
@@ -493,7 +532,7 @@ class TestMiscellaneous:
     def test_public_names(self):
         import symsu
 
-        assert len(symsu.__all__) == 54 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
+        assert len(symsu.__all__) == 52 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
         assert not any(inspect.ismodule(getattr(symsu, name)) for name in symsu.__all__)
 
     def test_module_entry_point(self):

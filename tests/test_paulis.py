@@ -392,7 +392,8 @@ class TestSerialization:
                 for size in (1, 5, 2, 1, 0, 0, 1, 3, 0, 4, 1, 1, 1)]
         expected = [" + ".join(f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms)
                     for s in sums]
-        assert paulis._sum_texts(sums, " + ") == expected
+        x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums]) for name in ("x", "z", "coeffs"))
+        assert paulis._sum_texts(3, x, z, coeffs, np.cumsum([0] + [len(s) for s in sums]), " + ") == expected
 
     def test_labels_above_62_qubits(self):
         label = "XY" + "I" * 66 + "ZX"

@@ -19,7 +19,6 @@ from symsu import (
     SymmetryElement,
     SymmetryGroup,
     build_basis,
-    conjugate_pauli,
     connectedness_path,
     exp_generator,
     generate_group,
@@ -35,7 +34,7 @@ from symsu import (
 from symsu.basis import _cycle_counts
 from symsu.symmetry import DEFAULT_CLOSURE_CAP, _defects, _permutation_defects, _phase_key
 
-from conftest import dense_label, fro, generator_sets
+from conftest import conjugate_pauli, dense_label, fro, generator_sets
 
 SWAP = np.array([
     [1, 0, 0, 0],

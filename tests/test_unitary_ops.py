@@ -19,7 +19,6 @@ from symsu import (
     connectedness_path,
     eig_unitary,
     exp_generator,
-    identity_unitary,
     is_invariant,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -32,7 +31,7 @@ from symsu import unitary_ops
 from symsu.paulis import PauliString
 from symsu.unitary_ops import UNITARITY_TOL, _cluster_indices, _spectral_product, _unitarity_residual
 
-from conftest import dense_label, dense_sum, fro
+from conftest import dense_label, dense_sum, fro, identity_unitary
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -374,6 +373,15 @@ class TestBasisSpectra:
                 assert np.array_equal(unitary_ops._basis_exp(basis, k, alpha).matrix, oracle)
         real = [np.isrealobj(v) for _, v in basis._spectra.values()]
         assert len(real) == len(basis) and any(real) and not all(real)
+
+    def test_kept_spectra_stop_at_the_byte_budget(self, s3, monkeypatch):
+        full = build_basis(3, s3)
+        expected = random_invariant(3, s3, seed=2, depth=10, basis=full).matrix
+        monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", 2 * 16 * 4 ** 3)  # two entries
+        capped = build_basis(3, s3)
+        u = random_invariant(3, s3, seed=2, depth=10, basis=capped)
+        assert len(capped._spectra) <= 2 < len(full._spectra)
+        assert np.array_equal(u.matrix, expected)
 
     def test_kept_spectra_are_read_only(self, s2):
         basis = build_basis(2, s2)
