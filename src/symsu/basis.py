@@ -210,7 +210,9 @@ def burnside_dimension(n: int, group: SymmetryGroup) -> int:
     other.
     """
     _generator_images(group)  # refuses raw-unitary groups
-    total = sum(4 ** c for c in _cycle_counts(group.images).tolist())
+    # Summed exactly as Python ints over the rows of each cycle count, at most n + 1 terms.
+    bins = np.bincount(_cycle_counts(group.images), minlength=n + 1).tolist()
+    total = sum(rows * 4 ** c for c, rows in enumerate(bins))
     if total % len(group) != 0:
         raise ArithmeticError("orbit-count average is not an integer; group not closed?")
     return total // len(group) - 1

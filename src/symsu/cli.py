@@ -7,6 +7,7 @@ exactly through text.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .basis import build_basis, burnside_dimension, closure_report
 from .circuits import synthesize_sum_exponential
 from .errors import NotUnitaryError, ProductFormulaError, SymsuError
 from .paulis import PauliSum, _labels, _sum_texts
-from .serialize import load_matrix, matrix_to_pairs
+from .serialize import _pairs_json, load_matrix
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
     Unitary,
@@ -49,11 +50,16 @@ def _resolve_out(path: str | None) -> Path | None:
 
 
 def _emit(text: str, out: Path | None):
+    _emit_pieces([text if text.endswith("\n") else text + "\n"], out)
+
+
+def _emit_pieces(pieces, out: Path | None):
+    """Write text pieces one after another, as they come."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        return sys.stdout.writelines(pieces)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def _csv_header(args, command: str) -> list[str]:
@@ -96,12 +102,6 @@ def _matrix_group(symmetry: str, dim: int) -> SymmetryGroup:
     if n < 1 or 1 << n != dim:
         raise ValueError(f"matrix dimension {dim} is not 2^n for a qubit count n >= 1")
     return _resolve_group(symmetry, n, f"the matrix is {dim}x{dim} (n={n})")
-
-
-def _element_label(element) -> str:
-    if element.is_permutation:
-        return "perm" + str(list(element.perm.image)).replace(" ", "")
-    return f"unitary(dim={element.matrix.shape[0]})"
 
 
 def cmd_basis(args) -> int:
@@ -147,7 +147,11 @@ def cmd_check(args) -> int:
     except NotUnitaryError as exc:
         print(f"warning: input is not unitary ({exc}); reporting defects anyway",
               file=sys.stderr)
-    defects = list(zip(group.elements, _defects(m, group).tolist()))
+    rows = (group.images.tolist() if group.images is not None else
+            [list(el.perm.image) if el.is_permutation else None for el in group.elements])
+    labels = [f"unitary(dim={m.shape[0]})" if row is None else "perm" + str(row).replace(" ", "")
+              for row in rows]
+    defects = list(zip(labels, _defects(m, group).tolist()))
     flag = all(d < args.tol for _, d in defects)
     worst = max(d for _, d in defects)
     if args.format == "json":
@@ -158,11 +162,11 @@ def cmd_check(args) -> int:
             "invariant": flag,
             "max_defect": worst,
             "wall_s": time.perf_counter() - start,
-            "defects": [{"element": _element_label(el), "defect": d} for el, d in defects],
+            "defects": [{"element": label, "defect": d} for label, d in defects],
         }
         _emit(json.dumps(data, indent=2), _resolve_out(args.out))
     else:
-        lines = [f"{i} {_element_label(el)} {_fmt(d)}" for i, (el, d) in enumerate(defects)]
+        lines = [f"{i} {label} {_fmt(d)}" for i, (label, d) in enumerate(defects)]
         verdict = "invariant" if flag else "not invariant"
         lines.append(f"{verdict} max_defect {_fmt(worst)} tol {_fmt(args.tol)}")
         _emit("\n".join(lines), _resolve_out(args.out))
@@ -205,7 +209,7 @@ def cmd_random(args) -> int:
     _at_least(args.depth, 0, "--depth")
     group = _resolve_group(args.symmetry, args.n)
     u = random_invariant(group.n, group, args.seed, args.depth)
-    _emit(json.dumps(matrix_to_pairs(u.matrix)), _resolve_out(args.out))
+    _emit_pieces(itertools.chain(_pairs_json(u.matrix), ["\n"]), _resolve_out(args.out))
     return 0
 
 

@@ -26,9 +26,18 @@ def matrix_from_pairs(data) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def _pairs_json(m: np.ndarray):
+    """json.dumps(matrix_to_pairs(m)) in pieces, a row at a time, so that
+    no nested list of the whole matrix is built."""
+    yield "["
+    for i, row in enumerate(np.asarray(m, dtype=complex)):
+        yield (", " if i else "") + json.dumps(matrix_to_pairs(row))
+    yield "]"
+
+
 def save_matrix(path, m: np.ndarray):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(matrix_to_pairs(m)))
+        fh.writelines(_pairs_json(m))
 
 
 def load_matrix(path) -> np.ndarray:

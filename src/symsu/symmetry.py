@@ -175,8 +175,8 @@ class SymmetryGroup:
     (k, n) wire images of the permutation generators, and ``_raw``, the rest.
     The group is closed only when ``images``, ``elements`` or ``len`` is
     first read, and the result is kept.  A group with no raw generator has
-    ``images``, an (|G|, n) array of wire images, and builds ``elements``
-    from the rows; any other group has ``images`` None.
+    ``images``, an (|G|, n) array of wire images listed coset by coset,
+    and builds ``elements`` from the rows; any other group has ``images`` None.
     """
 
     __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_images", "_elements")
@@ -254,34 +254,44 @@ def _close(identity: SymmetryElement, generators) -> tuple:
 
 
 def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
-    """Breadth-first closure of wire-image rows under composition, sorted.
-
-    A row's key is its images read as base-n digits, first wire most
-    significant (Python ints from n = 16 on, where int64 would overflow),
-    so sorted keys are sorted rows; rows are decoded from keys.
+    """Closure of wire-image rows under composition, sorted, listed coset by
+    coset (Dimino's algorithm).  Level i adds generator g_i to H, the group
+    of the earlier ones: the cosets H r of <H, g_i> are found from their
+    representatives alone, g_i and then each representative after each
+    generator so far, and then gathered as the blocks H[:, r] of one array,
+    sorted once.  A row's key is its images read as base-n digits, first
+    wire most significant (Python ints from n = 16 on, where int64 would
+    overflow), so sorted keys are sorted rows.
     """
     weights = np.array([n ** k for k in range(n - 1, -1, -1)], dtype=np.int64 if n < 16 else object)
-    known = frontier = np.array([np.arange(n) @ weights], dtype=weights.dtype)
-    while len(frontier):
-        rows = (frontier[:, None] // weights % n).astype(np.int64)
-        # generators[:, rows][g, e] is the row of generator g after element e.
-        keys = np.sort((generators[:, rows] @ weights).ravel())
-        # Keep the last of each run of equal keys, if known (sorted) lacks it.
-        fresh = (keys != np.r_[keys[1:], -1]) & (known.take(known.searchsorted(keys), mode="clip") != keys)
-        frontier = keys[fresh]
-        known = np.sort(np.concatenate((known, frontier)))
-        if len(known) > _PERMUTATION_CAP:
-            raise GroupClosureError(
-                f"permutation group exceeded the cap of {_PERMUTATION_CAP} elements (the order of S_8)")
-    return (known[:, None] // weights % n).astype(np.int64)
+    group = np.arange(n, dtype=np.int64)[None]
+    keys = group @ weights
+    for i, g in enumerate(generators):
+        reps, pending = group[:1], [g]
+        while pending:
+            e = pending.pop()
+            probe = reps[:, e.argsort()] @ weights  # r_j e^-1 is in H iff e is in H r_j
+            if (keys.take(keys.searchsorted(probe), mode="clip") == probe).any():
+                continue
+            if (len(reps) + 1) * len(group) > _PERMUTATION_CAP:
+                raise GroupClosureError(
+                    f"permutation group exceeded the cap of {_PERMUTATION_CAP} elements (the order of S_8)")
+            reps = np.vstack((reps, e))
+            pending += list(e[generators[:i + 1]])
+        # group[:, reps][h, j] is element h of H after representative j.
+        level = group[:, reps].reshape(-1, n)
+        level_keys = level @ weights
+        order = level_keys.argsort()
+        group, keys = level[order], level_keys[order]
+    return group
 
 
 def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
     """The group of the generators on n qubits: `SymmetryGroup(n, generators,
     name)`, which coerces and size-checks them and closes nothing.  On first
-    read of its elements it closes as image rows (exact, sorted, at most
-    8! = 40 320) when every generator is a permutation, else element by
-    element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
+    read of its elements it lists image rows coset by coset (exact, sorted,
+    at most 8! = 40 320) when every generator is a permutation, else closes
+    element by element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
     return SymmetryGroup(n, generators, name)
 

@@ -80,6 +80,26 @@ def generator_sets(max_n):
         lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3)))
 
 
+def breadth_first_closure(n: int, generators: np.ndarray) -> np.ndarray:
+    """Oracle of symmetry._close_images: the group of the (k, n) wire-image
+    rows by breadth-first search over the Cayley graph, sorted, uncapped.
+    Each round composes every generator after every row found in the last
+    round and keeps the keys not yet known; a row's key is its images read
+    as base-n digits, first wire most significant (Python ints from n = 16
+    on), so sorted keys are sorted rows, which are decoded from the keys."""
+    weights = np.array([n ** k for k in range(n - 1, -1, -1)], dtype=np.int64 if n < 16 else object)
+    known = frontier = np.array([np.arange(n) @ weights], dtype=weights.dtype)
+    while len(frontier):
+        rows = (frontier[:, None] // weights % n).astype(np.int64)
+        # generators[:, rows][g, e] is the row of generator g after element e.
+        keys = np.sort((generators[:, rows] @ weights).ravel())
+        # Keep the last of each run of equal keys, if known (sorted) lacks it.
+        fresh = (keys != np.r_[keys[1:], -1]) & (known.take(known.searchsorted(keys), mode="clip") != keys)
+        frontier = keys[fresh]
+        known = np.sort(np.concatenate((known, frontier)))
+    return (known[:, None] // weights % n).astype(np.int64)
+
+
 def conjugate_pauli(p, s: PauliString) -> PauliString:
     """Image of a Pauli string under the wire relabeling p, S s S+: letters
     move with their wires and the phase is unchanged."""

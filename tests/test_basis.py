@@ -107,8 +107,9 @@ class TestOrbitEngineProperties:
         assert len(basis) == burnside_dimension(n, group)
         for s in strings:
             assert pauli_orbit(s, group) == oracle[s]
+        elements = tuple(basis.elements)  # each read of basis.elements[k] builds a PauliSum
         for e in group.elements:
-            for element in basis.elements:
+            for element in elements:
                 conjugated = tuple((conjugate_pauli(e.perm, p), c) for p, c in element.terms)
                 assert PauliSum(n, conjugated) == element
 

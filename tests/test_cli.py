@@ -16,7 +16,9 @@ from symsu import (
     exp_generator,
     PauliString,
     PauliSum,
+    load_group,
     matrix_from_pairs,
+    matrix_to_pairs,
     preset_group,
     save_matrix,
     symmetrize,
@@ -246,6 +248,24 @@ class TestCheckCommand:
         err = assert_rejected(capsys, "check", str(path), "--symmetry", "full_swap", "--tol", tol)
         assert "--tol must be a positive finite number" in err
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_labels_are_the_element_labels(self, capsys, tmp_path, raw):
+        # permutation groups label their image rows directly; the labels and
+        # their order are those of group.elements
+        spec = {"n": 3, "generators": [{"perm": [1, 2, 0]}, {"perm": [1, 0, 2]}]}
+        if raw:
+            spec["generators"].append({"unitary": matrix_to_pairs(np.diag([1.0, 1, 1, 1, 1, 1, 1, -1]))})
+        spec_path, path = tmp_path / "spec.json", tmp_path / "xi.json"
+        spec_path.write_text(json.dumps(spec))
+        save_matrix(path, dense_label("XII"))
+        code, out, _ = run(capsys, "check", str(path), "--symmetry", str(spec_path))
+        expected = ["perm" + str(list(e.perm.image)).replace(" ", "") if e.is_permutation else "unitary(dim=8)"
+                    for e in load_group(spec_path).elements]
+        assert code == 1 and [line.split()[1] for line in out.splitlines()[:-1]] == expected
+        assert len(expected) == (12 if raw else 6) and any(lab.startswith("unitary") for lab in expected) == raw
+        _, out, _ = run(capsys, "check", str(path), "--symmetry", str(spec_path), "--format", "json")
+        assert [d["element"] for d in json.loads(out)["defects"]] == expected
+
     def test_text_format_has_no_wall_time(self, capsys, tmp_path):
         # the wall time is JSON-only, so the default output stays byte-stable
         path = tmp_path / "xi.json"
@@ -441,6 +461,15 @@ class TestRandomCommand:
 
     def test_negative_depth_rejected(self, capsys):
         assert_rejected(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--depth", "-1")
+
+    def test_stdout_and_file_are_one_dump_of_the_pairs(self, capsys, tmp_path):
+        # the matrix is written a row at a time; the bytes are one json.dumps and a newline
+        path = tmp_path / "sub" / "u.json"
+        argv = ["random", "--n", "3", "--symmetry", "cyclic", "--seed", "2", "--depth", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and run(capsys, *argv, "--out", str(path))[0] == 0
+        m = matrix_from_pairs(json.loads(out))
+        assert out == path.read_text(encoding="utf-8") == json.dumps(matrix_to_pairs(m)) + "\n"
 
     def test_nine_qubits(self, capsys, tmp_path):
         path = tmp_path / "u9.json"

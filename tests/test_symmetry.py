@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -32,9 +33,17 @@ from symsu import (
     symmetry_defect,
 )
 from symsu.basis import _cycle_counts
-from symsu.symmetry import DEFAULT_CLOSURE_CAP, _defects, _permutation_defects, _phase_key
+from symsu.symmetry import (
+    DEFAULT_CLOSURE_CAP,
+    PRESETS,
+    _close_images,
+    _defects,
+    _permutation_defects,
+    _phase_key,
+    full_swap_generators,
+)
 
-from conftest import conjugate_pauli, dense_label, fro, generator_sets
+from conftest import breadth_first_closure, conjugate_pauli, dense_label, fro, generator_sets
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -281,6 +290,66 @@ class TestGroupGeneration:
             assert direct.images.tolist() == generated.images.tolist() == [[0, 1], [1, 0]]
             assert direct._perm_images.tolist() == [[1, 0]] * len(gens) and not direct._raw
             assert not direct._perm_images.flags.writeable
+
+
+class TestCosetClosure:
+    """_close_images (coset enumeration) against the breadth-first oracle,
+    array for array: the same sorted int64 rows."""
+
+    @staticmethod
+    def assert_matches_oracle(n, rows):
+        generators = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        closed = _close_images(n, generators)
+        expected = breadth_first_closure(n, generators)
+        assert closed.dtype == expected.dtype == np.int64
+        assert closed.shape == expected.shape and np.array_equal(closed, expected)
+        return closed
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets(6))
+    def test_drawn_generator_sets(self, case):
+        n, images = case
+        self.assert_matches_oracle(n, images)
+
+    def test_no_generators(self):
+        for n in (1, 3, 16):
+            assert self.assert_matches_oracle(n, []).tolist() == [list(range(n))]
+
+    def test_identity_and_repeated_generators(self):
+        rot, swap = [1, 2, 3, 0], [1, 0, 2, 3]
+        assert len(self.assert_matches_oracle(4, [[0, 1, 2, 3]])) == 1
+        assert len(self.assert_matches_oracle(4, [rot, rot, rot])) == 4
+        assert len(self.assert_matches_oracle(4, [[0, 1, 2, 3], swap, rot, swap])) == 24
+
+    def test_one_qubit(self):
+        for count in range(3):
+            assert self.assert_matches_oracle(1, [[0]] * count).tolist() == [[0]]
+
+    @pytest.mark.parametrize("blocks", [(2, 2, 2, 2), (3, 2, 3), (1, 4, 1), (5, 3)])
+    def test_young_subgroups(self, blocks):
+        # Adjacent transpositions inside each block of wires generate S_b1 x S_b2 x ...
+        n, rows, start = sum(blocks), [], 0
+        for b in blocks:
+            for i in range(start, start + b - 1):
+                rows.append(QubitPermutation.transposition(n, i, i + 1).image)
+            start += b
+        closed = self.assert_matches_oracle(n, rows)
+        assert len(closed) == math.prod(math.factorial(b) for b in blocks)
+
+    @pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_python_int_keys(self, preset, n):
+        closed = self.assert_matches_oracle(n, [g.perm.image for g in PRESETS[preset](n)])
+        assert len(closed) == (n if preset == "cyclic" else 2 * n)
+
+    def test_groups_past_the_cap_name_it(self):
+        # S_9, and S_8 x S_2 on 10 wires, whose last level is two cosets of S_8
+        s8 = [QubitPermutation(10, (*g.perm.image, 8, 9)) for g in full_swap_generators(8)]
+        s8_s2 = generate_group(10, s8 + [QubitPermutation.transposition(10, 8, 9)])
+        message = "permutation group exceeded the cap of 40320 elements (the order of S_8)"
+        for group in (preset_group("full_swap", 9), s8_s2):
+            with pytest.raises(GroupClosureError, match=f"^{re.escape(message)}$"):
+                len(group)
 
 
 class TestLazyClosure:

@@ -1,5 +1,6 @@
 """Exponential map, invariant sampling, eigenphase paths, SU projection."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -20,11 +21,13 @@ from symsu import (
     eig_unitary,
     exp_generator,
     is_invariant,
+    load_matrix,
     matrix_from_pairs,
     matrix_to_pairs,
     preset_group,
     project_to_su,
     random_invariant,
+    save_matrix,
     symmetrize,
 )
 from symsu import unitary_ops
@@ -155,6 +158,19 @@ class TestUnitaryType:
         pairs = matrix_to_pairs(m)
         assert pairs[0][0] == [-0.0, 0.0] and all(type(v) is float for row in pairs for pair in row for v in pair)
         assert matrix_from_pairs(pairs).view(np.float64).tobytes() == m.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 7])
+    def test_saved_file_is_one_dump_of_the_pairs(self, tmp_path, dim):
+        # save_matrix writes row by row; the text is that of one json.dumps
+        rng = np.random.default_rng(dim)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if dim:
+            m[0, 0] = complex(-0.0, 1e300)
+        path = tmp_path / "m.json"
+        save_matrix(path, m)
+        assert path.read_text(encoding="utf-8") == json.dumps(matrix_to_pairs(m))
+        if dim:
+            assert load_matrix(path).view(np.float64).tobytes() == m.view(np.float64).tobytes()
 
     @pytest.mark.parametrize("data", [[[[1, 0], [0]], [[0, 0], [1, 0]]],  # ragged
                                       [[[1, 0, 0]]],  # not a pair
