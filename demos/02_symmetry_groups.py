@@ -28,11 +28,12 @@ print("\nfull_swap preset closes the adjacent transpositions into the symmetric 
 for n in (2, 3, 4):
     print(f"  n={n}: |S_{n}| = {len(preset_group('full_swap', n))}")
 
-print("\nthe square of four wires: rotation + reflection close to 8 elements")
+print("\nthe square of four wires: rotation + reflection close to 8 elements,")
+print("each listed by its wire images (qubit i goes to wire image[i])")
 spec = json.loads(files("symsu").joinpath("data/square_dihedral.json").read_text())
 square = group_from_spec(spec)
 for el in square.elements:
-    print("  ", el)
+    print("  ", list(el.image))
 
 print("\ninvariance under exchange of two wires")
 s2 = preset_group("full_swap", 2)
@@ -44,4 +45,4 @@ for name, u in (("exp(-i 0.3/2 (XI+IX))", balanced), ("exp(-i 0.3/2 XI)", lopsid
 
 print("\nper-element defects of the lopsided rotation")
 for el in s2.elements:
-    print(f"  {el}: {symmetry_defect(lopsided.matrix, el):.6f}")
+    print(f"  {list(el.image)}: {symmetry_defect(lopsided.matrix, el):.6f}")

@@ -51,7 +51,6 @@ from .serialize import load_matrix, matrix_from_pairs, matrix_to_pairs, save_mat
 from .symmetry import (
     PRESETS,
     QubitPermutation,
-    SymmetryElement,
     SymmetryGroup,
     generate_group,
     group_from_spec,

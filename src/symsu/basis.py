@@ -128,9 +128,6 @@ class InvariantBasis:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def orbit_members(self, index: int) -> tuple:
-        return tuple(p for p, _ in self.elements[index].terms)
-
     def _value(self) -> tuple:
         return self.n, self.group, *(a.tobytes() for a in (self.x, self.z, self.coeffs, self.offsets))
 

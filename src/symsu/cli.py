@@ -148,7 +148,7 @@ def cmd_check(args) -> int:
         print(f"warning: input is not unitary ({exc}); reporting defects anyway",
               file=sys.stderr)
     rows = (group.images.tolist() if group.images is not None else
-            [list(el.perm.image) if el.is_permutation else None for el in group.elements])
+            [None if isinstance(el, np.ndarray) else list(el.image) for el in group.elements])
     labels = [f"unitary(dim={m.shape[0]})" if row is None else "perm" + str(row).replace(" ", "")
               for row in rows]
     defects = list(zip(labels, _defects(m, group).tolist()))

@@ -1,10 +1,10 @@
 """Finite symmetry groups on qubits and the invariance condition S U S+ = U.
 
-Symmetry elements are qubit permutations (realized as basis-permutation
-matrices) or raw unitaries such as CNOT.  A group is held as its generator
-list and closed under composition only when its elements are first read;
-a closed group of wire permutations is one array of wire images, a row per
-element.  The invariance of a matrix U under a group is measured by the
+A symmetry element is a `QubitPermutation` (realized as a basis-permutation
+matrix) or a read-only complex array, a raw unitary such as CNOT, checked
+once when it enters a group.  A group is held as its generator list and
+closed under composition only when its elements are first read; a closed
+group of wire permutations is one array of wire images, a row per element.  The invariance of a matrix U under a group is measured by the
 worst Frobenius defect ||S U - U S|| over the generators: U commutes with
 every element iff it commutes with them, so invariance never closes a group.
 
@@ -68,16 +68,6 @@ class QubitPermutation:
             raise DimensionError(f"qubit counts differ: {self.n} vs {other.n}")
         return QubitPermutation(self.n, tuple(self.image[other.image[i]] for i in range(self.n)))
 
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * self.n
-        for i, dest in enumerate(self.image):
-            inv[dest] = i
-        return QubitPermutation(self.n, tuple(inv))
-
-    def permute_mask(self, mask: int) -> int:
-        """Move bit i of mask to bit image[i]."""
-        return sum(1 << dest for i, dest in enumerate(self.image) if mask >> i & 1)
-
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
         m = np.zeros((dim, dim), dtype=complex)
@@ -85,94 +75,57 @@ class QubitPermutation:
         return m
 
 
-class SymmetryElement:
-    """Either a qubit permutation or a raw unitary matrix."""
-
-    __slots__ = ("n", "perm", "matrix")
-
-    def __init__(self, n: int, perm: QubitPermutation | None = None,
-                 matrix: np.ndarray | None = None):
-        if (perm is None) == (matrix is None):
-            raise ValueError("exactly one of perm or matrix must be given")
-        self.n = n
-        self.perm = perm
-        self.matrix = matrix
-        if perm is not None and perm.n != n:
-            raise DimensionError(f"permutation on {perm.n} qubits, element on {n}")
-
-    @classmethod
-    def from_permutation(cls, perm: QubitPermutation) -> "SymmetryElement":
-        return cls(perm.n, perm=perm)
-
-    @classmethod
-    def from_unitary(cls, matrix: np.ndarray) -> "SymmetryElement":
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"raw symmetry must be square, got shape {m.shape}")
-        dim = m.shape[0]
-        n = dim.bit_length() - 1
-        if 1 << n != dim:
-            raise DimensionError(f"matrix dimension {dim} is not a power of two")
-        if not np.isfinite(m).all():
-            raise NotUnitaryError("raw symmetry has a non-finite entry")
-        residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
-        if not residual < RAW_UNITARITY_TOL:
-            raise NotUnitaryError(f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}")
-        m.setflags(write=False)
-        return cls(n, matrix=m)
-
-    @classmethod
-    def identity(cls, n: int) -> "SymmetryElement":
-        return cls.from_permutation(QubitPermutation.identity(n))
-
-    @property
-    def is_permutation(self) -> bool:
-        return self.perm is not None
-
-    def to_matrix(self) -> np.ndarray:
-        if self.perm is not None:
-            return self.perm.to_matrix()
-        return self.matrix
-
-    def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """self after other."""
-        if self.n != other.n:
-            raise DimensionError(f"qubit counts differ: {self.n} vs {other.n}")
-        if self.perm is not None and other.perm is not None:
-            return SymmetryElement.from_permutation(self.perm.compose(other.perm))
-        m = self.to_matrix() @ other.to_matrix()
-        m.setflags(write=False)
-        return SymmetryElement(self.n, matrix=m)
-
-    def __repr__(self) -> str:
-        if self.perm is not None:
-            return f"SymmetryElement(perm={list(self.perm.image)})"
-        return f"SymmetryElement(unitary dim={self.matrix.shape[0]})"
-
-
-def _coerce_element(obj) -> SymmetryElement:
-    """obj as an element; a raw unitary equal up to phase (`_phase_key`) to the wire
-    permutation read off where each |1 << i> goes becomes that permutation."""
+def _coerce_element(obj):
+    """obj as a group element: a `QubitPermutation` as is, anything else as a
+    read-only C-ordered complex copy, refused unless square (ValueError), of
+    power-of-two dimension (DimensionError), finite and within
+    RAW_UNITARITY_TOL of unitary (NotUnitaryError).  A unitary equal up to
+    phase (`_phase_key`) to the wire permutation read off where each
+    |1 << i> goes becomes that permutation."""
     if isinstance(obj, QubitPermutation):
-        return SymmetryElement.from_permutation(obj)
-    e = obj if isinstance(obj, SymmetryElement) else SymmetryElement.from_unitary(np.asarray(obj))
-    if e.is_permutation:
-        return e
-    rows = abs(e.matrix[:, 1 << np.arange(e.n)]).argmax(axis=0).tolist()
+        return obj
+    m = np.array(obj, dtype=complex, order="C")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"raw symmetry must be square, got shape {m.shape}")
+    dim = m.shape[0]
+    n = dim.bit_length() - 1
+    if 1 << n != dim:
+        raise DimensionError(f"matrix dimension {dim} is not a power of two")
+    if not np.isfinite(m).all():
+        raise NotUnitaryError("raw symmetry has a non-finite entry")
+    residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
+    if not residual < RAW_UNITARITY_TOL:
+        raise NotUnitaryError(f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}")
+    m.setflags(write=False)
+    rows = abs(m[:, 1 << np.arange(n)]).argmax(axis=0).tolist()
     try:
-        perm = SymmetryElement.from_permutation(QubitPermutation(e.n, [r.bit_length() - 1 for r in rows]))
+        perm = QubitPermutation(n, [r.bit_length() - 1 for r in rows])
     except ValueError:  # the columns do not land on single wires
-        return e
-    return perm if _phase_key(perm) == _phase_key(e) else e
+        return m
+    return perm if _phase_key(perm) == _phase_key(m) else m
+
+
+def _compose(a, b):
+    """a after b: a permutation while both are, else the matrix product."""
+    if isinstance(a, QubitPermutation) and isinstance(b, QubitPermutation):
+        return a.compose(b)
+    m = _matrix(a) @ _matrix(b)
+    m.setflags(write=False)
+    return m
+
+
+def _matrix(element) -> np.ndarray:
+    return element.to_matrix() if isinstance(element, QubitPermutation) else element
 
 
 class SymmetryGroup:
     """A finite symmetry group, held as its generators.
 
-    Each generator (a `QubitPermutation`, `SymmetryElement` or unitary
-    matrix) is coerced by `_coerce_element` and must act on n qubits, else
-    DimensionError.  They are split once: ``_perm_images``, the read-only
-    (k, n) wire images of the permutation generators, and ``_raw``, the rest.
+    Each generator (a `QubitPermutation` or a unitary matrix) is coerced by
+    `_coerce_element` to an element, a `QubitPermutation` or a validated
+    read-only complex array, and must act on n qubits, else DimensionError.
+    They are split once: ``_perm_images``, the read-only (k, n) wire images
+    of the permutation generators, and ``_raw``, the arrays.
     The group is closed only when ``images``, ``elements`` or ``len`` is
     first read, and the result is kept.  A group with no raw generator has
     ``images``, an (|G|, n) array of wire images listed coset by coset,
@@ -184,13 +137,14 @@ class SymmetryGroup:
     def __init__(self, n: int, generators, name: str = "custom"):
         gens = tuple(_coerce_element(g) for g in generators)
         for g in gens:
-            if g.n != n:
-                raise DimensionError(f"generator acts on {g.n} qubits, group is on {n}")
-        perms = [g.perm.image for g in gens if g.is_permutation]
+            k = g.n if isinstance(g, QubitPermutation) else len(g).bit_length() - 1
+            if k != n:
+                raise DimensionError(f"generator acts on {k} qubits, group is on {n}")
+        perms = [g.image for g in gens if isinstance(g, QubitPermutation)]
         self.n, self.generators, self.name = n, gens, name
         self._perm_images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
         self._perm_images.setflags(write=False)
-        self._raw = tuple(g for g in gens if not g.is_permutation)
+        self._raw = tuple(g for g in gens if not isinstance(g, QubitPermutation))
         self._images = self._elements = None
 
     @property
@@ -204,10 +158,9 @@ class SymmetryGroup:
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = (_close(SymmetryElement.identity(self.n), self.generators)
+            self._elements = (_close(QubitPermutation.identity(self.n), self.generators)
                               if self.images is None else
-                              tuple(SymmetryElement.from_permutation(QubitPermutation(self.n, row))
-                                    for row in self.images.tolist()))
+                              tuple(QubitPermutation(self.n, row) for row in self.images.tolist()))
         return self._elements
 
     def __len__(self) -> int:
@@ -217,7 +170,7 @@ class SymmetryGroup:
         return f"SymmetryGroup(n={self.n}, name={self.name!r}, generators={len(self.generators)})"
 
 
-def _phase_key(element: SymmetryElement) -> bytes:
+def _phase_key(element) -> bytes:
     """Hashable identity of an element up to global phase.
 
     S and exp(i phi) S induce the same conjugation, so the matrix is
@@ -225,13 +178,13 @@ def _phase_key(element: SymmetryElement) -> bytes:
     row has an entry of magnitude >= 1/sqrt(dim)); the key is the bytes of
     that matrix rounded to 9 decimals, with -0.0 folded to 0.0.
     """
-    m = element.to_matrix()
+    m = _matrix(element)
     flat = m.ravel()
     pivot = flat[(abs(flat) > 1e-6).argmax()]
     return ((m * (abs(pivot) / pivot)).view(np.float64).round(9) + 0.0).tobytes()
 
 
-def _close(identity: SymmetryElement, generators) -> tuple:
+def _close(identity: QubitPermutation, generators) -> tuple:
     """Breadth-first closure of the generators under left composition,
     one element per `_phase_key`, in discovery order.  Generators are
     invertible, so products alone also yield every inverse."""
@@ -241,7 +194,7 @@ def _close(identity: SymmetryElement, generators) -> tuple:
         nxt = []
         for e in frontier:
             for g in generators:
-                q = g.compose(e)
+                q = _compose(g, e)
                 k = _phase_key(q)
                 if k not in known:
                     if len(known) >= DEFAULT_CLOSURE_CAP:
@@ -288,10 +241,11 @@ def _close_images(n: int, generators: np.ndarray) -> np.ndarray:
 
 def generate_group(n: int, generators, name: str = "custom") -> SymmetryGroup:
     """The group of the generators on n qubits: `SymmetryGroup(n, generators,
-    name)`, which coerces and size-checks them and closes nothing.  On first
-    read of its elements it lists image rows coset by coset (exact, sorted,
-    at most 8! = 40 320) when every generator is a permutation, else closes
-    element by element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
+    name)`, which coerces each to a `QubitPermutation` or a validated unitary
+    array, size-checks them and closes nothing.  On first read of its
+    elements it lists image rows coset by coset (exact, sorted, at most
+    8! = 40 320) when every generator is a permutation, else closes element
+    by element up to a global phase (`_phase_key`), at most DEFAULT_CLOSURE_CAP.
     """
     return SymmetryGroup(n, generators, name)
 
@@ -319,11 +273,11 @@ def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 def symmetry_defect(u, element) -> float:
-    """Frobenius norm of S U - U S; zero iff U commutes with S."""
-    perm = element.perm if isinstance(element, SymmetryElement) else element
-    if isinstance(perm, QubitPermutation):
-        return float(_permutation_defects(_square(u, perm.n), np.array([perm.image], dtype=np.int64))[0])
-    sm = element.matrix if isinstance(element, SymmetryElement) else np.asarray(element, dtype=complex)
+    """Frobenius norm of S U - U S, S a `QubitPermutation` or a square
+    matrix; zero iff U commutes with S."""
+    if isinstance(element, QubitPermutation):
+        return float(_permutation_defects(_square(u, element.n), np.array([element.image], dtype=np.int64))[0])
+    sm = np.asarray(element, dtype=complex)
     m = _square(u, len(sm).bit_length() - 1)
     return float(np.linalg.norm(sm @ m - m @ sm))
 
@@ -356,30 +310,27 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10) -> tuple[bool, flo
 # Named presets and the JSON group specification
 
 
-def full_swap_generators(n: int) -> list[SymmetryElement]:
+def full_swap_generators(n: int) -> list[QubitPermutation]:
     """Adjacent wire transpositions (the Coxeter generators of S_n);
     closure is the full symmetric group."""
-    return [SymmetryElement.from_permutation(QubitPermutation.transposition(n, i, i + 1))
-            for i in range(n - 1)]
+    return [QubitPermutation.transposition(n, i, i + 1) for i in range(n - 1)]
 
 
-def cyclic_generators(n: int) -> list[SymmetryElement]:
+def cyclic_generators(n: int) -> list[QubitPermutation]:
     """Rotation by one wire."""
     if n == 1:
         return []
-    rot = QubitPermutation(n, tuple((i + 1) % n for i in range(n)))
-    return [SymmetryElement.from_permutation(rot)]
+    return [QubitPermutation(n, tuple((i + 1) % n for i in range(n)))]
 
 
-def dihedral_generators(n: int) -> list[SymmetryElement]:
+def dihedral_generators(n: int) -> list[QubitPermutation]:
     """Rotation plus reflection (symmetries of the n-gon of wires)."""
     if n == 1:
         return []
-    refl = QubitPermutation(n, tuple((n - i) % n for i in range(n)))
-    return cyclic_generators(n) + [SymmetryElement.from_permutation(refl)]
+    return cyclic_generators(n) + [QubitPermutation(n, tuple((n - i) % n for i in range(n)))]
 
 
-def trivial_generators(n: int) -> list[SymmetryElement]:
+def trivial_generators(n: int) -> list[QubitPermutation]:
     return []
 
 

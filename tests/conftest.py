@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from symsu import DimensionError, InvariantBasis, PauliString, Unitary, preset_group
+from symsu import DimensionError, InvariantBasis, PauliString, QubitPermutation, Unitary, preset_group
 
 ORACLE_LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -105,7 +105,26 @@ def conjugate_pauli(p, s: PauliString) -> PauliString:
     move with their wires and the phase is unchanged."""
     if p.n != s.n:
         raise DimensionError(f"qubit counts differ: {p.n} vs {s.n}")
-    return PauliString(s.n, p.permute_mask(s.x_mask), p.permute_mask(s.z_mask), s.phase_exp)
+    return PauliString(s.n, permute_mask(p, s.x_mask), permute_mask(p, s.z_mask), s.phase_exp)
+
+
+def permute_mask(p: QubitPermutation, mask: int) -> int:
+    """mask with bit i moved to bit p.image[i], one bit at a time: the scalar
+    reference for the array mask moves of symmetry._move_masks."""
+    return sum(1 << dest for i, dest in enumerate(p.image) if mask >> i & 1)
+
+
+def inverse(p: QubitPermutation) -> QubitPermutation:
+    """The wire relabeling that undoes p."""
+    inv = [0] * p.n
+    for i, dest in enumerate(p.image):
+        inv[dest] = i
+    return QubitPermutation(p.n, tuple(inv))
+
+
+def orbit_members(basis: InvariantBasis, index: int) -> tuple:
+    """The Pauli strings of basis element index."""
+    return tuple(p for p, _ in basis.elements[index].terms)
 
 
 def identity_unitary(n: int) -> Unitary:

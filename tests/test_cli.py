@@ -16,6 +16,7 @@ from symsu import (
     exp_generator,
     PauliString,
     PauliSum,
+    QubitPermutation,
     load_group,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -259,8 +260,8 @@ class TestCheckCommand:
         spec_path.write_text(json.dumps(spec))
         save_matrix(path, dense_label("XII"))
         code, out, _ = run(capsys, "check", str(path), "--symmetry", str(spec_path))
-        expected = ["perm" + str(list(e.perm.image)).replace(" ", "") if e.is_permutation else "unitary(dim=8)"
-                    for e in load_group(spec_path).elements]
+        expected = ["perm" + str(list(e.image)).replace(" ", "") if isinstance(e, QubitPermutation)
+                    else "unitary(dim=8)" for e in load_group(spec_path).elements]
         assert code == 1 and [line.split()[1] for line in out.splitlines()[:-1]] == expected
         assert len(expected) == (12 if raw else 6) and any(lab.startswith("unitary") for lab in expected) == raw
         _, out, _ = run(capsys, "check", str(path), "--symmetry", str(spec_path), "--format", "json")
@@ -561,7 +562,7 @@ class TestMiscellaneous:
     def test_public_names(self):
         import symsu
 
-        assert len(symsu.__all__) == 52 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
+        assert len(symsu.__all__) == 51 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
         assert not any(inspect.ismodule(getattr(symsu, name)) for name in symsu.__all__)
 
     def test_module_entry_point(self):

@@ -17,7 +17,6 @@ from symsu import (
     PauliString,
     PauliSum,
     QubitPermutation,
-    SymmetryElement,
     SymmetryGroup,
     build_basis,
     connectedness_path,
@@ -26,6 +25,7 @@ from symsu import (
     group_from_spec,
     is_invariant,
     load_group,
+    matrix_to_pairs,
     pauli_orbit,
     preset_group,
     random_invariant,
@@ -37,13 +37,14 @@ from symsu.symmetry import (
     DEFAULT_CLOSURE_CAP,
     PRESETS,
     _close_images,
+    _compose,
     _defects,
     _permutation_defects,
     _phase_key,
     full_swap_generators,
 )
 
-from conftest import breadth_first_closure, conjugate_pauli, dense_label, fro, generator_sets
+from conftest import breadth_first_closure, conjugate_pauli, dense_label, fro, generator_sets, inverse
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -88,15 +89,13 @@ def validate(n: int, elements):
     raises GroupClosureError naming what is missing.  Quadratic in the
     group order."""
     keys = {_phase_key(e) for e in elements}
-    if _phase_key(SymmetryElement.identity(n)) not in keys:
+    if _phase_key(QubitPermutation.identity(n)) not in keys:
         raise GroupClosureError("identity element missing")
     for a in elements:
-        inverse = (SymmetryElement.from_permutation(a.perm.inverse()) if a.is_permutation
-                   else SymmetryElement.from_unitary(a.matrix.conj().T.copy()))
-        if _phase_key(inverse) not in keys:
+        if _phase_key(inverse(a) if isinstance(a, QubitPermutation) else a.conj().T.copy()) not in keys:
             raise GroupClosureError(f"inverse of {a!r} missing")
         for b in elements:
-            if _phase_key(a.compose(b)) not in keys:
+            if _phase_key(_compose(a, b)) not in keys:
                 raise GroupClosureError(f"product {a!r} * {b!r} missing")
 
 
@@ -113,7 +112,7 @@ class TestQubitPermutation:
 
     def test_inverse(self):
         rot = QubitPermutation(4, (1, 2, 3, 0))
-        assert rot.compose(rot.inverse()) == QubitPermutation.identity(4)
+        assert rot.compose(inverse(rot)) == QubitPermutation.identity(4)
 
     def test_cycle_count(self):
         rows = np.array([QubitPermutation.identity(4).image, (1, 2, 3, 0), (0, 3, 2, 1)])
@@ -161,7 +160,7 @@ class TestGroupGeneration:
         rows = [tuple(r) for r in preset_group("cyclic", 4).images.tolist()]
         assert rows[0] == (0, 1, 2, 3)
         for r in rows:
-            assert QubitPermutation(4, r).inverse().image in rows
+            assert inverse(QubitPermutation(4, r)).image in rows
 
     def test_closure_exhaustive_small(self):
         rows = [QubitPermutation(4, r) for r in preset_group("dihedral", 4).images.tolist()]
@@ -181,7 +180,7 @@ class TestGroupGeneration:
         for r in rows:
             assert tuple(sorted(range(n), key=r.__getitem__)) in rows  # the inverse of r
         assert len(group) == len(rows)
-        assert [e.perm.image for e in group.elements] == rows
+        assert [e.image for e in group.elements] == rows
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_preset_orders(self, n):
@@ -192,14 +191,13 @@ class TestGroupGeneration:
     def test_validate_accepts_generated_groups(self):
         validate(3, preset_group("full_swap", 3).elements)
         cz = np.diag([1.0, 1.0, 1.0, -1.0])
-        validate(2, generate_group(2, [QubitPermutation.transposition(2, 0, 1),
-                                       SymmetryElement.from_unitary(cz)]).elements)
+        validate(2, generate_group(2, [QubitPermutation.transposition(2, 0, 1), cz]).elements)
 
     def test_validate_rejects_non_closed_set(self):
-        swap = SymmetryElement.from_permutation(QubitPermutation.transposition(3, 0, 1))
-        rot = SymmetryElement.from_permutation(QubitPermutation(3, (1, 2, 0)))
+        swap = QubitPermutation.transposition(3, 0, 1)
+        rot = QubitPermutation(3, (1, 2, 0))
         with pytest.raises(GroupClosureError):
-            validate(3, (SymmetryElement.identity(3), swap, rot))
+            validate(3, (QubitPermutation.identity(3), swap, rot))
 
     def test_generator_order_irrelevant(self):
         gens = [QubitPermutation.transposition(4, 0, 1),
@@ -212,21 +210,21 @@ class TestGroupGeneration:
         # an irrational rotation never closes
         theta = 1.0
         rz = np.diag([1.0, np.exp(1j * theta)])
-        group = generate_group(1, [SymmetryElement.from_unitary(rz)])  # built, not closed
+        group = generate_group(1, [rz])  # built, not closed
         with pytest.raises(GroupClosureError,
                            match=f"raw-unitary group exceeded the cap of {DEFAULT_CLOSURE_CAP} elements"):
             len(group)
 
     def test_raw_unitary_phase_dedup(self):
         phased_swap = np.exp(0.7j) * SWAP
-        g = generate_group(2, [SymmetryElement.from_unitary(phased_swap)])
+        g = generate_group(2, [phased_swap])
         assert len(g) == 2  # identity and the swap itself
 
     def test_cnot_generates_order_two_group(self):
         cnot = np.zeros((4, 4))
         for idx in range(4):
             cnot[idx ^ ((idx & 1) << 1), idx] = 1
-        g = generate_group(2, [SymmetryElement.from_unitary(cnot)])
+        g = generate_group(2, [cnot])
         assert len(g) == 2
 
     def test_cnots_generate_gl32(self):
@@ -234,7 +232,7 @@ class TestGroupGeneration:
         assert len(index_map_closure(maps, 8)) == 168
         group = gl32_group()
         # a CNOT moves a wire's basis state onto two wires: it stays a raw generator
-        assert not any(g.is_permutation for g in group.generators)
+        assert not any(isinstance(g, QubitPermutation) for g in group.generators)
         assert group.images is None and len(group) == 168
 
     def test_phased_hadamard_and_s_generate_clifford_group(self):
@@ -255,38 +253,77 @@ class TestGroupGeneration:
         assert time.perf_counter() - start < 1.0
 
     def test_validate_rejects_raw_set_missing_a_product(self):
-        swap = SymmetryElement.from_unitary(SWAP)
-        cz = SymmetryElement.from_unitary(np.diag([1.0, 1.0, 1.0, -1.0]))
+        cz = np.diag([1, 1, 1, -1]).astype(complex)
         # swap * cz is missing; every element here is its own inverse.
         with pytest.raises(GroupClosureError, match="product"):
-            validate(2, (SymmetryElement.identity(2), swap, cz))
+            validate(2, (QubitPermutation.identity(2), SWAP, cz))
+
+    @staticmethod
+    def raw_builds(n, m):
+        """The group of the one raw generator m on n qubits, built by
+        SymmetryGroup, generate_group and group_from_spec."""
+        spec = {"n": n, "generators": [{"unitary": matrix_to_pairs(m)}]}
+        return (lambda: SymmetryGroup(n, [m]), lambda: generate_group(n, [m]), lambda: group_from_spec(spec))
 
     def test_non_unitary_raw_element_rejected(self):
-        with pytest.raises(NotUnitaryError):
-            SymmetryElement.from_unitary(np.array([[1, 1], [0, 1]]))
+        # [[1, 1], [0, 1]] is invertible but not unitary: it is refused on
+        # entry, not reported later as a group past the closure cap.
+        for m in (np.array([[1, 1], [0, 1]]), 2 * SWAP, SWAP + 1e-9):
+            for build in self.raw_builds(m.shape[0].bit_length() - 1, m):
+                with pytest.raises(NotUnitaryError, match="not unitary"):
+                    build()
 
     def test_non_finite_raw_element_rejected(self):
         for m in (np.full((2, 2), np.nan), np.diag([1.0, np.inf])):
-            with pytest.raises(NotUnitaryError):
-                SymmetryElement.from_unitary(m)
+            build_direct, build_generated, build_spec = self.raw_builds(1, m)
+            for build in (build_direct, build_generated):
+                with pytest.raises(NotUnitaryError, match="non-finite"):
+                    build()
+            with pytest.raises(ValueError, match="must be finite"):  # JSON data is refused on load
+                build_spec()
+
+    def test_transposed_view_closes_like_its_copy(self):
+        # Neither matrix is symmetric: CNOT(0, 1) CNOT(1, 2), of order 4 in
+        # GL(3, 2), and SWAP after a phase on qubit 0, whose columns land on
+        # single wires, so the validator also compares its phase key with the swap's.
+        cnots = index_map_matrix(cnot_map(0, 1, 3)) @ index_map_matrix(cnot_map(1, 2, 3))
+        phased_swap = SWAP @ np.diag([1, 1j, 1, 1j])
+        for a, order in ((cnots, 4), (phased_swap, 8)):
+            view, copy = a.T, a.T.copy()
+            assert not view.flags.c_contiguous and copy.flags.c_contiguous and not np.array_equal(a, view)
+            n = len(a).bit_length() - 1
+            for build in (SymmetryGroup, generate_group):
+                from_view, from_copy = build(n, [view]), build(n, [copy])
+                assert len(from_view) == len(from_copy) == order
+                assert [_phase_key(e) for e in from_view.elements] == [_phase_key(e) for e in from_copy.elements]
+                assert from_view.generators[0].flags.c_contiguous and not from_view.generators[0].flags.writeable
 
     def test_mismatched_generator_dimension(self):
         for build in (generate_group, SymmetryGroup):
             with pytest.raises(DimensionError, match="generator acts on 2 qubits, group is on 3"):
                 build(3, [QubitPermutation.transposition(2, 0, 1)])
+        # A raw generator's qubit count is read off its shape.
+        for m, message in ((np.eye(3), "matrix dimension 3 is not a power of two"),
+                           (np.eye(6), "matrix dimension 6 is not a power of two"),
+                           (np.eye(8)[::-1].copy(), "generator acts on 3 qubits, group is on 2")):
+            for build in self.raw_builds(2, m):
+                with pytest.raises(DimensionError, match=message):
+                    build()
+        with pytest.raises(ValueError, match="must be square"):
+            SymmetryGroup(1, [np.eye(2)[:1]])
 
     def test_constructor_coerces_every_generator_form(self):
-        # SWAP as a permutation, a permutation element, a raw element or an
-        # array; e^{0.7i} SWAP as a raw element or an array.  Every list, in
-        # either order or with the phased swap alone, is the swap group.
+        # SWAP as a permutation, a complex or real array or a transposed view;
+        # e^{0.7i} SWAP as an array or a view.  Every list, in either order or
+        # with the phased swap alone, is the swap group.
         perm = QubitPermutation.transposition(2, 0, 1)
-        swaps = (perm, SymmetryElement.from_permutation(perm), SymmetryElement.from_unitary(SWAP), SWAP)
-        phased = (SymmetryElement.from_unitary(np.exp(0.7j) * SWAP), np.exp(0.7j) * SWAP)
+        swaps = (perm, SWAP, SWAP.real, SWAP.T)
+        phased = (np.exp(0.7j) * SWAP, (np.exp(0.7j) * SWAP).T)
         lists = [[a, b] for a in swaps for b in phased] + [[b, a] for a in swaps for b in phased]
         for gens in lists + [[b] for b in phased]:
             direct, generated = SymmetryGroup(2, gens), generate_group(2, gens)
-            assert ([g.is_permutation for g in direct.generators]
-                    == [g.is_permutation for g in generated.generators] == [True] * len(gens))
+            assert ([isinstance(g, QubitPermutation) for g in direct.generators]
+                    == [isinstance(g, QubitPermutation) for g in generated.generators] == [True] * len(gens))
             assert direct.images.tolist() == generated.images.tolist() == [[0, 1], [1, 0]]
             assert direct._perm_images.tolist() == [[1, 0]] * len(gens) and not direct._raw
             assert not direct._perm_images.flags.writeable
@@ -339,12 +376,12 @@ class TestCosetClosure:
     @pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
     @pytest.mark.parametrize("n", [16, 20])
     def test_python_int_keys(self, preset, n):
-        closed = self.assert_matches_oracle(n, [g.perm.image for g in PRESETS[preset](n)])
+        closed = self.assert_matches_oracle(n, [g.image for g in PRESETS[preset](n)])
         assert len(closed) == (n if preset == "cyclic" else 2 * n)
 
     def test_groups_past_the_cap_name_it(self):
         # S_9, and S_8 x S_2 on 10 wires, whose last level is two cosets of S_8
-        s8 = [QubitPermutation(10, (*g.perm.image, 8, 9)) for g in full_swap_generators(8)]
+        s8 = [QubitPermutation(10, (*g.image, 8, 9)) for g in full_swap_generators(8)]
         s8_s2 = generate_group(10, s8 + [QubitPermutation.transposition(10, 8, 9)])
         message = "permutation group exceeded the cap of 40320 elements (the order of S_8)"
         for group in (preset_group("full_swap", 9), s8_s2):
@@ -423,12 +460,10 @@ class TestDefectAndInvariance:
             assert symmetry_defect(np.eye(4), el) == 0
 
     def test_element_commutes_with_itself(self):
-        el = SymmetryElement.from_unitary(SWAP)
-        assert symmetry_defect(SWAP, el) == 0
+        assert symmetry_defect(SWAP, SWAP) == 0
 
     def test_xi_defect_value(self):
-        el = SymmetryElement.from_unitary(SWAP)
-        assert symmetry_defect(dense_label("XI"), el) == pytest.approx(2 * np.sqrt(2))
+        assert symmetry_defect(dense_label("XI"), SWAP) == pytest.approx(2 * np.sqrt(2))
         # permutation fast path agrees with the dense route
         perm = QubitPermutation.transposition(2, 0, 1)
         assert symmetry_defect(dense_label("XI"), perm) == pytest.approx(2 * np.sqrt(2))
