@@ -22,6 +22,12 @@ from .symmetry import SymmetryGroup, _move_masks
 _CLOSURE_BLOCK = 1 << 11
 
 
+def _check_qubits(n: int, group: SymmetryGroup) -> None:
+    """Refuse a group on another qubit count than the n asked for."""
+    if group.n != n:
+        raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
+
+
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
     """Wire-image rows of the generators of a permutation group; a group
     with a raw-unitary generator is refused, without closing it."""
@@ -62,8 +68,8 @@ def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
 
 @dataclass(frozen=True)
 class _Elements(Sequence):
-    """A basis's elements, each wrapped as a PauliSum from its slice of the
-    basis arrays when it is read; slices are tuples."""
+    """A basis's elements, each wrapped as a unit-coefficient PauliSum from
+    its slice of the basis arrays when it is read; slices are tuples."""
 
     basis: "InvariantBasis"
 
@@ -75,51 +81,48 @@ class _Elements(Sequence):
         if isinstance(k, range):
             return tuple(map(self.__getitem__, k))
         lo, hi = b.offsets[k:k + 2].tolist()
-        return PauliSum._canonical(b.n, b.x[lo:hi], b.z[lo:hi], b.coeffs[lo:hi])
+        return PauliSum._canonical(b.n, b.x[lo:hi], b.z[lo:hi], np.ones(hi - lo, complex))
 
 
 @dataclass(frozen=True, eq=False)
 class InvariantBasis:
-    """One symmetrized element per Pauli-string orbit, identity excluded.
+    """One unit-coefficient orbit sum per Pauli-string orbit, identity excluded.
 
-    Element k is terms ``offsets[k]:offsets[k + 1]`` of the read-only ``x``,
-    ``z`` (masks) and ``coeffs`` arrays, in canonical order.  A group or mask
-    not on n qubits raises DimensionError; an element that is empty, unsorted,
-    holds the identity or shares a string with another raises ValueError.
-    Entry z << n | x of ``_orbit_of`` is the index of the element holding that
-    string, else len(self).  ``_spectra`` caches eigenpairs for unitary_ops.
+    Built from its orbit table ``orbit_of``, 4^n labels: entry z << n | x is
+    the index of the element holding that string, or -1 for none (always
+    for the identity).  The table is copied and frozen; element k is the
+    strings ``offsets[k]:offsets[k + 1]`` of the read-only ``x`` and ``z``
+    masks, in canonical order.  A group not on n qubits or a table of
+    another length raises DimensionError; a label below -1, a labelled
+    identity or an element index with no string raises ValueError.
+    ``_spectra`` caches eigenpairs for unitary_ops.
     """
 
     n: int
     group: SymmetryGroup
-    x: np.ndarray
-    z: np.ndarray
-    coeffs: np.ndarray
-    offsets: np.ndarray
-    _orbit_of: np.ndarray = field(init=False, repr=False)
+    orbit_of: np.ndarray
+    x: np.ndarray = field(init=False)
+    z: np.ndarray = field(init=False)
+    offsets: np.ndarray = field(init=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("x", "z", "coeffs", "offsets"):
-            value = np.asarray(getattr(self, name), dtype=complex if name == "coeffs" else np.int64)
+        n, table = self.n, np.array(self.orbit_of, dtype=np.int64)
+        if self.group.n != n or table.shape != (1 << 2 * n,):
+            raise DimensionError(f"the group and the orbit table must act on the basis's {n} qubits")
+        if table.min() < -1:
+            raise ValueError(f"orbit labels must be -1 or an element index, got {table.min()}")
+        if table[0] != -1:
+            raise ValueError(f"basis element {table[0]} holds the identity string")
+        sizes = np.bincount(table + 1)  # sizes[0] counts the strings in no element
+        if np.any(sizes == 0):
+            raise ValueError(f"basis element {np.argmin(sizes) - 1} is empty")
+        keys = np.argsort(table, kind="stable")[sizes[0]:]  # by element, then by key
+        offsets = np.concatenate(([0], np.cumsum(sizes[1:])))
+        for name, value in (("orbit_of", table), ("x", keys & ((1 << n) - 1)), ("z", keys >> n),
+                            ("offsets", offsets)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        n, offsets, keys, sizes = self.n, self.offsets, self.z << self.n | self.x, np.diff(self.offsets)
-        if self.group.n != n or np.any((self.x | self.z) >> n):
-            raise DimensionError(f"the group and every element must act on the basis's {n} qubits")
-        if offsets[:1].tolist() != [0] or not offsets[-1] == len(keys) == len(self.coeffs):
-            raise ValueError("offsets must rise from 0 to the number of terms")  # np.repeat refuses a fall
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        table = np.full(1 << 2 * n, len(sizes), dtype=np.int64)
-        table[keys] = owner
-        bad = (keys == 0) | (np.bincount(keys, minlength=len(table))[keys] > 1)  # identity, shared
-        bad[1:] |= (keys[1:] <= keys[:-1]) & (owner[1:] == owner[:-1])  # unsorted in an element
-        if np.any(bad) or np.any(sizes == 0):
-            k = min(owner[bad].tolist() + np.flatnonzero(sizes == 0).tolist())
-            raise ValueError(f"basis element {k} is empty, unsorted, holds the identity string "
-                             "or shares a string with another element")
-        table.setflags(write=False)
-        object.__setattr__(self, "_orbit_of", table)
 
     @property
     def elements(self) -> _Elements:
@@ -129,7 +132,7 @@ class InvariantBasis:
         return len(self.offsets) - 1
 
     def _value(self) -> tuple:
-        return self.n, self.group, *(a.tobytes() for a in (self.x, self.z, self.coeffs, self.offsets))
+        return self.n, self.group, self.orbit_of.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, InvariantBasis) and self._value() == other._value()
@@ -175,14 +178,10 @@ def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
     lists each orbit's strings together, in canonical order.  Capped at
     DEFAULT_MATRIX_CAP qubits, as dense realizations are.
     """
-    if group.n != n:
-        raise DimensionError(f"group acts on {group.n} qubits, basis requested for {n}")
+    _check_qubits(n, group)
     if n > DEFAULT_MATRIX_CAP:
         raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_MATRIX_CAP} qubits")
-    table = _orbit_table(n, _generator_images(group).tolist())
-    keys = np.argsort(table, kind="stable")[1:]  # by orbit, then by key
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(table[1:]))))
-    return InvariantBasis(n, group, keys & ((1 << n) - 1), keys >> n, np.ones(len(keys), complex), offsets)
+    return InvariantBasis(n, group, _orbit_table(n, _generator_images(group).tolist()))
 
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:
@@ -206,6 +205,7 @@ def burnside_dimension(n: int, group: SymmetryGroup) -> int:
     Independent of orbit enumeration, so the two routes cross-check each
     other.
     """
+    _check_qubits(n, group)
     _generator_images(group)  # refuses raw-unitary groups
     # Summed exactly as Python ints over the rows of each cycle count, at most n + 1 terms.
     bins = np.bincount(_cycle_counts(group.images), minlength=n + 1).tolist()
@@ -226,8 +226,8 @@ def in_span(x: PauliSum, basis: InvariantBasis) -> float:
     if x.n != basis.n:
         raise DimensionError(f"sum on {x.n} qubits, basis on {basis.n}")
     d = len(basis)
-    orbit = basis._orbit_of[x.z << x.n | x.x]
-    inside = orbit < d
+    orbit = basis.orbit_of[x.z << x.n | x.x]
+    inside = orbit >= 0
     k, c = orbit[inside], x.coeffs[inside]
     size = np.diff(basis.offsets)
     present = np.bincount(k, minlength=d)
@@ -259,26 +259,23 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     at once with bit operations.  Per (j, product string) the coefficients
     are summed as sum_commutator merges them; per (j, target orbit k) the
     squared residual is sum |c|^2 - |sum c|^2 / |O_k|, members absent from
-    the commutator counting as 0, and strings in no orbit add |c|^2.  With
-    the unit coefficients of build_basis every sum is an exact integer.
-    The worst pair is the first to reach the maximum, in (i, j) order.
-    Restriction: with coefficients not all 1 it rounds once per target orbit,
-    so residuals that tie exactly can rank in another order than on the
-    scalar in_span route; unit-coefficient build_basis bases are exact.
+    the commutator counting as 0, and strings in no orbit add |c|^2.  The
+    coefficients are all 1, so every sum is an exact integer.  The worst
+    pair is the first to reach the maximum, in (i, j) order.
     """
-    n, d, x, z, coeff, starts = basis.n, len(basis), basis.x, basis.z, basis.coeffs, basis.offsets
+    n, d, x, z, starts = basis.n, len(basis), basis.x, basis.z, basis.offsets
     sizes = np.diff(starts)
     y = np.bitwise_count(x & z).astype(np.int64)
     owner = np.repeat(np.arange(d), sizes)
     string_mask = (1 << 2 * n) - 1
-    # Orbit d, no orbit, has infinite size, so that a string outside the
-    # span keeps its whole |c|^2.
-    orbit_size = np.append(sizes.astype(float), np.inf)
+    # Slot 0, label -1 (no orbit), has infinite size, so that a string
+    # outside the span keeps its whole |c|^2.
+    orbit_size = np.append(np.inf, sizes.astype(float))
 
     worst, worst_pair = 0.0, None
     for i in range(d - 1):
         a = slice(starts[i], starts[i + 1])
-        xa, za, ya, ca = x[a, None], z[a, None], y[a, None], coeff[a, None]
+        xa, za, ya = x[a, None], z[a, None], y[a, None]
         step = max(1, _CLOSURE_BLOCK // int(sizes[i]))
         lo = starts[i + 1]
         while lo < starts[d]:
@@ -294,11 +291,11 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
                 px, pz = xa[ra, 0] ^ xb[rb], za[ra, 0] ^ zb[rb]
                 power = (ya[ra, 0] + yb[rb] - np.bitwise_count(px & pz).astype(np.int64)
                          + 2 * np.bitwise_count(za[ra, 0] & xb[rb]).astype(np.int64))
-                c = 2.0 * ca[ra, 0] * coeff[lo + rb] * np.array(PHASES)[power % 4]
+                c = 2.0 * np.array(PHASES)[power % 4]
                 key = (owner[lo + rb] - first) << 2 * n | pz << n | px
                 keys, at = np.unique(key, return_inverse=True)
                 sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
-                jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis._orbit_of[keys & string_mask],
+                jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
                                    return_inverse=True)
                 sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)  # not abs(): exact for Gaussian integers
                 total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)

@@ -109,14 +109,15 @@ def cmd_basis(args) -> int:
     basis = build_basis(group.n, group)
     if args.format == "json":
         labels = np.strings.decode(_labels(basis.n, basis.x, basis.z)).tolist()
-        terms = [list(term) for term in zip(basis.coeffs.real.tolist(), basis.coeffs.imag.tolist(), labels)]
+        terms = [[1.0, 0.0, label] for label in labels]
         bounds = basis.offsets.tolist()
         data = {"n": basis.n, "group": group.name, "dimension": len(basis),
                 "elements": [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]}
         text = json.dumps(data, indent=2)
     else:
         # One line per element; the basis is freed before the lines are joined.
-        lines = _sum_texts(basis.n, basis.x, basis.z, basis.coeffs, basis.offsets, " + ")
+        ones = np.broadcast_to(np.complex128(1), basis.x.shape)
+        lines = _sum_texts(basis.n, basis.x, basis.z, ones, basis.offsets, " + ")
         del basis
         text = "\n".join(lines + [f"dim {len(lines)}"])
     _emit(text, _resolve_out(args.out))

@@ -72,10 +72,6 @@ class PauliString:
         z_mask = int(label.translate(_Z_DIGITS), 2)
         return cls(len(label), x_mask, z_mask, phase_exp)
 
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 0)
-
     def letter(self, qubit: int) -> str:
         """Single-qubit letter at the given wire."""
         x = (self.x_mask >> qubit) & 1
@@ -89,21 +85,6 @@ class PauliString:
     @property
     def phase(self) -> complex:
         return PHASES[self.phase_exp]
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    def phase_free(self) -> "PauliString":
-        """The same letters with phase_exp forced to 0 (canonical sum key)."""
-        if self.phase_exp == 0:
-            return self
-        return PauliString(self.n, self.x_mask, self.z_mask, 0)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_multiply(self, other)
@@ -208,10 +189,6 @@ class PauliSum:
     def zero(cls, n: int) -> "PauliSum":
         return cls(n, ())
 
-    def coefficient(self, p: PauliString) -> complex:
-        hit = (self.x == p.x_mask) & (self.z == p.z_mask) & (p.n == self.n)
-        return complex(self.coeffs[hit].sum())
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -240,10 +217,6 @@ class PauliSum:
     def is_hermitian(self) -> bool:
         """Imaginary parts below ZERO_TOL on phase-free keys realize a Hermitian matrix."""
         return bool(np.all(np.abs(self.coeffs.imag) < ZERO_TOL))
-
-    @property
-    def has_identity_term(self) -> bool:
-        return bool(np.any((self.x == 0) & (self.z == 0)))
 
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import InvariantBasis, build_basis
+from .basis import InvariantBasis, _check_qubits, build_basis
 from .errors import DimensionError, NotUnitaryError, NumericError
 from .paulis import PauliSum, sum_to_matrix
 from .symmetry import SymmetryGroup
@@ -92,9 +92,6 @@ class Unitary:
     def n(self) -> int:
         return self.dim.bit_length() - 1
 
-    def dagger(self) -> "Unitary":
-        return Unitary(self.matrix.conj().T)
-
     def __repr__(self) -> str:
         return f"Unitary(dim={self.dim}, residual={self.unitarity_residual:.2e})"
 
@@ -151,8 +148,10 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
 
     Deterministic per seed; angles are uniform in [0, 2*pi).
     """
+    _check_qubits(n, group)
     if basis is None:
         basis = build_basis(n, group)
+    _check_qubits(n, basis.group)
     if len(basis) == 0:
         raise ValueError("degenerate group: the invariant basis is empty")
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from symsu import DimensionError, InvariantBasis, PauliString, QubitPermutation, Unitary, preset_group
+from symsu import DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary, preset_group
 
 ORACLE_LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -122,6 +122,34 @@ def inverse(p: QubitPermutation) -> QubitPermutation:
     return QubitPermutation(p.n, tuple(inv))
 
 
+def weight(p: PauliString) -> int:
+    """Number of non-identity letters."""
+    return (p.x_mask | p.z_mask).bit_count()
+
+
+def is_identity(p: PauliString) -> bool:
+    return p.x_mask == 0 and p.z_mask == 0
+
+
+def phase_free(p: PauliString) -> PauliString:
+    """The same letters with phase_exp 0 (canonical sum key)."""
+    return PauliString(p.n, p.x_mask, p.z_mask)
+
+
+def coefficient(s: PauliSum, p: PauliString) -> complex:
+    """The coefficient of p's letters in s, 0 if s lacks them."""
+    hit = (s.x == p.x_mask) & (s.z == p.z_mask) & (p.n == s.n)
+    return complex(s.coeffs[hit].sum())
+
+
+def has_identity_term(s: PauliSum) -> bool:
+    return bool(np.any((s.x == 0) & (s.z == 0)))
+
+
+def dagger(u: Unitary) -> Unitary:
+    return Unitary(u.matrix.conj().T)
+
+
 def orbit_members(basis: InvariantBasis, index: int) -> tuple:
     """The Pauli strings of basis element index."""
     return tuple(p for p, _ in basis.elements[index].terms)
@@ -132,12 +160,16 @@ def identity_unitary(n: int) -> Unitary:
 
 
 def basis_from_sums(n, group, sums) -> InvariantBasis:
-    """An InvariantBasis whose elements are the given sums: their arrays
-    stacked, element after element, with the offsets of their terms."""
-    sums = list(sums)
-    x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums] + [np.zeros(0, dtype)])
-                    for name, dtype in (("x", np.int64), ("z", np.int64), ("coeffs", complex)))
-    return InvariantBasis(n, group, x, z, coeffs, np.cumsum([0] + [len(s) for s in sums]))
+    """An InvariantBasis whose element k is sums[k]: its orbit table labels
+    every string of sums[k] with k and every other string -1.  The sums must
+    be disjoint and have unit coefficients, as a table expresses no other."""
+    table = np.full(4 ** n, -1)
+    for k, s in enumerate(sums):
+        keys = s.z << n | s.x
+        assert np.all(s.coeffs == 1), f"sum {k} has a coefficient other than 1"
+        assert np.all(table[keys] == -1), f"sum {k} shares a string with an earlier sum"
+        table[keys] = k
+    return InvariantBasis(n, group, table)
 
 
 # Letters by their (x, z) bits on one wire.

@@ -39,7 +39,7 @@ from symsu import (
 )
 from symsu.symmetry import _defects
 
-from conftest import orbit_terms_commute
+from conftest import orbit_terms_commute, weight
 
 
 def _full_sweep(m, group) -> float:
@@ -244,7 +244,7 @@ def test_criterion_6_circuit_round_trip():
                 ok, _ = is_invariant(u.matrix, group, 1e-9)
                 if not ok or _full_sweep(u.matrix, group) >= 1e-9:
                     failures.append(f"n={n} {rep}: compiled circuit not invariant")
-                expected_cnots = sum(2 * (p.weight - 1) for p, _ in element.terms)
+                expected_cnots = sum(2 * (weight(p) - 1) for p, _ in element.terms)
                 if circuit.count("CNOT") != expected_cnots:
                     failures.append(f"n={n} {rep}: CNOT count {circuit.count('CNOT')}"
                                     f" != {expected_cnots}")

@@ -27,6 +27,7 @@ from symsu import (
     is_invariant,
     pauli_orbit,
     preset_group,
+    random_invariant,
     sum_commutator,
     sum_to_matrix,
     symmetrize,
@@ -34,7 +35,8 @@ from symsu import (
     UnsupportedSymmetryError,
 )
 
-from conftest import basis_from_sums, conjugate_pauli, dict_closure, generator_sets, orbit_members, permute_mask
+from conftest import (basis_from_sums, conjugate_pauli, dict_closure, generator_sets, has_identity_term, orbit_members,
+                      permute_mask, phase_free)
 
 
 def P(label):
@@ -103,7 +105,7 @@ class TestOrbitEngineProperties:
         members = [p for orbit in found for p in orbit]
         assert len(members) == len(set(members)) == 4 ** n - 1
         assert {frozenset(orbit) for orbit in found} == {
-            frozenset(p.phase_free() for p in orbit) for orbit in oracle.values()}
+            frozenset(phase_free(p) for p in orbit) for orbit in oracle.values()}
         assert len(basis) == burnside_dimension(n, group)
         for s in strings:
             assert pauli_orbit(s, group) == oracle[s]
@@ -150,10 +152,10 @@ def assert_matches_scalar_orbits(n, group, pauli_orbit_stride=1):
     """build_basis (table and elements) and pauli_orbit against scalar_orbits."""
     orbits = scalar_orbits(n, group)
     basis = build_basis(n, group)
-    table = np.full(4 ** n, len(orbits))
+    table = np.full(4 ** n, -1)
     for k, orbit in enumerate(orbits):
         table[orbit] = k
-    assert np.array_equal(basis._orbit_of, table)
+    assert np.array_equal(basis.orbit_of, table)
     # Canonical term order is (z, x) order, which is key order.
     assert [(e.z << n | e.x).tolist() for e in basis.elements] == orbits
     assert all(np.array_equal(e.coeffs, np.ones(len(e), dtype=complex)) for e in basis.elements)
@@ -243,7 +245,7 @@ class TestBuildBasis:
         basis = build_basis(3, s3)
         for e in basis.elements:
             assert e.is_hermitian()
-            assert not e.has_identity_term
+            assert not has_identity_term(e)
             m = sum_to_matrix(e)
             assert np.trace(m) == 0
             flag, _ = is_invariant(m, s3, 1e-12)
@@ -264,14 +266,30 @@ class TestBuildBasis:
             build_basis(11, g)
 
     def test_basis_on_another_qubit_count_rejected(self, s2, s3):
-        # A group on another qubit count, or masks wider than n bits, is
-        # refused; build_basis refuses the mismatch too.
-        two, three = build_basis(2, s2).elements, build_basis(3, s3).elements
-        for n, group, elements in ((3, s2, two), (1, s2, two), (2, s2, three)):
+        # A group on another qubit count, or a table of other than 4^n
+        # labels, is refused; build_basis refuses the mismatch too.
+        two, three = build_basis(2, s2).orbit_of, build_basis(3, s3).orbit_of
+        for n, group, table in ((3, s2, two), (1, s2, two), (2, s2, three), (3, s3, two)):
             with pytest.raises(DimensionError):
-                basis_from_sums(n, group, elements)
+                InvariantBasis(n, group, table)
         with pytest.raises(DimensionError):
             build_basis(3, s2)
+
+    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral", "trivial"])
+    def test_table_rebuilds_the_basis(self, preset):
+        for n in range(1, 5):
+            group = preset_group(preset, n)
+            built = build_basis(n, group)
+            rebuilt = InvariantBasis(n, group, built.orbit_of)
+            assert rebuilt == built and hash(rebuilt) == hash(built)
+
+    def test_table_is_copied_and_frozen(self, s3):
+        table = build_basis(3, s3).orbit_of.copy()
+        basis = InvariantBasis(3, s3, table)
+        table[:] = -1
+        assert basis == build_basis(3, s3) and len(basis) == 19
+        for name in ("orbit_of", "x", "z", "offsets"):
+            assert not getattr(basis, name).flags.writeable
 
     @pytest.mark.parametrize("preset, n", [("full_swap", 9), ("full_swap", 10), ("cyclic", 9)])
     def test_closed_form_sizes_past_eight_qubits(self, preset, n):
@@ -300,37 +318,27 @@ class TestBuildBasis:
 
 
 class TestBasisValidation:
-    """The basis constructor refuses elements that would give in_span and
-    closure_report a zero orbit size or a shared orbit table entry."""
+    """The basis constructor refuses orbit tables that would give in_span
+    and closure_report a zero orbit size or an identity element."""
 
     @pytest.fixture
-    def sums(self, s2):
-        return build_basis(2, s2).elements
+    def table(self, s2):
+        return build_basis(2, s2).orbit_of.copy()
 
-    def test_empty_element(self, s2, sums):
+    def test_empty_element(self, s2, table):
+        table[table >= 1] += 1  # no string keeps label 1
         with pytest.raises(ValueError, match="basis element 1 is empty"):
-            basis_from_sums(2, s2, [sums[0], PauliSum.zero(2), *sums[1:]])
+            InvariantBasis(2, s2, table)
 
-    def test_shared_string(self, s2, sums):
-        xx = PauliSum.from_labels(2, [("XX", 1)])
-        with pytest.raises(ValueError, match="basis element 1 .* shares a string"):
-            basis_from_sums(2, s2, [*sums[:2], sums[2] + xx, *sums[3:]])  # element 1 is XX
+    def test_identity_string(self, s2, table):
+        table[0] = 2
+        with pytest.raises(ValueError, match="basis element 2 holds the identity string"):
+            InvariantBasis(2, s2, table)
 
-    def test_identity_string(self, s2, sums):
-        with pytest.raises(ValueError, match="basis element 2 .* holds the identity string"):
-            basis_from_sums(2, s2, [*sums[:2], sums[2] + PauliSum.from_labels(2, [("II", 1)]), *sums[3:]])
-
-    def test_unsorted_element_and_bad_offsets(self, s2):
-        with pytest.raises(ValueError, match="basis element 0 is empty, unsorted"):
-            InvariantBasis(2, s2, np.array([2, 1]), np.zeros(2, np.int64), np.ones(2, complex), np.array([0, 2]))
-        with pytest.raises(ValueError, match="offsets must rise from 0"):
-            InvariantBasis(2, s2, np.array([1, 2]), np.zeros(2, np.int64), np.ones(2, complex), np.array([1, 2]))
-
-    def test_scaled_basis_keeps_the_orbit_table(self, s3):
-        sums = build_basis(3, s3).elements
-        basis = basis_from_sums(3, s3, [2.0 * sums[0], *sums[1:]])
-        assert basis.elements[0] == 2.0 * sums[0] and len(basis) == 19
-        assert basis._orbit_of.tolist() == build_basis(3, s3)._orbit_of.tolist()
+    def test_label_below_minus_one(self, s2, table):
+        table[5] = -2
+        with pytest.raises(ValueError, match="got -2"):
+            InvariantBasis(2, s2, table)
 
 
 def closed_form_dimension(preset, n):
@@ -343,6 +351,16 @@ def closed_form_dimension(preset, n):
     return {"full_swap": math.comb(n + 3, 3),
             "cyclic": necklaces,
             "dihedral": (necklaces + reflected) // 2}[preset] - 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda s3: burnside_dimension(5, s3),
+    lambda s3: random_invariant(5, s3, 0, 0, basis=build_basis(3, s3)),
+    lambda s3: random_invariant(5, s3, 0, 2, basis=build_basis(3, s3)),
+], ids=["burnside", "random_depth_0", "random_depth_2"])
+def test_group_on_another_qubit_count_rejected(s3, call):
+    with pytest.raises(DimensionError, match="group acts on 3 qubits, basis requested for 5"):
+        call(s3)
 
 
 class TestBurnside:

@@ -22,7 +22,7 @@ from symsu import (
 )
 from symsu.circuits import H_MATRIX, SDG_MATRIX, S_MATRIX, rz_matrix
 
-from conftest import dense_label, dense_sum, fro, orbit_terms_commute
+from conftest import dense_label, dense_sum, fro, orbit_terms_commute, weight
 
 
 def P(label):
@@ -130,7 +130,7 @@ class TestSinglePauliExponential:
         rng = np.random.default_rng(0)
         for label in ("XY", "XZY", "YYXZ", "ZIYX", "IYZI"):
             c = synthesize_pauli_exponential(P(label), float(rng.uniform(0, 2 * np.pi)))
-            w = P(label).weight
+            w = weight(P(label))
             assert c.count("CNOT") == 2 * (w - 1)
             assert c.count("RZ") == 1
             basis_changes = c.count("H") + c.count("S") + c.count("SDG")

@@ -34,7 +34,7 @@ from symsu import unitary_ops
 from symsu.paulis import PauliString
 from symsu.unitary_ops import UNITARITY_TOL, _cluster_indices, _spectral_product, _unitarity_residual
 
-from conftest import dense_label, dense_sum, fro, identity_unitary
+from conftest import dagger, dense_label, dense_sum, fro, identity_unitary
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -316,7 +316,7 @@ class TestCompose:
 
     def test_inverse_pair(self, s2):
         u = random_invariant(2, s2, seed=1, depth=3)
-        assert fro(compose(u, u.dagger()).matrix - np.eye(4)) < 1e-12
+        assert fro(compose(u, dagger(u)).matrix - np.eye(4)) < 1e-12
 
     def test_applies_first_operand_first(self):
         a = Unitary(SWAP)
