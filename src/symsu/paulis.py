@@ -336,3 +336,14 @@ def sum_to_matrix(s: PauliSum) -> np.ndarray:
         entries = np.where(odd, -value[lo:hi], value[lo:hi])
         np.add.at(out, (b ^ x[lo:hi], np.broadcast_to(b, entries.shape)), entries)
     return out
+
+
+def _flip_cosets(s: PauliSum) -> np.ndarray:
+    """The cosets of the x masks' span in GF(2)^n, a (2^(n-r), 2^r) array of basis states
+    a row each: a term maps |b> to |b ^ x>, so sum_to_matrix(s) is zero between rows.
+    A state's row is named by the state with every pivot bit cleared (Gaussian elimination)."""
+    reduced = np.arange(1 << s.n)  # each state reduced over the span of the masks so far
+    for v in sorted(set(s.x.tolist())):
+        if reduced[v]:  # outside the span: its leading bit is a new pivot, cleared from all
+            reduced = np.minimum(reduced, reduced ^ reduced[v])
+    return np.argsort(reduced, kind="stable").reshape(-1, np.count_nonzero(reduced == 0))

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import InvariantBasis, _check_qubits, build_basis
+from .basis import InvariantBasis, _check_qubits, _generator_images, build_basis
 from .errors import DimensionError, NotUnitaryError, NumericError
-from .paulis import PauliSum, sum_to_matrix
-from .symmetry import SymmetryGroup
+from .paulis import PauliSum, _flip_cosets, sum_to_matrix
+from .symmetry import SymmetryGroup, _move_masks
 
 UNITARITY_TOL = 1e-9
 
@@ -34,39 +34,51 @@ _REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost 
 
 
 def _unitarity_residual(m: np.ndarray) -> float:
-    """||M M+ - 1||_F; from _REAL_PRODUCT_DIM on, for M = A + iB, Re(M M+) =
-    A A^T + B B^T is one symmetric product of M's interleaved real view and
-    Im(M M+) = K - K^T with K = B A^T."""
-    dim = len(m)
+    """||M M+ - 1||_F, over all blocks of a stack; from _REAL_PRODUCT_DIM on, for
+    M = A + iB, Re(M M+) = A A^T + B B^T is one symmetric product of M's
+    interleaved real view and Im(M M+) = K - K^T with K = B A^T."""
+    dim = m.shape[-1]
     if dim < _REAL_PRODUCT_DIM:
-        return float(np.linalg.norm(m @ m.conj().T - np.eye(dim)))
-    r = np.ascontiguousarray(m).view(np.float64).reshape(dim, -1)
-    re = r @ r.T
-    re.flat[::dim + 1] -= 1.0
+        return float(np.linalg.norm(m @ m.conj().mT - np.eye(dim)))
+    r = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape[:-1], -1)
+    re = r @ r.mT
+    re.reshape(-1, dim * dim)[:, ::dim + 1] -= 1.0
     sq = np.vdot(re, re)
     if np.iscomplexobj(m):
-        k = np.ascontiguousarray(m.imag) @ np.ascontiguousarray(m.real).T
-        im = k - k.T
+        k = np.ascontiguousarray(m.imag) @ np.ascontiguousarray(m.real).mT
+        im = k - k.mT
         sq += np.vdot(im, im)
     return float(np.sqrt(sq))
 
 
-def _spectral_product(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """P diag(d) P+, from two real products when P is real (from _REAL_PRODUCT_DIM on)."""
-    if np.iscomplexobj(p) or len(p) < _REAL_PRODUCT_DIM:
-        return (p * d) @ p.conj().T
-    out = ((p * d.real) @ p.T).astype(complex)
-    out.imag = (p * d.imag) @ p.T
+def _spectral_product(p: np.ndarray, d: np.ndarray, cosets=None) -> np.ndarray:
+    """P diag(d) P+, a stack's blocks scattered onto the rows of a coset table; from two
+    real products when P is real (from _REAL_PRODUCT_DIM on), one when d is real."""
+    if np.iscomplexobj(p) or p.shape[-1] < _REAL_PRODUCT_DIM:
+        out = (p * d[..., None, :]) @ p.conj().mT
+    else:
+        out = ((p * d.real[..., None, :]) @ p.mT).astype(complex)
+        if d.imag.any():
+            out.imag = (p * d.imag[..., None, :]) @ p.mT
+    if cosets is not None:
+        out, blocks = np.zeros((cosets.size,) * 2, dtype=complex), out
+        out[cosets[:, :, None], cosets[:, None, :]] = blocks
     return out
+
+
+def _blocks(m: np.ndarray, cosets) -> np.ndarray:
+    """The stack of m's blocks on the rows of a coset table; m for no table."""
+    return m if cosets is None else m[cosets[:, :, None], cosets[:, None, :]]
 
 
 class Unitary:
     """A dense square matrix validated to be unitary at construction: the
-    residual ||UU+ - 1||_F of the stored matrix, by _unitarity_residual."""
+    residual ||UU+ - 1||_F of the stored matrix, by _unitarity_residual; taken on
+    the blocks of a coset table `_cosets`, then kept, if the matrix is zero off them."""
 
-    __slots__ = ("matrix", "unitarity_residual", "_eig", "_spectrum")
+    __slots__ = ("matrix", "unitarity_residual", "_eig", "_spectrum", "_cosets")
 
-    def __init__(self, matrix, tol: float = UNITARITY_TOL):
+    def __init__(self, matrix, tol: float = UNITARITY_TOL, _cosets=None):
         m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -75,7 +87,10 @@ class Unitary:
             raise DimensionError(f"dimension {dim} is not a power of two")
         if not np.isfinite(m).all():
             raise NotUnitaryError("matrix has a non-finite entry")
-        residual = _unitarity_residual(m)
+        blocks = _blocks(m, _cosets)
+        if _cosets is not None and np.count_nonzero(blocks) != np.count_nonzero(m):
+            blocks, _cosets = m, None  # a nonzero entry off the blocks
+        residual = _unitarity_residual(blocks)
         if not residual < tol:
             raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
         m.setflags(write=False)
@@ -83,6 +98,7 @@ class Unitary:
         self.unitarity_residual = residual
         self._eig = None
         self._spectrum = None
+        self._cosets = _cosets
 
     @property
     def dim(self) -> int:
@@ -97,21 +113,25 @@ class Unitary:
 
 
 def _generator_spectrum(h: PauliSum) -> tuple:
-    """Eigenpairs (w, v) of H's realization, with v read-only since a basis shares it."""
+    """(w, v, table): eigenpairs of H's realization, v read-only since a basis shares it, stacked
+    by the rows of its _flip_cosets table if two or more from _REAL_PRODUCT_DIM on, else table None."""
     if not h.is_hermitian():
         raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
     hm = sum_to_matrix(h)
+    cosets = _flip_cosets(h) if len(hm) >= _REAL_PRODUCT_DIM else None
+    cosets = cosets if cosets is not None and len(cosets) > 1 else None
+    hm = _blocks(hm, cosets)  # the dense realization is freed before the solve
     w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
     v.setflags(write=False)
-    return w, v
+    return w, v, cosets
 
 
-def _spectral_exp(w: np.ndarray, v: np.ndarray, alpha: float) -> Unitary:
+def _spectral_exp(w: np.ndarray, v: np.ndarray, cosets, alpha: float) -> Unitary:
     """exp(-i*alpha/2 * H) from H's eigenpairs, which stay on the result for eig_unitary."""
     if not math.isfinite(alpha):
         raise ValueError(f"angle alpha must be finite, got {alpha}")
     lambdas = np.exp(-0.5j * alpha * w)
-    u = Unitary(_spectral_product(v, lambdas))
+    u = Unitary(_spectral_product(v, lambdas, cosets), _cosets=cosets)
     u._spectrum = (v, lambdas)
     return u
 
@@ -146,12 +166,18 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
                      basis: InvariantBasis | None = None) -> Unitary:
     """Product of `depth` exponentials of uniformly drawn basis elements.
 
-    Deterministic per seed; angles are uniform in [0, 2*pi).
+    Deterministic per seed; angles are uniform in [0, 2*pi).  A basis of
+    another group must keep its orbit table under the group's generators.
     """
     _check_qubits(n, group)
     if basis is None:
         basis = build_basis(n, group)
     _check_qubits(n, basis.group)
+    if basis.group is not group:
+        z, x = np.divmod(np.arange(1 << 2 * n), 1 << n)  # of the string keys z << n | x
+        if any(not np.array_equal(basis.orbit_of[_move_masks(z, row) << n | _move_masks(x, row)], basis.orbit_of)
+               for row in _generator_images(group).tolist()):
+            raise ValueError(f"a basis of group {basis.group.name!r} is not invariant under {group.name!r}")
     if len(basis) == 0:
         raise ValueError("degenerate group: the invariant basis is empty")
     rng = np.random.default_rng(seed)
@@ -168,15 +194,18 @@ class EigDecomposition:
     """Orthonormal eigenvectors and clustered eigenphases of a unitary.
 
     ``clusters`` holds half-open column ranges of equal eigenvalues;
-    thetas are identical within each cluster and lie in (-pi, pi].
+    thetas are identical within each cluster and lie in (-pi, pi].  With
+    ``cosets``, block k (on the states cosets[k]) is eigenvectors[k] and
+    thetas[k], and clusters index the stack's flattened columns.
     """
 
     eigenvectors: np.ndarray
     thetas: np.ndarray
     clusters: tuple
+    cosets: np.ndarray | None = None
 
     def reconstruct(self, t: float = 1.0) -> np.ndarray:
-        return _spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas))
+        return _spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas), self.cosets)
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -200,19 +229,18 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return np.split(members, starts)
 
 
-def _assemble(vectors: np.ndarray, lambdas: np.ndarray) -> EigDecomposition:
-    """Cluster the eigenvalues of a Hermitian eigensolve's orthonormal
-    columns and gather the columns cluster by cluster, sorted by theta."""
-    reps = []
-    for members in _cluster_indices(lambdas, CLUSTER_TOL):
-        rep = np.mean(lambdas[members])
-        reps.append((float(np.angle(rep / abs(rep))), members))
-    reps.sort(key=lambda item: item[0])
-    sizes = [len(members) for _, members in reps]
-    stops = np.cumsum(sizes).tolist()
-    return EigDecomposition(vectors[:, np.concatenate([members for _, members in reps])],
-                            np.repeat([theta for theta, _ in reps], sizes),
-                            tuple(zip([0] + stops[:-1], stops)))
+def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cosets=None) -> EigDecomposition:
+    """Cluster the eigenvalues of Hermitian eigensolves' orthonormal columns, over
+    all blocks of a stack, and sort each block's columns by theta, ties by index."""
+    flat, thetas = lambdas.reshape(-1), np.empty(lambdas.size)
+    for members in _cluster_indices(flat, CLUSTER_TOL):
+        rep = np.mean(flat[members])
+        thetas[members] = np.angle(rep / abs(rep))
+    order = np.argsort(thetas.reshape(lambdas.shape), axis=-1, kind="stable")
+    thetas = np.take_along_axis(thetas.reshape(lambdas.shape), order, -1)
+    starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf)).tolist()  # and every block's start
+    return EigDecomposition(np.take_along_axis(vectors, order[..., None, :], -1), thetas,
+                            tuple(zip(starts, starts[1:] + [thetas.size])), cosets)
 
 
 def _cayley_decomposition(m: np.ndarray) -> EigDecomposition:
@@ -247,10 +275,11 @@ def eig_unitary(a) -> EigDecomposition:
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     stored = getattr(a, "_spectrum", None)
-    routes = ([] if stored is None else [lambda _: _assemble(*stored)]) + [_cayley_decomposition]
+    routes = ([] if stored is None else [lambda _: _assemble(*stored, a._cosets)]) + [_cayley_decomposition]
     for route in routes:
         dec = route(m)
-        recon = float(np.linalg.norm(dec.reconstruct() - m))
+        d = np.exp(1j * dec.thetas)  # a table is a's, whose matrix is checked zero off its blocks
+        recon = float(np.linalg.norm(_spectral_product(dec.eigenvectors, d) - _blocks(m, dec.cosets)))
         ortho = _unitarity_residual(dec.eigenvectors)  # = ||P+P - 1|| for a square P
         if recon < RECONSTRUCTION_TOL and ortho < RECONSTRUCTION_TOL:
             return dec
@@ -273,7 +302,7 @@ def connectedness_path(a: Unitary, t: float) -> Unitary:
     if a._eig is None:
         a._eig = eig_unitary(a)
         a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
-    return Unitary(a._eig.reconstruct(t))
+    return Unitary(a._eig.reconstruct(t), _cosets=a._eig.cosets)
 
 
 def project_to_su(u: Unitary) -> Unitary:
@@ -282,6 +311,6 @@ def project_to_su(u: Unitary) -> Unitary:
     The factor is a global phase, so commutation with every symmetry
     element is unchanged.
     """
-    d = complex(np.linalg.det(u.matrix))
+    d = complex(np.prod(np.linalg.det(_blocks(u.matrix, u._cosets))))
     factor = abs(d) ** (-1.0 / u.dim) * np.exp(-1j * np.angle(d) / u.dim)
-    return Unitary(u.matrix * factor)
+    return Unitary(u.matrix * factor, _cosets=u._cosets)

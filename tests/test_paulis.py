@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symsu import (
@@ -408,3 +408,51 @@ class TestSerialization:
             PauliSum.from_text("1.0 * XI")
         with pytest.raises(ValueError):
             PauliSum.from_text("")
+
+
+def xor_span(masks) -> set:
+    """Every XOR of a subset of the masks, by closure: the oracle for the
+    elimination in paulis._flip_cosets."""
+    span = {0}
+    for x in masks:
+        span |= {s ^ x for s in span}
+    return span
+
+
+@st.composite
+def flip_sums(draw):
+    """Random sums on n <= 7 qubits whose x masks span anything from {0} to all
+    of GF(2)^n: x masks drawn from a few generators, odd Y counts included."""
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 1))
+    count = draw(st.integers(1, 6))
+    terms = []
+    for _ in range(count):
+        x = 0
+        for g in gens:
+            if draw(st.booleans()):
+                x ^= g
+        z = draw(st.integers(0, (1 << n) - 1))
+        terms.append((PauliString(n, x, z), draw(st.floats(-2, 2).filter(lambda c: abs(c) > 0.1))))
+    return PauliSum(n, terms)
+
+
+class TestFlipCosets:
+    """The realization of a sum vanishes between the cosets of its x-mask span."""
+
+    @given(flip_sums())
+    @settings(max_examples=120, deadline=None)
+    @example(PauliSum.from_labels(5, [("ZZIZI", 0.7), ("IIZZZ", -1.2)]))  # x = 0: 32 blocks
+    @example(PauliSum.from_labels(4, [("IIII", 0.5), ("YZIX", 1.1), ("IYYI", 0.3)]))  # identity term, odd Y
+    @example(PauliSum.from_labels(6, [(f"{'I' * (5 - q)}X{'I' * q}", 1.0) for q in range(6)]))  # full rank
+    @example(PauliSum.zero(3))
+    def test_cosets_partition_the_states(self, s):
+        cosets = paulis._flip_cosets(s)
+        span = xor_span(s.x.tolist())
+        assert cosets.shape == ((1 << s.n) // len(span), len(span))
+        assert np.array_equal(np.sort(cosets, axis=None), np.arange(1 << s.n))
+        for row in cosets.tolist():
+            assert set(row) == {row[0] ^ v for v in span}
+        same = np.zeros((1 << s.n,) * 2, dtype=bool)
+        same[cosets[:, :, None], cosets[:, None, :]] = True
+        assert not np.any(sum_to_matrix(s)[~same])

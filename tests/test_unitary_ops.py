@@ -357,6 +357,17 @@ class TestRandomInvariant:
         b = random_invariant(2, s2, seed=2, depth=8)
         assert fro(a.matrix - b.matrix) > 1e-3
 
+    def test_basis_of_a_smaller_group_rejected(self):
+        cyclic = preset_group("cyclic", 3)
+        with pytest.raises(ValueError, match="a basis of group 'trivial' is not invariant under 'cyclic'"):
+            random_invariant(3, cyclic, 0, 4, basis=build_basis(3, preset_group("trivial", 3)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_basis_of_a_larger_group_accepted(self, n):
+        cyclic = preset_group("cyclic", n)
+        u = random_invariant(n, cyclic, 0, 4, basis=build_basis(n, preset_group("full_swap", n)))
+        assert is_invariant(u.matrix, cyclic, 1e-9)[0]
+
 
 class TestBasisSpectra:
     """Each element's eigenpairs are kept on its basis; the exponentials
@@ -387,7 +398,7 @@ class TestBasisSpectra:
             oracle = exp_generator(element, alpha).matrix
             for _ in range(2):  # the second call reads the kept spectrum
                 assert np.array_equal(unitary_ops._basis_exp(basis, k, alpha).matrix, oracle)
-        real = [np.isrealobj(v) for _, v in basis._spectra.values()]
+        real = [np.isrealobj(v) for _, v, _ in basis._spectra.values()]
         assert len(real) == len(basis) and any(real) and not all(real)
 
     def test_kept_spectra_stop_at_the_byte_budget(self, s3, monkeypatch):
@@ -402,7 +413,7 @@ class TestBasisSpectra:
     def test_kept_spectra_are_read_only(self, s2):
         basis = build_basis(2, s2)
         u = unitary_ops._basis_exp(basis, 0, 0.3)
-        _, v = basis._spectra[0]
+        _, v, _ = basis._spectra[0]
         assert u._spectrum[0] is v and not v.flags.writeable
 
     def test_filled_basis_compares_as_fresh(self, s3):
@@ -647,3 +658,125 @@ class TestProjectToSu:
         _, before = is_invariant(u.matrix, s3, 1e-8)
         _, after = is_invariant(projected.matrix, s3, 1e-8)
         assert abs(before - after) < 1e-12
+
+
+def chain_sum(terms, group) -> PauliSum:
+    h = None
+    for label, c in terms:
+        s = symmetrize(PauliString.from_label(label), group) * c
+        h = s if h is None else h + s
+    return h
+
+
+class TestFlipBlocks:
+    """From _REAL_PRODUCT_DIM on, exp_generator, its path and project_to_su work
+    block by block on the cosets of the generator's x-mask span."""
+
+    @staticmethod
+    def sums():
+        rng = np.random.default_rng(23)
+        pad = "I" * 3
+        yield chain_sum([(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],
+                        preset_group("cyclic", 6))  # real, 2 blocks
+        yield chain_sum([(pad + "IXY", 0.9), (pad + "IIZ", 0.7)], preset_group("cyclic", 6))  # complex
+        yield PauliSum.from_labels(7, [("ZIZIZZI", 0.9), ("IZZIIIZ", -0.4)])  # x = 0: 128 blocks of 1
+        for odd_y in (False, True):  # x masks from two generators; even Y counts, or mixed
+            gens = [int(g) for g in rng.integers(1, 1 << 6, size=2)]
+            terms = []
+            for k in range(6):
+                x = gens[0] * (k & 1) ^ gens[1] * (k >> 1 & 1)
+                z = int(rng.integers(1 << 6))
+                if bin(x & z).count("1") % 2 != odd_y:
+                    z ^= x & -x  # flips one Y letter
+                terms.append((PauliString(6, x, z), float(rng.normal())))
+            yield PauliSum(6, terms)
+
+    def test_matches_dense_route_and_expm(self):
+        def run(h, alpha):
+            u = exp_generator(h, alpha)
+            return [u, *(connectedness_path(u, t) for t in (0.0, 0.5, 1.0)), project_to_su(u)]
+
+        for h in self.sums():
+            cosets = unitary_ops._generator_spectrum(h)[2]
+            assert cosets is not None and len(cosets) > 1
+            hm = dense_sum([(p.to_label(), c) for p, c in h.terms])
+            alpha = 2.5 / np.abs(np.linalg.eigvalsh(hm)).max()  # eigenphases inside (-pi, pi)
+            blocked = run(h, alpha)
+            with complex_products():
+                dense = run(h, alpha)
+            assert np.array_equal(blocked[0]._cosets, cosets)
+            assert all(u._cosets is not None for u in blocked) and all(u._cosets is None for u in dense)
+            for a, b in zip(blocked, dense):
+                assert np.abs(a.matrix - b.matrix).max() < 1e-12
+                assert abs(a.unitarity_residual - b.unitarity_residual) < 1e-12
+            for t, point in zip((1.0, 0.0, 0.5, 1.0), blocked[:4]):
+                assert np.abs(point.matrix - expm(-0.5j * t * alpha * hm)).max() < 1e-12
+            oracle = expm(-0.5j * alpha * hm)
+            d = np.linalg.det(oracle)
+            oracle = oracle * abs(d) ** (-1.0 / len(hm)) * np.exp(-1j * np.angle(d) / len(hm))
+            assert np.abs(blocked[4].matrix - oracle).max() < 1e-12
+
+    def test_off_block_entry_is_never_validated_blockwise(self):
+        h = next(self.sums())
+        u = exp_generator(h, 1.3)
+        cosets = u._cosets
+        m = u.matrix.copy()
+        m[cosets[0, 0], cosets[1, 0]] = 1e-6
+        blocks = unitary_ops._blocks(m, cosets)
+        assert _unitarity_residual(blocks) < UNITARITY_TOL  # the blocks alone look unitary
+        with pytest.raises(NotUnitaryError):
+            Unitary(m, _cosets=cosets)
+        loose = Unitary(m, tol=1.0, _cosets=cosets)
+        assert loose._cosets is None and loose.unitarity_residual == _unitarity_residual(m)
+
+    def test_ten_qubit_chain_never_eigensolves_the_whole_space(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def blockwise_eigh(a, *args, **kwargs):
+            assert a.shape[-1] < 1024, "eigh ran on a 1024 x 1024 array"
+            return eigh(a, *args, **kwargs)
+
+        def refuse(*_):
+            raise AssertionError("the Cayley route ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", blockwise_eigh)
+        monkeypatch.setattr(unitary_ops, "_cayley_decomposition", refuse)
+        n, pad = 10, "I" * 7
+        h = chain_sum([(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],
+                      preset_group("cyclic", n))
+        u = exp_generator(h, 2.9)
+        assert u._cosets.shape == (2, 512)
+        half = connectedness_path(u, 0.5)
+        assert fro(half.matrix @ half.matrix - u.matrix) < 1e-9
+        assert abs(np.linalg.det(project_to_su(u).matrix) - 1) < 1e-9
+
+
+class TestRealEigenvaluesSkipAProduct:
+    """A(0) and other real d take one real product, bit for bit the two-product result."""
+
+    @staticmethod
+    def two_products(p, d):
+        out = ((p * d.real[..., None, :]) @ p.mT).astype(complex)
+        out.imag = (p * d.imag[..., None, :]) @ p.mT
+        return out
+
+    def test_real_d_on_both_routes(self):
+        rng = np.random.default_rng(4)
+        thetas = rng.uniform(-np.pi, np.pi, (3, 64))
+        d = np.exp(1j * 0.0 * thetas)
+        stack = np.stack([random_unitary(rng, 64, real=True) for _ in range(3)])
+        for p, dd in ((stack[0], d[0]), (stack, d)):
+            assert np.array_equal(_spectral_product(p, dd), self.two_products(p, dd))
+
+    def test_path_start(self):
+        n, pad = 7, "I" * 4
+        h = chain_sum([(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],
+                      preset_group("cyclic", n))
+        u = exp_generator(h, 2.9)
+        start = connectedness_path(u, 0.0).matrix
+        dec = u._eig
+        assert np.isrealobj(dec.eigenvectors) and dec.cosets is not None
+        oracle = np.zeros_like(start)
+        oracle[dec.cosets[:, :, None], dec.cosets[:, None, :]] = self.two_products(
+            dec.eigenvectors, np.exp(0j * dec.thetas))
+        assert np.array_equal(start, oracle)
