@@ -262,14 +262,26 @@ def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
     """||S U - U S|| for the wire permutation S of each image row.
 
     The entries of S U - U S are those of S U S+ - U in another order, and
-    S U S+ is U seen as a (2,)*2n tensor (axis k of each half is qubit
-    n-1-k) with the wire permutation applied to its row and column axes.
+    (S U S+)[i, j] = U[q(i), q(j)], where q(b), the basis state of S+|b>,
+    has bit w of b at bit image^-1[w]: q is the product of 2^image^-1 and
+    the states' bits, 512 rows at a time.  Per row, a row and a column gather
+    of U fill one C-ordered buffer, U is subtracted in place, and
+    np.linalg.norm's two dots sum it in row order, so a defect does not
+    depend on U's memory layout.
     """
     n = images.shape[1]
-    t = m.reshape((2,) * 2 * n)
-    axes = np.empty_like(images)
-    np.put_along_axis(axes, n - 1 - images, np.arange(n - 1, -1, -1), axis=1)
-    return np.array([np.linalg.norm(t.transpose(a) - t) for a in np.hstack((axes, axes + n)).tolist()])
+    bits = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # bits[w, b]: bit w of state b
+    m = np.ascontiguousarray(m)
+    rows, diff = np.empty(m.shape, m.dtype), np.empty(m.shape, m.dtype)
+    re, im = diff.reshape(-1).real, diff.reshape(-1).imag
+    sq = np.empty(len(images))
+    for start in range(0, len(images), 512):
+        for k, q in enumerate((1 << images[start:start + 512].argsort(axis=1)) @ bits, start):
+            m.take(q, axis=0, out=rows, mode="clip")
+            rows.take(q, axis=1, out=diff, mode="clip")
+            np.subtract(diff, m, out=diff)
+            sq[k] = re.dot(re) + im.dot(im)
+    return np.sqrt(sq, out=sq)
 
 
 def symmetry_defect(u, element) -> float:

@@ -26,8 +26,8 @@ CLUSTER_TOL = 1e-8
 
 RECONSTRUCTION_TOL = 1e-9
 
-# Bytes of element eigenpairs one basis keeps for _basis_exp, each counted as a complex
-# 2^n x 2^n matrix: all of cyclic n=6 (d = 699), 4 at n=10; later ones are not kept.
+# Bytes of element eigenpairs one basis keeps for _basis_exp, as their arrays hold them: all of
+# cyclic n=6 (d = 699); at n=10, 4 dense complex ones (16 MiB each) or more blocked or real ones.
 _SPECTRA_BYTES = 1 << 26
 
 _REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost more than they save
@@ -150,7 +150,8 @@ def _basis_exp(basis: InvariantBasis, k: int, alpha: float) -> Unitary:
     """exp_generator(basis.elements[k], alpha), eigensolving each element once per
     basis while its kept eigenpairs fit in _SPECTRA_BYTES."""
     spectrum = basis._spectra.get(k) or _generator_spectrum(basis.elements[k])
-    if k not in basis._spectra and (len(basis._spectra) + 1) * 16 << 2 * basis.n <= _SPECTRA_BYTES:
+    if k not in basis._spectra and sum(
+            a.nbytes for kept in (*basis._spectra.values(), spectrum) for a in kept if a is not None) <= _SPECTRA_BYTES:
         basis._spectra[k] = spectrum
     return _spectral_exp(*spectrum, alpha)
 
@@ -243,41 +244,44 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cosets=None) -> EigDecom
                             tuple(zip(starts, starts[1:] + [thetas.size])), cosets)
 
 
-def _cayley_decomposition(m: np.ndarray) -> EigDecomposition:
+def _cayley_decomposition(m: np.ndarray, cosets=None) -> EigDecomposition:
     """One Hermitian eigensolve of the Cayley transform H = i(1 - A')(1 + A')^-1
     of A' = exp(i phi) A, whose eigenvalue tan(theta'/2) has slope at least 1/2
-    in the eigenphase theta' = theta + phi.
+    in the eigenphase theta' = theta + phi; per block, with one phi each, for a
+    stack of the blocks on the rows of a coset table.
 
     So eigenvectors are as well conditioned as the eigenphases are apart; the
     real part cos(theta) would map theta and -theta alike.  phi rotates onto -1,
     where tan(theta'/2) diverges, the middle of the widest gap between the
     candidate eigenphases +-arccos of the real part's eigenvalues.
     """
-    cos = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2), -1.0, 1.0)
-    phases = np.sort(np.concatenate((np.arccos(cos), -np.arccos(cos))))
-    gaps = np.diff(phases, append=phases[0] + 2 * np.pi)
-    k = int(np.argmax(gaps))
-    phi = np.pi - phases[k] - gaps[k] / 2
-    a, eye = np.exp(1j * phi) * m, np.eye(len(m))
+    cos = np.clip(np.linalg.eigvalsh((m + m.conj().mT) / 2), -1.0, 1.0)
+    phases = np.sort(np.concatenate((np.arccos(cos), -np.arccos(cos)), axis=-1), axis=-1)
+    gaps = np.diff(phases, axis=-1, append=phases[..., :1] + 2 * np.pi)
+    k = np.argmax(gaps, axis=-1)[..., None]
+    phi = np.pi - np.take_along_axis(phases, k, -1) - np.take_along_axis(gaps, k, -1) / 2
+    a, eye = np.exp(1j * phi)[..., None] * m, np.eye(m.shape[-1])
     h = 1j * np.linalg.solve(eye + a, eye - a)
-    mu, v = np.linalg.eigh((h + h.conj().T) / 2)
+    mu, v = np.linalg.eigh((h + h.conj().mT) / 2)
     theta = np.pi - np.mod(np.pi + phi - 2 * np.arctan(mu), 2 * np.pi)  # in (-pi, pi]
-    return _assemble(v, np.exp(1j * theta))
+    return _assemble(v, np.exp(1j * theta), cosets)
 
 
 def eig_unitary(a) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
     Both routes are Hermitian eigensolves: the spectrum a Unitary from
-    exp_generator carries, then the Cayley route.  The first whose P
+    exp_generator carries, then the Cayley route, on the blocks of a
+    Unitary's coset table if it has one.  The first whose P
     reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL
     wins; NumericError names the last route's residuals if none does.
     """
     m = np.asarray(getattr(a, "matrix", a), dtype=complex)
-    stored = getattr(a, "_spectrum", None)
-    routes = ([] if stored is None else [lambda _: _assemble(*stored, a._cosets)]) + [_cayley_decomposition]
+    stored, cosets = getattr(a, "_spectrum", None), getattr(a, "_cosets", None)
+    routes = ([] if stored is None else [lambda: _assemble(*stored, cosets)]) + [
+        lambda: _cayley_decomposition(_blocks(m, cosets), cosets)]
     for route in routes:
-        dec = route(m)
+        dec = route()
         d = np.exp(1j * dec.thetas)  # a table is a's, whose matrix is checked zero off its blocks
         recon = float(np.linalg.norm(_spectral_product(dec.eigenvectors, d) - _blocks(m, dec.cosets)))
         ortho = _unitarity_residual(dec.eigenvectors)  # = ||P+P - 1|| for a square P

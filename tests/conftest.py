@@ -100,6 +100,18 @@ def breadth_first_closure(n: int, generators: np.ndarray) -> np.ndarray:
     return (known[:, None] // weights % n).astype(np.int64)
 
 
+def transposition_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Reference for symmetry._permutation_defects: ||S U - U S|| for the wire
+    permutation S of each image row, from U seen as a (2,)*2n tensor (axis k
+    of each half is qubit n-1-k) with the wire permutation applied to its row
+    and column axes, which gives the entries of S U S+ - U."""
+    n = images.shape[1]
+    t = m.reshape((2,) * 2 * n)
+    axes = np.empty_like(images)
+    np.put_along_axis(axes, n - 1 - images, np.arange(n - 1, -1, -1), axis=1)
+    return np.array([np.linalg.norm(t.transpose(a) - t) for a in np.hstack((axes, axes + n)).tolist()])
+
+
 def conjugate_pauli(p, s: PauliString) -> PauliString:
     """Image of a Pauli string under the wire relabeling p, S s S+: letters
     move with their wires and the phase is unchanged."""

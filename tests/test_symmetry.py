@@ -4,6 +4,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,15 @@ from symsu.symmetry import (
     full_swap_generators,
 )
 
-from conftest import breadth_first_closure, conjugate_pauli, dense_label, fro, generator_sets, inverse
+from conftest import (
+    breadth_first_closure,
+    conjugate_pauli,
+    dense_label,
+    fro,
+    generator_sets,
+    inverse,
+    transposition_defects,
+)
 
 SWAP = np.array([
     [1, 0, 0, 0],
@@ -565,6 +574,53 @@ class TestPermutationDefectKernel:
             assert np.allclose(got, oracle, rtol=1e-12, atol=1e-14)
             moved = (images != np.arange(n)).any(axis=1)
             assert (got[moved] > 1e-3).all() and (got[~moved] == 0).all()
+
+
+class TestGatherKernel:
+    """The basis-state gather kernel against the tensor-transposition reference,
+    bit for bit.  The reference sums an F-ordered U's entries in the memory
+    order numpy gives its transposed difference; the kernel sums in row order
+    for every layout, as the reference does on U's C-ordered copy."""
+
+    LAYOUTS = ["C", "F", "strided", "real", "real strided"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 7), count=st.integers(0, 6), layout=st.sampled_from(LAYOUTS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_transposition_reference(self, n, count, layout, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 << n
+        images = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(count)], dtype=np.int64)
+        big = rng.normal(size=(2 * dim, 3 * dim)) + 1j * rng.normal(size=(2 * dim, 3 * dim))
+        m = {"C": big[:dim, :dim].copy(), "F": np.asfortranarray(big[:dim, :dim]), "strided": big[::2, 1::3],
+             "real": big.real[:dim, :dim].copy(), "real strided": big.real[::2, 1::3]}[layout]
+        got = _permutation_defects(m, images)
+        assert got[0] == 0.0  # the identity row
+        assert np.array_equal(got, transposition_defects(np.ascontiguousarray(m), images))
+        if layout == "F":
+            assert np.allclose(got, transposition_defects(m, images), rtol=1e-14, atol=0)
+        else:
+            assert np.array_equal(got, transposition_defects(m, images))
+
+    def test_no_rows(self):
+        for n in (1, 3):
+            got = _permutation_defects(np.eye(1 << n, dtype=complex), np.empty((0, n), dtype=np.int64))
+            assert got.shape == (0,) and got.dtype == float
+        assert is_invariant(np.eye(8), preset_group("trivial", 3)) == (True, 0.0)
+
+    def test_tables_are_built_in_chunks(self):
+        rng = np.random.default_rng(5)
+        images = rng.random((40_320, 4)).argsort(axis=1)
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        tracemalloc.start()
+        try:
+            got = _permutation_defects(m, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a table of all 40 320 rows would hold 5.2 MB, their inverse images 1.3 MB
+        assert peak < 1_000_000
+        assert np.array_equal(got[::97], transposition_defects(m, images[::97]))
 
 
 class TestSpecsAndPresets:

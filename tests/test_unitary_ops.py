@@ -401,13 +401,17 @@ class TestBasisSpectra:
         real = [np.isrealobj(v) for _, v, _ in basis._spectra.values()]
         assert len(real) == len(basis) and any(real) and not all(real)
 
-    def test_kept_spectra_stop_at_the_byte_budget(self, s3, monkeypatch):
-        full = build_basis(3, s3)
-        expected = random_invariant(3, s3, seed=2, depth=10, basis=full).matrix
-        monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", 2 * 16 * 4 ** 3)  # two entries
-        capped = build_basis(3, s3)
-        u = random_invariant(3, s3, seed=2, depth=10, basis=capped)
-        assert len(capped._spectra) <= 2 < len(full._spectra)
+    def test_kept_spectra_stop_at_the_byte_budget(self, monkeypatch):
+        group = preset_group("cyclic", 6)
+        full = build_basis(6, group)
+        expected = random_invariant(6, group, seed=2, depth=12, basis=full).matrix
+        held = [sum(a.nbytes for a in kept if a is not None) for kept in full._spectra.values()]
+        budget = sum(held[:4])
+        assert len(held) > 4 and budget < 4 * 16 << 12  # less than four dense complex 64 x 64 matrices
+        monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", budget)
+        capped = build_basis(6, group)
+        u = random_invariant(6, group, seed=2, depth=12, basis=capped)
+        assert list(capped._spectra) == list(full._spectra)[:4]
         assert np.array_equal(u.matrix, expected)
 
     def test_kept_spectra_are_read_only(self, s2):
@@ -728,6 +732,37 @@ class TestFlipBlocks:
             Unitary(m, _cosets=cosets)
         loose = Unitary(m, tol=1.0, _cosets=cosets)
         assert loose._cosets is None and loose.unitarity_residual == _unitarity_residual(m)
+
+    @staticmethod
+    def path_point():
+        """A(1/2) of a 7-qubit chain: a coset table of two 64-blocks, no stored spectrum."""
+        n, pad = 7, "I" * 4
+        h = chain_sum([(pad + "IXX", 0.8), (pad + "IIZ", 1.1), (pad + "YZY", 0.6)],
+                      preset_group("cyclic", n))
+        point = connectedness_path(exp_generator(h, 2.9), 0.5)
+        assert point._cosets.shape == (2, 64) and point._spectrum is None
+        return point
+
+    def test_cayley_route_on_blocks_matches_dense_route(self):
+        point = self.path_point()
+        blocked, dense = eig_unitary(point), eig_unitary(point.matrix)  # a bare array has no table
+        assert blocked.cosets is point._cosets and dense.cosets is None
+        assert blocked.eigenvectors.shape == (2, 64, 64)
+        for t in (0.3, 1.0):
+            assert np.abs(blocked.reconstruct(t) - dense.reconstruct(t)).max() < 1e-12
+
+    def test_cayley_route_never_eigensolves_the_whole_space(self, monkeypatch):
+        point = self.path_point()
+        eigh, shapes = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        dec = eig_unitary(point)
+        assert shapes and all(shape[-1] < 128 for shape in shapes), shapes
+        assert fro(dec.reconstruct() - point.matrix) < 1e-9
 
     def test_ten_qubit_chain_never_eigensolves_the_whole_space(self, monkeypatch):
         eigh = np.linalg.eigh
