@@ -29,12 +29,12 @@ def _check_qubits(n: int, group: SymmetryGroup) -> None:
 
 
 def _generator_images(group: SymmetryGroup) -> np.ndarray:
-    """Wire-image rows of the generators of a permutation group; a group
-    with a raw-unitary generator is refused, without closing it."""
+    """The generators' image rows on string keys z << n | x: bit i of x to image[i] (the first
+    n columns are the wire images), of z to n + image[i]; a raw-unitary generator is refused."""
     if group._raw:
         raise UnsupportedSymmetryError("orbit symmetrization supports qubit-permutation groups only; "
                                        f"group has {len(group._raw)} raw unitary generator(s)")
-    return group._perm_images
+    return np.hstack((group._perm_images, group._perm_images + group.n))
 
 
 def pauli_orbit(s: PauliString, group: SymmetryGroup) -> frozenset:
@@ -46,7 +46,7 @@ def pauli_orbit(s: PauliString, group: SymmetryGroup) -> frozenset:
     """
     if s.n != group.n:
         raise DimensionError(f"string on {s.n} qubits, group on {group.n}")
-    images = _generator_images(group).tolist()
+    images = _generator_images(group)[:, :s.n].tolist()
     dtype = np.int64 if s.n <= 62 else object  # Python-int masks above 62 qubits, as in PauliSum
     z, x = fz, fx = np.array([s.z_mask], dtype=dtype), np.array([s.x_mask], dtype=dtype)
     while len(fz):
@@ -144,29 +144,25 @@ class InvariantBasis:
         return f"InvariantBasis(n={self.n}, group={self.group.name!r}, dim={len(self)})"
 
 
-def _orbit_table(n: int, images) -> np.ndarray:
-    """Orbit number of every string key z << n | x under the wire
-    permutations of the image rows, from -1 (the identity, key 0) in the
-    order of the orbits' smallest keys.
+def _orbit_table(width: int, images) -> np.ndarray:
+    """Orbit number of every width-bit key under the bit permutations of the
+    image rows, bit i to bit row[i], from -1 (key 0: the identity string or
+    the all-zero state) in the order of the orbits' smallest keys.
 
     Every key is moved once per generator; then each key pulls the label
     of its image, pushes its label to its image (a move is a bijection) and
     jumps to its label's label, until no label changes.  Labels only fall
     and stay in the orbit, so each ends as its orbit's smallest key.
     """
-    keys = np.arange(1 << 2 * n)
-    z, x = keys >> n, keys & ((1 << n) - 1)
-    moves = [_move_masks(z, row) << n | _move_masks(x, row) for row in images]
-    label = keys
-    while True:
-        new = label
+    keys = np.arange(1 << width)
+    moves = [_move_masks(keys, row) for row in images]
+    label, last = keys, None
+    while last is None or not np.array_equal(label, last):
+        last = label
         for move in moves:
-            new = np.minimum(new, new[move])
-            new[move] = np.minimum(new[move], new)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+            label = np.minimum(label, label[move])
+            label[move] = np.minimum(label[move], label)
+        label = label[label]
     return (np.cumsum(label == keys) - 2)[label]  # roots are the smallest keys
 
 
@@ -181,7 +177,7 @@ def build_basis(n: int, group: SymmetryGroup) -> InvariantBasis:
     _check_qubits(n, group)
     if n > DEFAULT_MATRIX_CAP:
         raise CapacityError(f"enumerating 4^{n} strings exceeds the cap of {DEFAULT_MATRIX_CAP} qubits")
-    return InvariantBasis(n, group, _orbit_table(n, _generator_images(group).tolist()))
+    return InvariantBasis(n, group, _orbit_table(2 * n, _generator_images(group).tolist()))
 
 
 def _cycle_counts(images: np.ndarray) -> np.ndarray:

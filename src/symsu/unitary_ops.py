@@ -51,18 +51,14 @@ def _unitarity_residual(m: np.ndarray) -> float:
     return float(np.sqrt(sq))
 
 
-def _spectral_product(p: np.ndarray, d: np.ndarray, cosets=None) -> np.ndarray:
-    """P diag(d) P+, a stack's blocks scattered onto the rows of a coset table; from two
-    real products when P is real (from _REAL_PRODUCT_DIM on), one when d is real."""
+def _spectral_product(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """P diag(d) P+, block by block for a stack; from two real products when P is
+    real (from _REAL_PRODUCT_DIM on), one when d is real."""
     if np.iscomplexobj(p) or p.shape[-1] < _REAL_PRODUCT_DIM:
-        out = (p * d[..., None, :]) @ p.conj().mT
-    else:
-        out = ((p * d.real[..., None, :]) @ p.mT).astype(complex)
-        if d.imag.any():
-            out.imag = (p * d.imag[..., None, :]) @ p.mT
-    if cosets is not None:
-        out, blocks = np.zeros((cosets.size,) * 2, dtype=complex), out
-        out[cosets[:, :, None], cosets[:, None, :]] = blocks
+        return (p * d[..., None, :]) @ p.conj().mT
+    out = ((p * d.real[..., None, :]) @ p.mT).astype(complex)
+    if d.imag.any():
+        out.imag = (p * d.imag[..., None, :]) @ p.mT
     return out
 
 
@@ -71,28 +67,34 @@ def _blocks(m: np.ndarray, cosets) -> np.ndarray:
     return m if cosets is None else m[cosets[:, :, None], cosets[:, None, :]]
 
 
+def _scatter(blocks: np.ndarray, cosets) -> np.ndarray:
+    """The matrix of a stack's blocks on the rows of a coset table, zero off them; blocks for no table."""
+    if cosets is None:
+        return blocks
+    out = np.zeros((cosets.size,) * 2, dtype=complex)
+    out[cosets[:, :, None], cosets[:, None, :]] = blocks
+    return out
+
+
 class Unitary:
-    """A dense square matrix validated to be unitary at construction: the
-    residual ||UU+ - 1||_F of the stored matrix, by _unitarity_residual; taken on
-    the blocks of a coset table `_cosets`, then kept, if the matrix is zero off them."""
+    """A dense square matrix validated to be unitary by ||UU+ - 1||_F (_unitarity_residual); with a coset
+    table `_cosets`, built from the stack of blocks on its rows: validated, then scattered, zero off them."""
 
     __slots__ = ("matrix", "unitarity_residual", "_eig", "_spectrum", "_cosets")
 
     def __init__(self, matrix, tol: float = UNITARITY_TOL, _cosets=None):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = np.array(matrix, dtype=complex) if _cosets is None else np.asarray(matrix, dtype=complex)
+        if _cosets is None and (m.ndim != 2 or m.shape[0] != m.shape[1]):
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        dim = m.shape[0]
+        dim = m.shape[-1]
         if dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
         if not np.isfinite(m).all():
             raise NotUnitaryError("matrix has a non-finite entry")
-        blocks = _blocks(m, _cosets)
-        if _cosets is not None and np.count_nonzero(blocks) != np.count_nonzero(m):
-            blocks, _cosets = m, None  # a nonzero entry off the blocks
-        residual = _unitarity_residual(blocks)
+        residual = _unitarity_residual(m)
         if not residual < tol:
             raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
+        m = _scatter(m, _cosets)
         m.setflags(write=False)
         self.matrix = m
         self.unitarity_residual = residual
@@ -131,7 +133,7 @@ def _spectral_exp(w: np.ndarray, v: np.ndarray, cosets, alpha: float) -> Unitary
     if not math.isfinite(alpha):
         raise ValueError(f"angle alpha must be finite, got {alpha}")
     lambdas = np.exp(-0.5j * alpha * w)
-    u = Unitary(_spectral_product(v, lambdas, cosets), _cosets=cosets)
+    u = Unitary(_spectral_product(v, lambdas), _cosets=cosets)
     u._spectrum = (v, lambdas)
     return u
 
@@ -175,8 +177,8 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
         basis = build_basis(n, group)
     _check_qubits(n, basis.group)
     if basis.group is not group:
-        z, x = np.divmod(np.arange(1 << 2 * n), 1 << n)  # of the string keys z << n | x
-        if any(not np.array_equal(basis.orbit_of[_move_masks(z, row) << n | _move_masks(x, row)], basis.orbit_of)
+        keys = np.arange(basis.orbit_of.size)
+        if any(not np.array_equal(basis.orbit_of[_move_masks(keys, row)], basis.orbit_of)
                for row in _generator_images(group).tolist()):
             raise ValueError(f"a basis of group {basis.group.name!r} is not invariant under {group.name!r}")
     if len(basis) == 0:
@@ -206,7 +208,7 @@ class EigDecomposition:
     cosets: np.ndarray | None = None
 
     def reconstruct(self, t: float = 1.0) -> np.ndarray:
-        return _spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas), self.cosets)
+        return _scatter(_spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas)), self.cosets)
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -276,14 +278,14 @@ def eig_unitary(a) -> EigDecomposition:
     reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL
     wins; NumericError names the last route's residuals if none does.
     """
-    m = np.asarray(getattr(a, "matrix", a), dtype=complex)
     stored, cosets = getattr(a, "_spectrum", None), getattr(a, "_cosets", None)
+    m = _blocks(np.asarray(getattr(a, "matrix", a), dtype=complex), cosets)  # a is zero off its blocks
     routes = ([] if stored is None else [lambda: _assemble(*stored, cosets)]) + [
-        lambda: _cayley_decomposition(_blocks(m, cosets), cosets)]
+        lambda: _cayley_decomposition(m, cosets)]
     for route in routes:
         dec = route()
-        d = np.exp(1j * dec.thetas)  # a table is a's, whose matrix is checked zero off its blocks
-        recon = float(np.linalg.norm(_spectral_product(dec.eigenvectors, d) - _blocks(m, dec.cosets)))
+        d = np.exp(1j * dec.thetas)
+        recon = float(np.linalg.norm(_spectral_product(dec.eigenvectors, d) - m))
         ortho = _unitarity_residual(dec.eigenvectors)  # = ||P+P - 1|| for a square P
         if recon < RECONSTRUCTION_TOL and ortho < RECONSTRUCTION_TOL:
             return dec
@@ -306,7 +308,7 @@ def connectedness_path(a: Unitary, t: float) -> Unitary:
     if a._eig is None:
         a._eig = eig_unitary(a)
         a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
-    return Unitary(a._eig.reconstruct(t), _cosets=a._eig.cosets)
+    return Unitary(_spectral_product(a._eig.eigenvectors, np.exp(1j * t * a._eig.thetas)), _cosets=a._eig.cosets)
 
 
 def project_to_su(u: Unitary) -> Unitary:
@@ -315,6 +317,7 @@ def project_to_su(u: Unitary) -> Unitary:
     The factor is a global phase, so commutation with every symmetry
     element is unchanged.
     """
-    d = complex(np.prod(np.linalg.det(_blocks(u.matrix, u._cosets))))
+    blocks = _blocks(u.matrix, u._cosets)
+    d = complex(np.prod(np.linalg.det(blocks)))
     factor = abs(d) ** (-1.0 / u.dim) * np.exp(-1j * np.angle(d) / u.dim)
-    return Unitary(u.matrix * factor, _cosets=u._cosets)
+    return Unitary(blocks * factor, _cosets=u._cosets)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from symsu import DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary, preset_group
+from symsu.symmetry import _move_masks
 
 ORACLE_LETTERS = {
     "I": np.eye(2, dtype=complex),
@@ -110,6 +111,26 @@ def transposition_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
     axes = np.empty_like(images)
     np.put_along_axis(axes, n - 1 - images, np.arange(n - 1, -1, -1), axis=1)
     return np.array([np.linalg.norm(t.transpose(a) - t) for a in np.hstack((axes, axes + n)).tolist()])
+
+
+def split_orbit_table(n: int, images) -> np.ndarray:
+    """Reference for basis._orbit_table on the 4^n string keys z << n | x, with
+    the z and x masks moved apart by the wire image rows and joined again; the
+    same min-label propagation then numbers the orbits by their smallest keys."""
+    keys = np.arange(1 << 2 * n)
+    z, x = keys >> n, keys & ((1 << n) - 1)
+    moves = [_move_masks(z, row) << n | _move_masks(x, row) for row in images]
+    label = keys
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+            new[move] = np.minimum(new[move], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return (np.cumsum(label == keys) - 2)[label]
 
 
 def conjugate_pauli(p, s: PauliString) -> PauliString:

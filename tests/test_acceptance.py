@@ -12,9 +12,11 @@ other element to be refused, each refusal shown sound because the
 concatenated term circuits miss the exponential of the sum.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -301,6 +303,7 @@ def test_criterion_8_verify_command():
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "symsu", "verify", "--n", "2", "--symmetry", "full_swap"],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         capture_output=True, text=True, timeout=120,
     )
     elapsed = time.perf_counter() - started

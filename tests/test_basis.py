@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsu import (
+    PRESETS,
     CapacityError,
     DimensionError,
     InvariantBasis,
@@ -34,9 +35,10 @@ from symsu import (
     symmetry_defect,
     UnsupportedSymmetryError,
 )
+from symsu.basis import _cycle_counts, _generator_images, _orbit_table
 
 from conftest import (basis_from_sums, conjugate_pauli, dict_closure, generator_sets, has_identity_term, orbit_members,
-                      permute_mask, phase_free)
+                      permute_mask, phase_free, split_orbit_table)
 
 
 def P(label):
@@ -203,6 +205,30 @@ class TestScalarOrbitOracle:
             orbit = pauli_orbit(PauliString.from_label(label, 1), preset_group(preset, n))
             assert {p.to_label() for p in orbit} == expected
             assert {p.phase_exp for p in orbit} == {1}
+
+
+class TestOrbitTableWidth:
+    """The orbit engine on width-bit keys: 2n-bit string keys, moved whole,
+    and n-bit basis states."""
+
+    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral"])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_string_keys_match_split_moves(self, preset, n):
+        group = preset_group(preset, n)
+        images = _generator_images(group)
+        assert np.array_equal(_orbit_table(2 * n, images.tolist()), split_orbit_table(n, images[:, :n].tolist()))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_state_orbits_match_burnside(self, preset):
+        """m state orbits, key 0 labelled -1, against the average of 2^cycles."""
+        for n in range(1, 7):
+            group = preset_group(preset, n)
+            m = int(_orbit_table(n, _generator_images(group)[:, :n].tolist()).max()) + 2
+            bins = np.bincount(_cycle_counts(group.images), minlength=n + 1).tolist()
+            total = sum(rows * 2 ** c for c, rows in enumerate(bins))
+            assert total % len(group) == 0 and m == total // len(group)
+            if preset == "full_swap":
+                assert m == n + 1  # the Dicke states
 
 
 class TestSymmetrize:

@@ -3,8 +3,10 @@
 import hashlib
 import inspect
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,9 +568,11 @@ class TestMiscellaneous:
         assert not any(inspect.ismodule(getattr(symsu, name)) for name in symsu.__all__)
 
     def test_module_entry_point(self):
+        root = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "-m", "symsu", "dim", "--n", "2", "--symmetry",
              "full_swap", "--no-header"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0

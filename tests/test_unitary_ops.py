@@ -720,18 +720,26 @@ class TestFlipBlocks:
             oracle = oracle * abs(d) ** (-1.0 / len(hm)) * np.exp(-1j * np.angle(d) / len(hm))
             assert np.abs(blocked[4].matrix - oracle).max() < 1e-12
 
-    def test_off_block_entry_is_never_validated_blockwise(self):
-        h = next(self.sums())
-        u = exp_generator(h, 1.3)
-        cosets = u._cosets
-        m = u.matrix.copy()
-        m[cosets[0, 0], cosets[1, 0]] = 1e-6
-        blocks = unitary_ops._blocks(m, cosets)
-        assert _unitarity_residual(blocks) < UNITARITY_TOL  # the blocks alone look unitary
-        with pytest.raises(NotUnitaryError):
-            Unitary(m, _cosets=cosets)
-        loose = Unitary(m, tol=1.0, _cosets=cosets)
-        assert loose._cosets is None and loose.unitarity_residual == _unitarity_residual(m)
+    def test_blocked_results_are_zero_off_their_blocks(self):
+        for h in self.sums():
+            u = exp_generator(h, 1.3)
+            for v in (u, *(connectedness_path(u, t) for t in (0.0, 0.5, 1.0)), project_to_su(u)):
+                cosets = v._cosets
+                off = np.ones(v.matrix.shape, dtype=bool)
+                off[cosets[:, :, None], cosets[:, None, :]] = False
+                assert not v.matrix[off].any()
+                assert v.unitarity_residual == _unitarity_residual(unitary_ops._blocks(v.matrix, cosets))
+
+    def test_block_stack_is_validated(self):
+        u = exp_generator(next(self.sums()), 1.3)
+        blocks = unitary_ops._blocks(u.matrix, u._cosets)
+        assert np.array_equal(Unitary(blocks, _cosets=u._cosets).matrix, u.matrix)
+        nan, skewed = blocks.copy(), blocks.copy()
+        nan[1, 0, 0] = np.nan
+        skewed[0, 0, 1] += 1e-6
+        for bad in (nan, skewed):
+            with pytest.raises(NotUnitaryError):
+                Unitary(bad, _cosets=u._cosets)
 
     @staticmethod
     def path_point():
