@@ -68,8 +68,8 @@ def symmetrize(s: PauliString, group: SymmetryGroup) -> PauliSum:
 
 @dataclass(frozen=True)
 class _Elements(Sequence):
-    """A basis's elements, each wrapped as a unit-coefficient PauliSum from
-    its slice of the basis arrays when it is read; slices are tuples."""
+    """A basis's elements, each built as a unit-coefficient PauliSum from its
+    canonical slice of the basis arrays when it is read; slices are tuples."""
 
     basis: "InvariantBasis"
 

@@ -57,26 +57,6 @@ class Gate:
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"RZ angle must be finite, got {self.angle}")
 
-    @classmethod
-    def h(cls, q: int) -> "Gate":
-        return cls("H", (q,))
-
-    @classmethod
-    def s(cls, q: int) -> "Gate":
-        return cls("S", (q,))
-
-    @classmethod
-    def sdg(cls, q: int) -> "Gate":
-        return cls("SDG", (q,))
-
-    @classmethod
-    def rz(cls, q: int, angle: float) -> "Gate":
-        return cls("RZ", (q,), float(angle))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls("CNOT", (control, target))
-
     def to_text(self) -> str:
         if self.kind == "RZ":
             return f"RZ {self.qubits[0]} {self.angle:.17g}"
@@ -121,11 +101,11 @@ class Circuit:
             if kind == "RZ":
                 if len(parts) != 3:
                     raise ValueError(f"malformed RZ line {ln!r}")
-                gates.append(Gate.rz(int(parts[1]), float(parts[2])))
+                gates.append(Gate("RZ", (int(parts[1]),), float(parts[2])))
             elif kind == "CNOT":
                 if len(parts) != 3:
                     raise ValueError(f"malformed CNOT line {ln!r}")
-                gates.append(Gate.cnot(int(parts[1]), int(parts[2])))
+                gates.append(Gate("CNOT", (int(parts[1]), int(parts[2]))))
             elif kind in ("H", "S", "SDG") and len(parts) == 2:
                 gates.append(Gate(kind, (int(parts[1]),)))
             else:
@@ -157,13 +137,13 @@ def synthesize_pauli_exponential(p: PauliString, alpha: float) -> Circuit:
     for q in active:
         letter = p.letter(q)
         if letter == "X":
-            pre.append(Gate.h(q))
-            post.append(Gate.h(q))
+            pre.append(Gate("H", (q,)))
+            post.append(Gate("H", (q,)))
         elif letter == "Y":
-            pre.extend((Gate.sdg(q), Gate.h(q)))
-            post.extend((Gate.h(q), Gate.s(q)))
-    chain = [Gate.cnot(active[k], active[k + 1]) for k in range(len(active) - 1)]
-    gates = pre + chain + [Gate.rz(active[-1], alpha)] + chain[::-1] + post
+            pre.extend((Gate("SDG", (q,)), Gate("H", (q,))))
+            post.extend((Gate("H", (q,)), Gate("S", (q,))))
+    chain = [Gate("CNOT", (active[k], active[k + 1])) for k in range(len(active) - 1)]
+    gates = pre + chain + [Gate("RZ", (active[-1],), float(alpha))] + chain[::-1] + post
     return Circuit(p.n, tuple(gates))
 
 

@@ -132,8 +132,6 @@ class PauliSum:
     __slots__ = ("n", "x", "z", "coeffs")
 
     def __new__(cls, n: int, terms=()):
-        if n < 1:
-            raise ValueError(f"qubit count must be >= 1, got {n}")
         pairs = tuple(terms)
         for p, _ in pairs:
             if p.n != n:
@@ -141,7 +139,15 @@ class PauliSum:
         dtype = np.int64 if n <= 62 else object  # Python-int masks above 62 qubits
         x = np.array([p.x_mask for p, _ in pairs], dtype=dtype)
         z = np.array([p.z_mask for p, _ in pairs], dtype=dtype)
-        values = np.array([complex(c) * p.phase for p, c in pairs], dtype=complex)
+        return cls._canonical(n, x, z, np.array([complex(c) * p.phase for p, c in pairs], dtype=complex))
+
+    @classmethod
+    def _canonical(cls, n: int, x: np.ndarray, z: np.ndarray, values: np.ndarray) -> "PauliSum":
+        """The one constructor: sort the terms by (z, x), merge equal strings in
+        input order, drop coefficients below ZERO_TOL and freeze the arrays.
+        A non-finite coefficient raises ValueError."""
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
         order = np.lexsort((x, z))  # stable: equal strings keep their input order
         x, z, values = x[order], z[order], values[order]
         first = np.ones(len(x), dtype=bool)
@@ -150,15 +156,11 @@ class PauliSum:
         # bincount adds each run in order onto +0.0, as a dict merge onto 0j does.
         coeffs = np.bincount(run, values.real).astype(complex)
         coeffs.imag = np.bincount(run, values.imag)
+        if not np.isfinite(coeffs).all():  # a nan or inf term leaves its merged coefficient non-finite
+            raise ValueError("Pauli sum coefficients must be finite")
         keep = np.abs(coeffs) >= ZERO_TOL
-        return cls._canonical(n, x[first][keep], z[first][keep], coeffs[keep])
-
-    @classmethod
-    def _canonical(cls, n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray) -> "PauliSum":
-        """Wrap arrays that are already canonical, without copying them;
-        they become read-only."""
         s = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (n, x, z, coeffs)):
+        for name, value in zip(cls.__slots__, (n, x[first][keep], z[first][keep], coeffs[keep])):
             if name != "n":
                 value.setflags(write=False)
             object.__setattr__(s, name, value)
@@ -199,18 +201,26 @@ class PauliSum:
                 and np.array_equal(self.z, other.z) and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.terms))
+        return hash((self.n, *(tuple(a.tolist()) for a in (self.x, self.z, self.coeffs))))
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} vs {other.n}")
-        return PauliSum(self.n, self.terms + other.terms)
+        x, z, coeffs = (np.concatenate((a, b)) for a, b in
+                        ((self.x, other.x), (self.z, other.z), (self.coeffs, other.coeffs)))
+        return PauliSum._canonical(self.n, x, z, coeffs)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum(self.n, tuple((p, c * scalar) for p, c in self.terms))
+        # CPython's complex product, one float64 operation at a time: numpy's
+        # complex multiply may fuse them and round differently.
+        a, b, s = self.coeffs.real, self.coeffs.imag, complex(scalar)
+        with np.errstate(over="ignore", invalid="ignore"):  # _canonical refuses what is not finite
+            coeffs = (a * s.real - b * s.imag).astype(complex)
+            coeffs.imag = a * s.imag + b * s.real
+        return PauliSum._canonical(self.n, self.x, self.z, coeffs)
 
     __rmul__ = __mul__
 

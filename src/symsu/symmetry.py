@@ -89,7 +89,7 @@ def _coerce_element(obj):
         raise ValueError(f"raw symmetry must be square, got shape {m.shape}")
     dim = m.shape[0]
     n = dim.bit_length() - 1
-    if 1 << n != dim:
+    if dim < 1 or 1 << n != dim:
         raise DimensionError(f"matrix dimension {dim} is not a power of two")
     if not np.isfinite(m).all():
         raise NotUnitaryError("raw symmetry has a non-finite entry")

@@ -87,7 +87,7 @@ class Unitary:
         if _cosets is None and (m.ndim != 2 or m.shape[0] != m.shape[1]):
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         dim = m.shape[-1]
-        if dim & (dim - 1):
+        if dim < 1 or dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
         if not np.isfinite(m).all():
             raise NotUnitaryError("matrix has a non-finite entry")

@@ -444,6 +444,13 @@ class TestSynthCommand:
         err = assert_rejected(capsys, "synth", "--sum-file", str(sum_path), f"--alpha={alpha}")
         assert f"angle alpha must be finite, got {alpha}" in err
 
+    @pytest.mark.parametrize("text", ["(1,0) XZ\n(nan,0) ZX\n", "(inf,0) XZ\n", "(1,0) XZ\n(0,-inf) XZ\n"])
+    def test_non_finite_coefficient_rejected(self, capsys, tmp_path, text):
+        sum_path = tmp_path / "sum.txt"
+        sum_path.write_text(text)
+        err = assert_rejected(capsys, "synth", "--sum-file", str(sum_path), "--alpha", "0.5")
+        assert "coefficients must be finite" in err
+
 
 class TestRandomCommand:
     def test_output_is_invariant_unitary(self, capsys, tmp_path):

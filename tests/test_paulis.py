@@ -264,6 +264,85 @@ class TestPauliSum:
         assert coefficient(2.0 * s, P("X")) == 2.0 + 0j
 
 
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+def _random_sums(n):
+    """Two sums on n qubits drawn over a shared pool of strings, so that their
+    terms merge and some cancel; coefficients from a signed set or arbitrary."""
+    values = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2j, -0.1 + 0.3j]),
+                       st.builds(complex, finite, finite))
+    pool = st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+                    min_size=1, max_size=5, unique=True)
+    picks = st.lists(st.tuples(st.integers(0, 4), values), max_size=6)
+    return pool.flatmap(lambda strings: st.tuples(*[picks.map(lambda ks: PauliSum(n, [
+        (PauliString(n, *strings[k % len(strings)]), c) for k, c in ks]))] * 2))
+
+
+scalars = st.one_of(finite, finite.map(lambda v: complex(0.0, v)), st.builds(complex, finite, finite),
+                    st.sampled_from([0, 3, -1.0, 1j, 1.2 - 0.7j]))
+sum_pairs = st.sampled_from([1, 2, 3, 4, 64]).flatmap(_random_sums)
+
+
+def same_arrays(s, t):
+    return s.n == t.n and all(np.array_equal(getattr(s, k), getattr(t, k)) for k in ("x", "z", "coeffs"))
+
+
+class TestArrayArithmetic:
+    """+, -, * and hash work on the mask arrays; the (PauliString, complex)
+    pairs route is their oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_pairs, scalars)
+    def test_matches_pairs_route(self, ab, scalar):
+        a, b = ab
+        n = a.n
+        assert same_arrays(a + b, PauliSum(n, a.terms + b.terms))
+        assert same_arrays(a - b, PauliSum(n, a.terms + tuple((p, c * -1.0) for p, c in b.terms)))
+        scaled = PauliSum(n, [(p, c * scalar) for p, c in a.terms])
+        assert same_arrays(a * scalar, scaled) and same_arrays(scalar * a, scaled)
+        assert (a + b).x.dtype == (np.int64 if n <= 62 else object)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sum_pairs)
+    def test_equal_sums_hash_equal(self, ab):
+        a, b = ab
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        for twin in (PauliSum(a.n, a.terms), pickle.loads(pickle.dumps(a)), a * 1, a + PauliSum.zero(a.n)):
+            assert twin == a and hash(twin) == hash(a)
+
+    def test_complex_scalar_is_cpython_product(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(500, 2)) @ [1, 1j]
+        s = PauliSum(6, [(PauliString(6, k & 63, k >> 6), c) for k, c in enumerate(values.tolist(), 1)])
+        scalar = 1.2 - 0.7j
+        assert (s * scalar).coeffs.tolist() == [c * scalar for c in s.coeffs.tolist()]
+
+    def test_arithmetic_never_reads_terms(self, monkeypatch):
+        a = PauliSum.from_labels(3, [("XYZ", 0.5), ("ZZI", -1j), ("IIX", 2.0)])
+        b = PauliSum.from_labels(3, [("ZZI", 1j), ("YII", 0.25)])
+
+        def refuse(self):
+            raise AssertionError("arithmetic read PauliSum.terms")
+
+        monkeypatch.setattr(PauliSum, "terms", property(refuse))
+        results = (a + b, a - b, a * 2.0, 1j * a, a * (0.5 - 1j))
+        assert len(results[0]) == 3 and len(results[1]) == 4 and hash(a) != hash(b)  # ZZI cancels in a + b
+
+    @pytest.mark.parametrize("build", [
+        lambda: PauliSum.from_label("XZ", float("nan")),
+        lambda: PauliSum.from_labels(2, [("XZ", 1.0), ("ZX", complex(0.0, float("inf")))]),
+        lambda: PauliSum.from_label("XZ", 1e300) * 1e300,
+        lambda: PauliSum.from_label("XZ") * float("nan"),
+        lambda: PauliSum.from_label("XZ", 1.5e308) + PauliSum.from_label("XZ", 1.5e308),
+        lambda: pickle.loads(pickle.dumps(PauliSum.from_label("XZ")).replace(
+            np.float64(1.0).tobytes(), np.float64("nan").tobytes())),
+    ])
+    def test_non_finite_coefficient_refused(self, build):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            build()
+
+
 class TestSumCommutator:
     def test_symmetrized_pair(self):
         a = PauliSum.from_labels(2, [("XI", 1), ("IX", 1)])
@@ -373,15 +452,16 @@ class TestSerialization:
         assert coefficient(PauliSum.from_text(s.to_text()), P("X")).real == c
 
     def test_special_coefficients_match_per_term_format(self):
-        # PauliSum() would merge -0.0 into 0.0 and drop nan, so the arrays are wrapped as given.
+        # A PauliSum holds neither -0.0 nor a non-finite value, so the formatter gets the arrays as given.
         nan, inf = float("nan"), float("inf")
         coeffs = np.array([complex(-0.0, 0.0), 0j, complex(0.0, -0.0), complex(nan, -0.0), complex(inf, -inf),
                            0.1 + 2j, complex(-3e-300, 1e300), 1 / 3, complex(-0.0, nan)])
-        s = PauliSum._canonical(4, np.arange(9, dtype=np.int64), np.full(9, 5, dtype=np.int64), coeffs)
-        expected = [f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms]
+        x, z = np.arange(9, dtype=np.int64), np.full(9, 5, dtype=np.int64)
+        expected = [f"({c.real:.17g},{c.imag:.17g}) {PauliString(4, xm, zm).to_label()}"
+                    for xm, zm, c in zip(x.tolist(), z.tolist(), coeffs.tolist())]
         assert expected[:5] == ["(-0,0) IZIZ", "(0,0) IZIY", "(0,-0) IZXZ", "(nan,-0) IZXY", "(inf,-inf) IYIZ"]
-        assert s.to_text() == "\n".join(expected)
-        assert s.to_line() == " + ".join(expected)
+        assert paulis._sum_texts(4, x, z, coeffs, (0, 9), "\n") == ["\n".join(expected)]
+        assert paulis._sum_texts(4, x, z, coeffs, (0, 9), " + ") == [" + ".join(expected)]
 
     def test_blocks_of_sums_match_per_sum_lines(self, monkeypatch):
         # Blocks of up to three terms hold whole sums, up to four of them; a longer sum is alone.

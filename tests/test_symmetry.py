@@ -321,6 +321,10 @@ class TestGroupGeneration:
         with pytest.raises(ValueError, match="must be square"):
             SymmetryGroup(1, [np.eye(2)[:1]])
 
+    def test_empty_generator_matrix_rejected(self):
+        with pytest.raises(DimensionError, match="matrix dimension 0 is not a power of two"):
+            SymmetryGroup(1, [np.zeros((0, 0))])
+
     def test_constructor_coerces_every_generator_form(self):
         # SWAP as a permutation, a complex or real array or a transposed view;
         # e^{0.7i} SWAP as an array or a view.  Every list, in either order or

@@ -127,6 +127,10 @@ class TestUnitaryType:
         with pytest.raises(DimensionError):
             Unitary(np.eye(3))
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionError, match="dimension 0 is not a power of two"):
+            Unitary(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("dim", [2, 64])  # both routes of the residual kernel
     def test_non_finite_rejected(self, dim):
         # a NaN residual must not pass for a small one
