@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
-from .paulis import DEFAULT_MATRIX_CAP, PHASES, PauliString, PauliSum
+from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _I_POWERS, _anticommutes, _product
 from .symmetry import SymmetryGroup, _move_masks
 
 # Term pairs per block of closure_report; bounds its temporary arrays.
@@ -252,16 +252,15 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
 
     The residual of a pair is in_span(sum_commutator(A_i, A_j), basis),
     computed for all term pairs of orbit i against a block of orbits j > i
-    at once with bit operations.  Per (j, product string) the coefficients
-    are summed as sum_commutator merges them; per (j, target orbit k) the
-    squared residual is sum |c|^2 - |sum c|^2 / |O_k|, members absent from
-    the commutator counting as 0, and strings in no orbit add |c|^2.  The
-    coefficients are all 1, so every sum is an exact integer.  The worst
-    pair is the first to reach the maximum, in (i, j) order.
+    at once by the product rule of paulis on mask arrays.  Per (j, product
+    string) the coefficients are summed as sum_commutator merges them; per
+    (j, target orbit k) the squared residual is sum |c|^2 - |sum c|^2 / |O_k|,
+    members absent from the commutator counting as 0, and strings in no orbit
+    add |c|^2.  The coefficients are all 1, so every sum is an exact integer.
+    The worst pair is the first to reach the maximum, in (i, j) order.
     """
     n, d, x, z, starts = basis.n, len(basis), basis.x, basis.z, basis.offsets
     sizes = np.diff(starts)
-    y = np.bitwise_count(x & z).astype(np.int64)
     owner = np.repeat(np.arange(d), sizes)
     string_mask = (1 << 2 * n) - 1
     # Slot 0, label -1 (no orbit), has infinite size, so that a string
@@ -271,7 +270,7 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     worst, worst_pair = 0.0, None
     for i in range(d - 1):
         a = slice(starts[i], starts[i + 1])
-        xa, za, ya = x[a, None], z[a, None], y[a, None]
+        xa, za = x[a, None], z[a, None]
         step = max(1, _CLOSURE_BLOCK // int(sizes[i]))
         lo = starts[i + 1]
         while lo < starts[d]:
@@ -279,15 +278,11 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
             hi = starts[min(d, np.searchsorted(starts, lo + step))]
             first = owner[lo]
             residual_sq = np.zeros(owner[hi - 1] - first + 1)
-            xb, zb, yb = x[lo:hi], z[lo:hi], y[lo:hi]
-            anti = (np.bitwise_count(xa & zb) + np.bitwise_count(za & xb)) & 1
-            ra, rb = np.nonzero(anti)  # row-major: the term order of sum_commutator
+            xb, zb = x[lo:hi], z[lo:hi]
+            ra, rb = np.nonzero(_anticommutes(xa, za, xb, zb))  # row-major, as in sum_commutator
             if len(ra):
-                # Product of anticommuting terms as in pauli_multiply.
-                px, pz = xa[ra, 0] ^ xb[rb], za[ra, 0] ^ zb[rb]
-                power = (ya[ra, 0] + yb[rb] - np.bitwise_count(px & pz).astype(np.int64)
-                         + 2 * np.bitwise_count(za[ra, 0] & xb[rb]).astype(np.int64))
-                c = 2.0 * np.array(PHASES)[power % 4]
+                px, pz, power = _product(xa[ra, 0], za[ra, 0], xb[rb], zb[rb])
+                c = 2.0 * _I_POWERS[power]
                 key = (owner[lo + rb] - first) << 2 * n | pz << n | px
                 keys, at = np.unique(key, return_inverse=True)
                 sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)

@@ -13,14 +13,13 @@ synthesis checks commutation exactly and refuses otherwise; there is no
 silent approximate splitting.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProductFormulaError
-from .paulis import PauliString, PauliSum, paulis_commute
+from .paulis import PauliString, PauliSum, _anticommuting_pairs
 from .unitary_ops import Unitary
 
 GATE_KINDS = ("H", "S", "SDG", "RZ", "CNOT")
@@ -83,31 +82,24 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == kind)
 
     def to_text(self) -> str:
-        lines = [f"QUBITS {self.n}"]
-        lines.extend(g.to_text() for g in self.gates)
-        return "\n".join(lines)
+        return "\n".join([f"QUBITS {self.n}"] + [g.to_text() for g in self.gates])
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
         if not lines or not lines[0].startswith("QUBITS "):
             raise ValueError("circuit text must start with a 'QUBITS n' header")
         n = int(lines[0].split()[1])
         gates = []
         for ln in lines[1:]:
-            parts = ln.split()
-            kind = parts[0].upper()
+            kind, *args = ln.split()
+            kind = kind.upper()
+            if kind in ("RZ", "CNOT") and len(args) != 2:
+                raise ValueError(f"malformed {kind} line {ln!r}")
             if kind == "RZ":
-                if len(parts) != 3:
-                    raise ValueError(f"malformed RZ line {ln!r}")
-                gates.append(Gate("RZ", (int(parts[1]),), float(parts[2])))
-            elif kind == "CNOT":
-                if len(parts) != 3:
-                    raise ValueError(f"malformed CNOT line {ln!r}")
-                gates.append(Gate("CNOT", (int(parts[1]), int(parts[2]))))
-            elif kind in ("H", "S", "SDG") and len(parts) == 2:
-                gates.append(Gate(kind, (int(parts[1]),)))
+                gates.append(Gate("RZ", (int(args[0]),), float(args[1])))
+            elif kind == "CNOT" or (kind in ("H", "S", "SDG") and len(args) == 1):
+                gates.append(Gate(kind, tuple(int(q) for q in args)))
             else:
                 raise ValueError(f"malformed gate line {ln!r}")
         return cls(n, tuple(gates))
@@ -123,25 +115,19 @@ def two_pauli_condition(s: PauliSum) -> bool:
     return sum(bool(np.any(m)) for m in (x_only, z_only, y)) <= 2
 
 
+# Per letter, the gates that turn it into Z and the gates that turn Z back.
+_BASIS_CHANGE = {"X": (("H",), ("H",)), "Y": (("SDG", "H"), ("H", "S")), "Z": ((), ())}
+
+
 def synthesize_pauli_exponential(p: PauliString, alpha: float) -> Circuit:
     """Circuit for exp(-i*alpha/2 * P), exact including the global phase."""
     if p.phase_exp != 0:
         raise ValueError(f"string must be phase-free, got i^{p.phase_exp}")
     active = [q for q in range(p.n) if p.letter(q) != "I"]
     if not active:
-        raise ValueError(
-            "all-identity string exponentiates to a global phase; no gate realizes it"
-        )
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for q in active:
-        letter = p.letter(q)
-        if letter == "X":
-            pre.append(Gate("H", (q,)))
-            post.append(Gate("H", (q,)))
-        elif letter == "Y":
-            pre.extend((Gate("SDG", (q,)), Gate("H", (q,))))
-            post.extend((Gate("H", (q,)), Gate("S", (q,))))
+        raise ValueError("all-identity string exponentiates to a global phase; no gate realizes it")
+    pre, post = ([Gate(kind, (q,)) for q in active for kind in _BASIS_CHANGE[p.letter(q)][side]]
+                 for side in (0, 1))
     chain = [Gate("CNOT", (active[k], active[k + 1])) for k in range(len(active) - 1)]
     gates = pre + chain + [Gate("RZ", (active[-1],), float(alpha))] + chain[::-1] + post
     return Circuit(p.n, tuple(gates))
@@ -157,14 +143,14 @@ def synthesize_sum_exponential(s: PauliSum, alpha: float) -> Circuit:
         raise ValueError("sum exponential needs real coefficients")
     if not math.isfinite(alpha):  # a sum whose coefficients are all 0 has no RZ gate to refuse it
         raise ValueError(f"angle alpha must be finite, got {alpha}")
-    terms = s.terms
-    for (p, _), (q, _) in itertools.combinations(terms, 2):
-        if not paulis_commute(p, q):
-            raise ProductFormulaError(
-                "terms do not commute; product formula inapplicable "
-                f"({p.to_label()} and {q.to_label()} anticommute)"
-            )
-    return Circuit(s.n, tuple(g for p, c in terms
+    # Anticommutation is symmetric and never holds on the diagonal, so the first
+    # pair in row-major order has i < j: the first pair i < j in (i, j) order.
+    for i, j in _anticommuting_pairs(s, s):
+        if len(i):
+            p, q = (PauliString(s.n, int(s.x[k]), int(s.z[k])) for k in (i[0], j[0]))
+            raise ProductFormulaError("terms do not commute; product formula inapplicable "
+                                      f"({p.to_label()} and {q.to_label()} anticommute)")
+    return Circuit(s.n, tuple(g for p, c in s.terms
                               for g in synthesize_pauli_exponential(p, alpha * c.real).gates))
 
 

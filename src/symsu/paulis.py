@@ -38,7 +38,11 @@ _REALIZATION_BLOCK = 1 << 14
 # Terms per block of _sum_texts; bounds its temporary arrays.
 _TEXT_BLOCK = 1 << 13
 
+# Term pairs per block of _anticommuting_pairs; bounds its temporary arrays.
+_PAIR_BLOCK = 1 << 16
+
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POWERS = np.array(PHASES)
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
 _LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
@@ -94,31 +98,43 @@ class PauliString:
         return f"{prefix}{self.to_label()}"
 
 
+def _anticommutes(ax, az, bx, bz):
+    """1 where strings (ax, az) and (bx, bz) anticommute, else 0, broadcasting:
+    the parity of their symplectic product."""
+    return np.bitwise_count((ax & bz) ^ (az & bx)) & 1
+
+
+def _product(ax, az, bx, bz) -> tuple:
+    """Masks and i-power (0..3) of each product P_a P_b of phase-free strings, broadcasting:
+    to X^x Z^z form (one i per Y), Z past X, back to letters.  Bit counts are made int64:
+    np.bitwise_count gives uint8, or a Python int past 64 bits."""
+    x, z = ax ^ bx, az ^ bz
+    ya, yb, y, zx = (np.asarray(np.bitwise_count(m), np.int64) for m in (ax & az, bx & bz, x & z, az & bx))
+    return x, z, (ya + yb - y + 2 * zx) % 4
+
+
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Product a*b in the Pauli group, with the exact accumulated i-power."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    # Convert both factors to X^x Z^z form (one i per Y), commute Z past X,
-    # then convert the result back to letter form.
-    phase = (
-        a.phase_exp
-        + b.phase_exp
-        + (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-    )
-    return PauliString(a.n, x, z, phase % 4)
+    x, z, power = _product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return PauliString(a.n, x, z, a.phase_exp + b.phase_exp + int(power))
 
 
 def paulis_commute(a: PauliString, b: PauliString) -> bool:
     """True when the strings commute (even number of anticommuting wires)."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    count = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
-    return count % 2 == 0
+    return not _anticommutes(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+
+
+def _complex_product(a: np.ndarray, b) -> np.ndarray:
+    """a * b as CPython forms a complex product, one float64 operation at a time:
+    numpy's complex multiply may fuse them and round differently."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _canonical refuses what is not finite
+        out = (a.real * b.real - a.imag * b.imag).astype(complex)
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 class PauliSum:
@@ -214,13 +230,7 @@ class PauliSum:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        # CPython's complex product, one float64 operation at a time: numpy's
-        # complex multiply may fuse them and round differently.
-        a, b, s = self.coeffs.real, self.coeffs.imag, complex(scalar)
-        with np.errstate(over="ignore", invalid="ignore"):  # _canonical refuses what is not finite
-            coeffs = (a * s.real - b * s.imag).astype(complex)
-            coeffs.imag = a * s.imag + b * s.real
-        return PauliSum._canonical(self.n, self.x, self.z, coeffs)
+        return PauliSum._canonical(self.n, self.x, self.z, _complex_product(self.coeffs, complex(scalar)))
 
     __rmul__ = __mul__
 
@@ -301,19 +311,28 @@ def _parse_term(chunk: str) -> tuple[PauliString, complex]:
 
 def pauli_commutator(a: PauliString, b: PauliString) -> PauliSum:
     """Commutator a*b - b*a as a sum: empty, or one term 2*(phase of ab)."""
-    if paulis_commute(a, b):  # raises on differing qubit counts
-        return PauliSum.zero(a.n)
-    return PauliSum(a.n, ((pauli_multiply(a, b), 2.0),))
+    return sum_commutator(PauliSum(a.n, ((a, 1.0),)), PauliSum(b.n, ((b, 1.0),)))
+
+
+def _anticommuting_pairs(a: PauliSum, b: PauliSum):
+    """Index arrays (i, j) of the anticommuting term pairs of a and b in row-major
+    order, at least one block of about _PAIR_BLOCK pairs of a's rows at a time."""
+    step = max(1, _PAIR_BLOCK // max(1, len(b)))
+    for lo in range(0, max(1, len(a)), step):
+        i, j = np.nonzero(_anticommutes(a.x[lo:lo + step, None], a.z[lo:lo + step, None], b.x, b.z))
+        yield i + lo, j
 
 
 def sum_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Bilinear expansion of the commutator over all term pairs."""
+    """Bilinear expansion of the commutator over all term pairs: each
+    anticommuting pair adds ((2.0 * ca) * cb) * i**power, formed as CPython
+    forms it from complex scalars, on P_a P_b, merged in row-major pair order."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    right = b.terms
-    # The sum folds each product's phase into its coefficient.
-    return PauliSum(a.n, [(pauli_multiply(p, q), 2.0 * ca * cb)
-                          for p, ca in a.terms for q, cb in right if not paulis_commute(p, q)])
+    i, j = (np.concatenate(blocks) for blocks in zip(*_anticommuting_pairs(a, b)))
+    x, z, power = _product(a.x[i], a.z[i], b.x[j], b.z[j])
+    values = _complex_product(_complex_product(2.0 * a.coeffs[i], b.coeffs[j]), _I_POWERS[power])
+    return PauliSum._canonical(a.n, x, z, values)
 
 
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
@@ -338,7 +357,7 @@ def sum_to_matrix(s: PauliSum) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     b = np.arange(dim)
     x, z = s.x[:, None], s.z[:, None]
-    value = (s.coeffs * np.array(PHASES)[np.bitwise_count(s.x & s.z) % 4])[:, None]
+    value = (s.coeffs * _I_POWERS[np.bitwise_count(s.x & s.z) % 4])[:, None]
     step = max(1, _REALIZATION_BLOCK >> s.n)
     for lo in range(0, len(s), step):
         hi = lo + step

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from symsu import DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary, preset_group
+from symsu import (DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary, pauli_multiply,
+                   paulis_commute, preset_group)
 from symsu.symmetry import _move_masks
 
 ORACLE_LETTERS = {
@@ -231,6 +232,15 @@ def string_product(n: int, a: tuple, b: tuple) -> tuple:
         x |= ORACLE_BITS[ch][0] << q
         z |= ORACLE_BITS[ch][1] << q
     return coeff, (x, z)
+
+
+def pairs_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Reference for paulis.sum_commutator: the term-pair route, one
+    PauliString product and one Python complex coefficient 2.0 * ca * cb per
+    anticommuting pair, in row-major order, merged by the PauliSum constructor."""
+    right = b.terms
+    return PauliSum(a.n, [(pauli_multiply(p, q), 2.0 * ca * cb)
+                          for p, ca in a.terms for q, cb in right if not paulis_commute(p, q)])
 
 
 def dict_commutator(n: int, a: dict, b: dict) -> dict:

@@ -1,7 +1,12 @@
 """Gate-level synthesis of Pauli exponentials and circuit evaluation."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from symsu import (
@@ -20,9 +25,10 @@ from symsu import (
     synthesize_sum_exponential,
     two_pauli_condition,
 )
+from symsu import paulis
 from symsu.circuits import H_MATRIX, SDG_MATRIX, S_MATRIX, rz_matrix
 
-from conftest import dense_label, dense_sum, fro, orbit_terms_commute, weight
+from conftest import dense_label, dense_sum, fro, orbit_terms_commute, string_product, weight
 
 
 def P(label):
@@ -186,6 +192,51 @@ class TestSumExponential:
         s = PauliSum.from_labels(1, [("X", 1), ("Z", 1)])
         with pytest.raises(ProductFormulaError):
             synthesize_sum_exponential(s, 0.3)
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    def test_refusal_names_first_pair_in_combinations_order(self, block, monkeypatch):
+        # Canonical order IXX, XII, IZZ, ZII: IXX commutes with all three and XII
+        # with IZZ, so the first anticommuting pair is (1, 3), in the second row.
+        monkeypatch.setattr(paulis, "_PAIR_BLOCK", block)  # pairs per block: 1 or 2 rows, or all
+        s = PauliSum.from_labels(3, [("ZII", 1.0), ("IZZ", 0.5), ("XII", -1.0), ("IXX", 2.0)])
+        assert [p.to_label() for p, _ in s.terms] == ["IXX", "XII", "IZZ", "ZII"]
+        with pytest.raises(ProductFormulaError, match=r"\(XII and ZII anticommute\)$"):
+            synthesize_sum_exponential(s, 0.3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+                             .filter(any), min_size=1, max_size=8, unique=True),
+        st.sampled_from([1, 3, 1 << 16]))))
+    def test_refusal_matches_combinations_oracle(self, case):
+        # The letter-matrix oracle decides each pair, in itertools.combinations order.
+        n, keys, block = case
+        s = PauliSum(n, [(PauliString(n, x, z), 1.0) for x, z in keys])
+        keys = [(p.x_mask, p.z_mask) for p, _ in s.terms]
+        first = next(((a, b) for a, b in itertools.combinations(keys, 2)
+                      if string_product(n, a, b)[0] != string_product(n, b, a)[0]), None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paulis, "_PAIR_BLOCK", block)
+            if first is None:
+                assert len(synthesize_sum_exponential(s, 0.3)) > 0
+            else:
+                a, b = (PauliString(n, *k).to_label() for k in first)
+                with pytest.raises(ProductFormulaError, match=rf"\({a} and {b} anticommute\)$"):
+                    synthesize_sum_exponential(s, 0.3)
+
+    def test_refusal_memory_is_bounded(self):
+        # The 2520-term full_swap n=8 element of two X, two Y, two Z and two I
+        # letters: a whole term-by-term int64 array would hold 50 MB.
+        basis = build_basis(8, preset_group("full_swap", 8))
+        element = next(e for e in basis.elements if len(e) == 2520)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProductFormulaError):
+                synthesize_sum_exponential(element, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_complex_coefficients_rejected(self):
         s = PauliSum.from_labels(2, [("XX", 1j)])

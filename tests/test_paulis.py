@@ -23,7 +23,7 @@ from symsu import (
 
 from symsu import paulis
 
-from conftest import coefficient, dense_label, dense_sum, fro, is_identity, weight
+from conftest import coefficient, dense_label, dense_sum, fro, is_identity, pairs_commutator, string_product, weight
 
 
 def P(label, phase_exp=0):
@@ -267,11 +267,10 @@ class TestPauliSum:
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
-def _random_sums(n):
+def _random_sums(n, values=st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2j, -0.1 + 0.3j]),
+                                     st.builds(complex, finite, finite))):
     """Two sums on n qubits drawn over a shared pool of strings, so that their
     terms merge and some cancel; coefficients from a signed set or arbitrary."""
-    values = st.one_of(st.sampled_from([1.0, -1.0, 0.5, 2j, -0.1 + 0.3j]),
-                       st.builds(complex, finite, finite))
     pool = st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
                     min_size=1, max_size=5, unique=True)
     picks = st.lists(st.tuples(st.integers(0, 4), values), max_size=6)
@@ -343,7 +342,92 @@ class TestArrayArithmetic:
             build()
 
 
+# Widths on both sides of the int64 masks (62 qubits) and of 64-bit counts.
+WIDTHS = [1, 2, 3, 4, 64, 100]
+I_POWERS = (1, 1j, -1, -1j)
+
+
+def masks(n):
+    return st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+
+
+class TestProductRule:
+    """pauli_multiply, paulis_commute and the mask-array kernel behind them
+    against the letter-matrix oracle string_product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(WIDTHS).flatmap(
+        lambda n: st.tuples(st.just(n), masks(n), masks(n), st.integers(0, 3), st.integers(0, 3))))
+    def test_strings_match_letter_oracle(self, case):
+        n, a, b, pa, pb = case
+        p, q = PauliString(n, *a, pa), PauliString(n, *b, pb)
+        coeff, key = string_product(n, a, b)
+        product = pauli_multiply(p, q)
+        assert (product.x_mask, product.z_mask) == key and isinstance(product.phase_exp, int)
+        assert I_POWERS[product.phase_exp] == coeff * I_POWERS[(pa + pb) % 4]
+        assert paulis_commute(p, q) == (coeff == string_product(n, b, a)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(WIDTHS).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(masks(n), min_size=1, max_size=6)] * 2)))
+    def test_array_kernel_matches_letter_oracle(self, case):
+        # Every pair of a column of strings against a row of them, by broadcasting.
+        n, left, right = case
+        dtype = np.int64 if n <= 62 else object
+        (ax, az), (bx, bz) = ((np.array(v, dtype=dtype) for v in zip(*side)) for side in (left, right))
+        anti = paulis._anticommutes(ax[:, None], az[:, None], bx, bz)
+        x, z, power = paulis._product(ax[:, None], az[:, None], bx, bz)
+        assert anti.shape == x.shape == power.shape == (len(left), len(right))
+        assert x.dtype == z.dtype == dtype and power.dtype == np.int64
+        for r, a in enumerate(left):
+            for c, b in enumerate(right):
+                coeff, key = string_product(n, a, b)
+                assert (int(x[r, c]), int(z[r, c])) == key and I_POWERS[power[r, c]] == coeff
+                assert anti[r, c] == (coeff != string_product(n, b, a)[0])
+
+
+def same_bytes(s, t):
+    """The same masks (and mask dtype) and the same coefficient bytes."""
+    return (s.n == t.n and s.x.dtype == t.x.dtype and s.x.tolist() == t.x.tolist()
+            and s.z.tolist() == t.z.tolist() and s.coeffs.tobytes() == t.coeffs.tobytes())
+
+
+coefficient_kinds = {"real": finite.map(complex), "imaginary": finite.map(lambda v: complex(0.0, v)),
+                     "complex": st.builds(complex, finite, finite)}
+
+
 class TestSumCommutator:
+    @pytest.mark.parametrize("kind", sorted(coefficient_kinds))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairs_route_bit_for_bit(self, kind, data):
+        n = data.draw(st.sampled_from(WIDTHS))
+        a, b = data.draw(_random_sums(n, coefficient_kinds[kind]))
+        block = data.draw(st.sampled_from([1, 3, paulis._PAIR_BLOCK]))  # pairs per block: rows of a at a time
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paulis, "_PAIR_BLOCK", block)
+            assert same_bytes(sum_commutator(a, b), pairs_commutator(a, b))
+            assert same_bytes(sum_commutator(b, a), pairs_commutator(b, a))
+
+    def test_overflow_refused_as_pairs_route(self):
+        a, b = PauliSum.from_label("XZ", 1e300), PauliSum.from_label("ZZ", 1e300)
+        for route in (sum_commutator, pairs_commutator):
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                route(a, b)
+
+    def test_never_reads_terms(self, monkeypatch):
+        a = PauliSum.from_labels(3, [("XYZ", 0.5), ("ZZI", -1j), ("IIX", 2.0)])
+        b = PauliSum.from_labels(3, [("ZZI", 1j), ("YII", 0.25), ("IIZ", 1.0 - 2j)])
+        expected = pairs_commutator(a, b), pairs_commutator(b, a)
+
+        def refuse(self):
+            raise AssertionError("sum_commutator read PauliSum.terms")
+
+        monkeypatch.setattr(PauliSum, "terms", property(refuse))
+        assert same_bytes(sum_commutator(a, b), expected[0]) and same_bytes(sum_commutator(b, a), expected[1])
+        assert len(expected[0]) == 3
+        assert pauli_commutator(P("XY"), P("ZX")) == PauliSum.zero(2) and len(pauli_commutator(P("XY"), P("ZY"))) == 1
+
     def test_symmetrized_pair(self):
         a = PauliSum.from_labels(2, [("XI", 1), ("IX", 1)])
         b = PauliSum.from_labels(2, [("ZI", 1), ("IZ", 1)])
