@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
-from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _I_POWERS, _anticommutes, _product
+from . import paulis
+from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _I_POWERS, _anticommuting_pairs, _product
 from .symmetry import SymmetryGroup, _move_masks
-
-# Term pairs per block of closure_report; bounds its temporary arrays.
-_CLOSURE_BLOCK = 1 << 11
 
 
 def _check_qubits(n: int, group: SymmetryGroup) -> None:
@@ -251,8 +249,8 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     """Check that every pairwise commutator stays inside the span.
 
     The residual of a pair is in_span(sum_commutator(A_i, A_j), basis),
-    computed for all term pairs of orbit i against a block of orbits j > i
-    at once by the product rule of paulis on mask arrays.  Per (j, product
+    computed for the anticommuting term pairs of orbit i against a block of
+    whole orbits j > i, from paulis' one pair scan and product rule.  Per (j, product
     string) the coefficients are summed as sum_commutator merges them; per
     (j, target orbit k) the squared residual is sum |c|^2 - |sum c|^2 / |O_k|,
     members absent from the commutator counting as 0, and strings in no orbit
@@ -269,29 +267,25 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
 
     worst, worst_pair = 0.0, None
     for i in range(d - 1):
-        a = slice(starts[i], starts[i + 1])
-        xa, za = x[a, None], z[a, None]
-        step = max(1, _CLOSURE_BLOCK // int(sizes[i]))
+        xa, za = x[starts[i]:starts[i + 1]], z[starts[i]:starts[i + 1]]
+        step = max(1, paulis._PAIR_BLOCK // int(sizes[i]))  # the scan's budget, read when called
         lo = starts[i + 1]
         while lo < starts[d]:
             # Whole orbits j only, so that each (j, string) sum is complete.
             hi = starts[min(d, np.searchsorted(starts, lo + step))]
             first = owner[lo]
-            residual_sq = np.zeros(owner[hi - 1] - first + 1)
-            xb, zb = x[lo:hi], z[lo:hi]
-            ra, rb = np.nonzero(_anticommutes(xa, za, xb, zb))  # row-major, as in sum_commutator
-            if len(ra):
-                px, pz, power = _product(xa[ra, 0], za[ra, 0], xb[rb], zb[rb])
-                c = 2.0 * _I_POWERS[power]
-                key = (owner[lo + rb] - first) << 2 * n | pz << n | px
-                keys, at = np.unique(key, return_inverse=True)
-                sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
-                jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
-                                   return_inverse=True)
-                sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)  # not abs(): exact for Gaussian integers
-                total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
-                spread = np.maximum(sq - (total.real ** 2 + total.imag ** 2) / orbit_size[jk % (d + 1)], 0.0)
-                residual_sq += np.bincount(jk // (d + 1), spread, minlength=len(residual_sq))
+            ra, rb = (np.concatenate(ix) for ix in zip(*_anticommuting_pairs(xa, za, x[lo:hi], z[lo:hi])))
+            px, pz, power = _product(xa[ra], za[ra], x[lo + rb], z[lo + rb])
+            c = 2.0 * _I_POWERS[power]
+            key = (owner[lo + rb] - first) << 2 * n | pz << n | px
+            keys, at = np.unique(key, return_inverse=True)
+            sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
+            jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
+                               return_inverse=True)
+            sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)  # not abs(): exact for Gaussian integers
+            total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
+            spread = np.maximum(sq - (total.real ** 2 + total.imag ** 2) / orbit_size[jk % (d + 1)], 0.0)
+            residual_sq = np.bincount(jk // (d + 1), spread, minlength=owner[hi - 1] - first + 1)
             top = int(np.argmax(residual_sq))
             r = float(np.sqrt(residual_sq[top]))
             if r > worst:

@@ -145,7 +145,7 @@ def synthesize_sum_exponential(s: PauliSum, alpha: float) -> Circuit:
         raise ValueError(f"angle alpha must be finite, got {alpha}")
     # Anticommutation is symmetric and never holds on the diagonal, so the first
     # pair in row-major order has i < j: the first pair i < j in (i, j) order.
-    for i, j in _anticommuting_pairs(s, s):
+    for i, j in _anticommuting_pairs(s.x, s.z, s.x, s.z):
         if len(i):
             p, q = (PauliString(s.n, int(s.x[k]), int(s.z[k])) for k in (i[0], j[0]))
             raise ProductFormulaError("terms do not commute; product formula inapplicable "

@@ -207,7 +207,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_random(args) -> int:
-    _at_least(args.depth, 0, "--depth")
+    for flag in ("seed", "depth"):
+        _at_least(getattr(args, flag), 0, "--" + flag)
     group = _resolve_group(args.symmetry, args.n)
     u = random_invariant(group.n, group, args.seed, args.depth)
     _emit_pieces(itertools.chain(_pairs_json(u.matrix), ["\n"]), _resolve_out(args.out))
@@ -215,7 +216,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag in ("pairs", "paths", "depth"):
+    for flag in ("seed", "pairs", "paths", "depth"):
         _at_least(getattr(args, flag), 0, "--" + flag)
     _positive_finite(args.tol, "--tol")
     group = _resolve_group(args.symmetry, args.n)

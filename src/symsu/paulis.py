@@ -38,8 +38,8 @@ _REALIZATION_BLOCK = 1 << 14
 # Terms per block of _sum_texts; bounds its temporary arrays.
 _TEXT_BLOCK = 1 << 13
 
-# Term pairs per block of _anticommuting_pairs; bounds its temporary arrays.
-_PAIR_BLOCK = 1 << 16
+# Term pairs per block of _anticommuting_pairs and of closure_report; bounds their temporary arrays.
+_PAIR_BLOCK = 1 << 11
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _I_POWERS = np.array(PHASES)
@@ -220,6 +220,8 @@ class PauliSum:
         return hash((self.n, *(tuple(a.tolist()) for a in (self.x, self.z, self.coeffs))))
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
+        if not isinstance(other, PauliSum):
+            return NotImplemented
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} vs {other.n}")
         x, z, coeffs = (np.concatenate((a, b)) for a, b in
@@ -227,7 +229,7 @@ class PauliSum:
         return PauliSum._canonical(self.n, x, z, coeffs)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
+        return self + (-1.0) * other if isinstance(other, PauliSum) else NotImplemented
 
     def __mul__(self, scalar: complex) -> "PauliSum":
         return PauliSum._canonical(self.n, self.x, self.z, _complex_product(self.coeffs, complex(scalar)))
@@ -314,12 +316,12 @@ def pauli_commutator(a: PauliString, b: PauliString) -> PauliSum:
     return sum_commutator(PauliSum(a.n, ((a, 1.0),)), PauliSum(b.n, ((b, 1.0),)))
 
 
-def _anticommuting_pairs(a: PauliSum, b: PauliSum):
-    """Index arrays (i, j) of the anticommuting term pairs of a and b in row-major
-    order, at least one block of about _PAIR_BLOCK pairs of a's rows at a time."""
-    step = max(1, _PAIR_BLOCK // max(1, len(b)))
-    for lo in range(0, max(1, len(a)), step):
-        i, j = np.nonzero(_anticommutes(a.x[lo:lo + step, None], a.z[lo:lo + step, None], b.x, b.z))
+def _anticommuting_pairs(ax, az, bx, bz):
+    """Index arrays (i, j) of the anticommuting pairs of strings (ax, az) and (bx, bz)
+    in row-major order, at least one block of about _PAIR_BLOCK pairs of rows at a time."""
+    step = max(1, _PAIR_BLOCK // max(1, len(bx)))
+    for lo in range(0, max(1, len(ax)), step):
+        i, j = np.nonzero(_anticommutes(ax[lo:lo + step, None], az[lo:lo + step, None], bx, bz))
         yield i + lo, j
 
 
@@ -329,7 +331,7 @@ def sum_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     forms it from complex scalars, on P_a P_b, merged in row-major pair order."""
     if a.n != b.n:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    i, j = (np.concatenate(blocks) for blocks in zip(*_anticommuting_pairs(a, b)))
+    i, j = (np.concatenate(blocks) for blocks in zip(*_anticommuting_pairs(a.x, a.z, b.x, b.z)))
     x, z, power = _product(a.x[i], a.z[i], b.x[j], b.z[j])
     values = _complex_product(_complex_product(2.0 * a.coeffs[i], b.coeffs[j]), _I_POWERS[power])
     return PauliSum._canonical(a.n, x, z, values)

@@ -98,8 +98,7 @@ class Unitary:
         m.setflags(write=False)
         self.matrix = m
         self.unitarity_residual = residual
-        self._eig = None
-        self._spectrum = None
+        self._eig = self._spectrum = None
         self._cosets = _cosets
 
     @property
@@ -194,7 +193,7 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Orthonormal eigenvectors and clustered eigenphases of a unitary.
+    """Read-only orthonormal eigenvectors and clustered eigenphases of a unitary.
 
     ``clusters`` holds half-open column ranges of equal eigenvalues;
     thetas are identical within each cluster and lie in (-pi, pi].  With
@@ -242,8 +241,10 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cosets=None) -> EigDecom
     order = np.argsort(thetas.reshape(lambdas.shape), axis=-1, kind="stable")
     thetas = np.take_along_axis(thetas.reshape(lambdas.shape), order, -1)
     starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf)).tolist()  # and every block's start
-    return EigDecomposition(np.take_along_axis(vectors, order[..., None, :], -1), thetas,
-                            tuple(zip(starts, starts[1:] + [thetas.size])), cosets)
+    vectors = np.take_along_axis(vectors, order[..., None, :], -1)
+    for a in (vectors, thetas):
+        a.setflags(write=False)  # a Unitary shares its decomposition with every reader
+    return EigDecomposition(vectors, thetas, tuple(zip(starts, starts[1:] + [thetas.size])), cosets)
 
 
 def _cayley_decomposition(m: np.ndarray, cosets=None) -> EigDecomposition:
@@ -273,11 +274,13 @@ def eig_unitary(a) -> EigDecomposition:
     """Eigendecomposition of a unitary with degenerate-cluster grouping.
 
     Both routes are Hermitian eigensolves: the spectrum a Unitary from
-    exp_generator carries, then the Cayley route, on the blocks of a
-    Unitary's coset table if it has one.  The first whose P
-    reconstructs the matrix and is orthonormal within RECONSTRUCTION_TOL
-    wins; NumericError names the last route's residuals if none does.
+    exp_generator carries, then the Cayley route, on the blocks of a Unitary's
+    coset table if it has one.  The first whose P reconstructs the matrix and is
+    orthonormal within RECONSTRUCTION_TOL wins, and a Unitary keeps it in place
+    of its spectrum; NumericError names the last route's residuals if none does.
     """
+    if getattr(a, "_eig", None) is not None:
+        return a._eig
     stored, cosets = getattr(a, "_spectrum", None), getattr(a, "_cosets", None)
     m = _blocks(np.asarray(getattr(a, "matrix", a), dtype=complex), cosets)  # a is zero off its blocks
     routes = ([] if stored is None else [lambda: _assemble(*stored, cosets)]) + [
@@ -288,6 +291,8 @@ def eig_unitary(a) -> EigDecomposition:
         recon = float(np.linalg.norm(_spectral_product(dec.eigenvectors, d) - m))
         ortho = _unitarity_residual(dec.eigenvectors)  # = ||P+P - 1|| for a square P
         if recon < RECONSTRUCTION_TOL and ortho < RECONSTRUCTION_TOL:
+            if isinstance(a, Unitary):  # exp_generator's eigenpairs: dim^2 numbers no longer needed
+                a._eig, a._spectrum = dec, None
             return dec
     raise NumericError(
         f"unitary eigendecomposition failed: reconstruction residual {recon:.3e}, "
@@ -298,17 +303,15 @@ def eig_unitary(a) -> EigDecomposition:
 def connectedness_path(a: Unitary, t: float) -> Unitary:
     """Point on the eigenphase-interpolation path from the identity to A.
 
-    A(t) = P diag(exp(i t theta)) P+ with one cached decomposition per A;
+    A(t) = P diag(exp(i t theta)) P+ with the decomposition eig_unitary keeps on A;
     A(0) is the identity and A(1) reproduces A.  If A commutes with a
     symmetry group, so does every A(t), because the interpolation only
     rescales eigenvalues while keeping the spectral projectors fixed.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
-    if a._eig is None:
-        a._eig = eig_unitary(a)
-        a._spectrum = None  # exp_generator's eigenpairs: dim^2 numbers no longer needed
-    return Unitary(_spectral_product(a._eig.eigenvectors, np.exp(1j * t * a._eig.thetas)), _cosets=a._eig.cosets)
+    dec = eig_unitary(a)
+    return Unitary(_spectral_product(dec.eigenvectors, np.exp(1j * t * dec.thetas)), _cosets=dec.cosets)
 
 
 def project_to_su(u: Unitary) -> Unitary:

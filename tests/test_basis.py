@@ -35,6 +35,7 @@ from symsu import (
     symmetry_defect,
     UnsupportedSymmetryError,
 )
+from symsu import paulis
 from symsu.basis import _cycle_counts, _generator_images, _orbit_table
 
 from conftest import (basis_from_sums, conjugate_pauli, dict_closure, generator_sets, has_identity_term, orbit_members,
@@ -300,6 +301,10 @@ class TestBuildBasis:
                 InvariantBasis(n, group, table)
         with pytest.raises(DimensionError):
             build_basis(3, s2)
+        with pytest.raises(DimensionError, match="string on 3 qubits, group on 2"):
+            pauli_orbit(P("XII"), s2)
+        with pytest.raises(DimensionError, match="sum on 3 qubits, basis on 2"):
+            in_span(PauliSum.from_label("XII"), build_basis(2, s2))
 
     @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral", "trivial"])
     def test_table_rebuilds_the_basis(self, preset):
@@ -542,6 +547,22 @@ class TestClosureReport:
         splittable = [k for k in range(len(basis)) if len(basis.elements[k]) > 1]
         if splittable:
             assert_matches_scalar(split_orbit(basis, splittable[pick % len(splittable)]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(generator_sets(4), st.integers(0, 1 << 16))
+    def test_same_report_at_any_pair_budget(self, case, pick):
+        # One orbit j and one row of orbit i per block at a budget of 1 pair, a few at 3.
+        n, images = case
+        basis = build_basis(n, generate_group(n, [QubitPermutation(n, tuple(im)) for im in images]))
+        splittable = [k for k in range(len(basis)) if len(basis.elements[k]) > 1]
+        broken = [split_orbit(basis, splittable[pick % len(splittable)])] if splittable else []
+        for b in [basis] + broken:
+            reports = []
+            for block in (1, 3, paulis._PAIR_BLOCK):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(paulis, "_PAIR_BLOCK", block)
+                    reports.append(closure_report(b))
+            assert reports[0] == reports[1] == reports[2]
 
     def test_commutators_commute_with_group_matrices(self, s2):
         basis = build_basis(2, s2)

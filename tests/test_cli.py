@@ -472,6 +472,10 @@ class TestRandomCommand:
     def test_negative_depth_rejected(self, capsys):
         assert_rejected(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--depth", "-1")
 
+    def test_negative_seed_rejected(self, capsys):
+        err = assert_rejected(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--seed", "-1")
+        assert "--seed must be at least 0, got -1" in err
+
     def test_stdout_and_file_are_one_dump_of_the_pairs(self, capsys, tmp_path):
         # the matrix is written a row at a time; the bytes are one json.dumps and a newline
         path = tmp_path / "sub" / "u.json"
@@ -522,10 +526,24 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == (
             "verify: no failures; skipped with no samples: composition, path")
 
+    def test_failures_reported(self, capsys):
+        # Float error of about 1e-14 fails a 1e-300 tolerance; closure's exact zero passes, and
+        # the path suite keeps its own 1e-8 bound.
+        code, out, _ = run(capsys, "verify", "--n", "3", "--symmetry", "full_swap", "--tol", "1e-300",
+                           "--pairs", "2", "--paths", "1")
+        verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()[:-1]}
+        assert code == 1
+        assert verdicts == {"composition": "FAIL", "closure": "PASS", "exp_invariance": "FAIL", "path": "PASS"}
+        assert out.splitlines()[-1] == "verify: FAILURES present"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
         err = assert_rejected(capsys, "verify", "--n", "2", "--symmetry", "full_swap", "--tol", tol)
         assert "--tol must be a positive finite number" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        err = assert_rejected(capsys, "verify", "--n", "2", "--symmetry", "full_swap", "--seed", "-1")
+        assert "--seed must be at least 0, got -1" in err
 
     def test_each_element_realized_once_per_command(self, capsys, monkeypatch):
         # The eigenpairs kept for each basis element die with the command's

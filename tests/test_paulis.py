@@ -1,6 +1,7 @@
 """Symbolic Pauli algebra against hand values and the dense oracle."""
 
 import copy
+import operator
 import pickle
 
 import numpy as np
@@ -118,6 +119,16 @@ class TestPauliString:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             pauli_multiply(P("X"), P("XX"))
+        with pytest.raises(DimensionError, match="qubit counts differ: 1 vs 2"):
+            paulis_commute(P("X"), P("XX"))
+        one, two = PauliSum.from_label("X"), PauliSum.from_label("XX")
+        for route in (sum_commutator, PauliSum.__add__, PauliSum.__sub__):
+            with pytest.raises(DimensionError, match="qubit counts differ: 1 vs 2"):
+                route(one, two)
+
+    def test_repr_and_product_operator(self):
+        assert [repr(P("XZ", k)) for k in range(4)] == ["XZ", "i*XZ", "-XZ", "-i*XZ"]
+        assert P("X", 1) * P("Y") == pauli_multiply(P("X", 1), P("Y")) == P("Z", 2)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         *(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1),
@@ -262,6 +273,17 @@ class TestPauliSum:
         assert len(s) == 2
         assert len(s - s) == 0
         assert coefficient(2.0 * s, P("X")) == 2.0 + 0j
+
+    @pytest.mark.parametrize("other", [1, -0.5, 2j, np.float64(1.0), "XZ", None])
+    def test_operand_not_a_sum_refused(self, other):
+        s, t = PauliSum.from_label("XZ"), PauliSum.from_label("ZZ", 0.5)
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(s, other)
+            with pytest.raises(TypeError):
+                op(other, s)
+        assert s + t == PauliSum.from_labels(2, [("XZ", 1.0), ("ZZ", 0.5)])
+        assert s - t == PauliSum.from_labels(2, [("XZ", 1.0), ("ZZ", -0.5)])
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -118,6 +118,8 @@ class TestQubitPermutation:
         swap01 = QubitPermutation.transposition(3, 0, 1)
         # qubit 0: swap01 sends it to 1, then rot sends 1 to 2
         assert rot.compose(swap01).image == (2, 1, 0)
+        with pytest.raises(DimensionError, match="qubit counts differ: 3 vs 2"):
+            rot.compose(QubitPermutation.identity(2))
 
     def test_inverse(self):
         rot = QubitPermutation(4, (1, 2, 3, 0))

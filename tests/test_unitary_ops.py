@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from symsu import (
     DimensionError,
+    InvariantBasis,
     NotUnitaryError,
     NumericError,
     PauliSum,
@@ -115,6 +116,9 @@ def union_find_clusters(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 class TestUnitaryType:
+    def test_repr(self):
+        assert repr(Unitary(SWAP)) == "Unitary(dim=4, residual=0.00e+00)"
+
     def test_residual_cached(self):
         u = Unitary(np.eye(4))
         assert u.unitarity_residual == 0 and u.dim == 4 and u.n == 2
@@ -126,6 +130,8 @@ class TestUnitaryType:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DimensionError):
             Unitary(np.eye(3))
+        with pytest.raises(DimensionError, match=r"expected a square matrix, got shape \(2, 4\)"):
+            Unitary(np.eye(4)[:2])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError, match="dimension 0 is not a power of two"):
@@ -322,6 +328,10 @@ class TestCompose:
         u = random_invariant(2, s2, seed=1, depth=3)
         assert fro(compose(u, dagger(u)).matrix - np.eye(4)) < 1e-12
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError, match="dimensions differ: 2 vs 4"):
+            compose(identity_unitary(1), identity_unitary(2))
+
     def test_applies_first_operand_first(self):
         a = Unitary(SWAP)
         b = exp_generator(PauliSum.from_label("ZI"), 0.4)
@@ -360,6 +370,11 @@ class TestRandomInvariant:
         a = random_invariant(2, s2, seed=1, depth=8)
         b = random_invariant(2, s2, seed=2, depth=8)
         assert fro(a.matrix - b.matrix) > 1e-3
+
+    def test_empty_basis_rejected(self, s2):
+        empty = InvariantBasis(2, s2, np.full(16, -1))
+        with pytest.raises(ValueError, match="the invariant basis is empty"):
+            random_invariant(2, s2, 0, 4, basis=empty)
 
     def test_basis_of_a_smaller_group_rejected(self):
         cyclic = preset_group("cyclic", 3)
@@ -645,6 +660,20 @@ class TestConnectednessPath:
         first = u._eig
         connectedness_path(u, 0.7)
         assert u._eig is first
+
+    def test_one_decomposition_serves_eig_and_path(self, s2, monkeypatch):
+        calls = []
+        original = unitary_ops._cayley_decomposition
+        monkeypatch.setattr(unitary_ops, "_cayley_decomposition", lambda *a: calls.append(a) or original(*a))
+        u = random_invariant(2, s2, seed=4, depth=3)  # no stored spectrum: the Cayley route
+        dec = eig_unitary(u)
+        for t in (0.0, 0.5, 1.0):
+            connectedness_path(u, t)
+        assert len(calls) == 1 and u._eig is dec and eig_unitary(u) is dec
+        assert not (dec.eigenvectors.flags.writeable or dec.thetas.flags.writeable)  # shared by every reader
+        eig_unitary(u.matrix)
+        eig_unitary(u.matrix)  # a plain array keeps nothing
+        assert len(calls) == 3
 
 
 class TestProjectToSu:
