@@ -9,6 +9,7 @@ onto the span: a sum lies in it iff its coefficients are constant on
 every orbit, which avoids any numerical rank decisions.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from . import paulis
 from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _I_POWERS, _anticommuting_pairs, _product
-from .symmetry import SymmetryGroup, _move_masks
+from .symmetry import PRESETS, SymmetryGroup, _move_masks
 
 
 def _check_qubits(n: int, group: SymmetryGroup) -> None:
@@ -196,11 +197,20 @@ def _cycle_counts(images: np.ndarray) -> np.ndarray:
 def burnside_dimension(n: int, group: SymmetryGroup) -> int:
     """Orbit count from the cycle structure: avg of 4^cycles, minus identity.
 
-    Independent of orbit enumeration, so the two routes cross-check each
-    other.
+    A group with a preset's own generator rows (its name is not read) is
+    counted from that preset's cycle index, building only the presets with
+    its generator count; any other group is listed.  Independent of orbit
+    enumeration, so the two routes cross-check each other.
     """
     _check_qubits(n, group)
     _generator_images(group)  # refuses raw-unitary groups
+    images = group._perm_images
+    for name, k in {"full_swap": n - 1, "cyclic": int(n > 1), "dihedral": 2 * (n > 1), "trivial": 0}.items():
+        if k == len(images) and np.array_equal(np.reshape([g.image for g in PRESETS[name](n)], (k, n)), images):
+            rotations = sum(4 ** math.gcd(r, n) for r in range(n))
+            reflections = n * 4 ** ((n + 1) // 2) if n % 2 else n // 2 * 5 * 4 ** (n // 2)
+            return {"full_swap": math.comb(n + 3, 3), "cyclic": rotations // n, "trivial": 4 ** n,
+                    "dihedral": (rotations + reflections) // (2 * n)}[name] - 1
     # Summed exactly as Python ints over the rows of each cycle count, at most n + 1 terms.
     bins = np.bincount(_cycle_counts(group.images), minlength=n + 1).tolist()
     total = sum(rows * 4 ** c for c, rows in enumerate(bins))

@@ -18,6 +18,7 @@ merged, zero coefficients dropped, terms sorted by (z_mask, x_mask).  A sum
 with real coefficients therefore realizes a Hermitian matrix.
 """
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -232,7 +233,8 @@ class PauliSum:
         return self + (-1.0) * other if isinstance(other, PauliSum) else NotImplemented
 
     def __mul__(self, scalar: complex) -> "PauliSum":
-        return PauliSum._canonical(self.n, self.x, self.z, _complex_product(self.coeffs, complex(scalar)))
+        return (PauliSum._canonical(self.n, self.x, self.z, _complex_product(self.coeffs, complex(scalar)))
+                if isinstance(scalar, numbers.Number) else NotImplemented)
 
     __rmul__ = __mul__
 

@@ -17,15 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GroupClosureError, NotUnitaryError
+from .errors import CapacityError, DimensionError, GroupClosureError, NotUnitaryError
 from .serialize import matrix_from_pairs
 
 RAW_UNITARITY_TOL = 1e-10
 
-# Closure caps: raw-unitary groups by default; permutation groups at 8!, the
-# order of S_8; orbit enumeration and invariance checks read only the generators.
+# Closure caps: raw-unitary groups by default; permutation groups at 8!, the order of S_8; orbit
+# enumeration, invariance checks and the cycle-index count of a preset read only the generators.
 DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
+# Presets up to 2^10 wires: full_swap's rows are 8 MB, orbit counts far below int-to-str's digit limit.
+_PRESET_QUBIT_CAP = 1 << 10
 
 
 def _move_masks(masks: np.ndarray, image) -> np.ndarray:
@@ -357,6 +359,8 @@ PRESETS = {
 def preset_group(name: str, n: int) -> SymmetryGroup:
     if name not in PRESETS:
         raise ValueError(f"unknown symmetry preset {name!r}; known: {sorted(PRESETS)}")
+    if n > _PRESET_QUBIT_CAP:
+        raise CapacityError(f"preset {name!r} on {n} qubits exceeds the cap of {_PRESET_QUBIT_CAP} qubits")
     return generate_group(n, PRESETS[name](n), name=name)
 
 

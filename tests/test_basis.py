@@ -19,6 +19,7 @@ from symsu import (
     PauliString,
     PauliSum,
     QubitPermutation,
+    SymmetryGroup,
     build_basis,
     burnside_dimension,
     closure_report,
@@ -372,16 +373,23 @@ class TestBasisValidation:
             InvariantBasis(2, s2, table)
 
 
+def relisted(group):
+    """The same group from a generator list no preset has (the identity
+    first), so that burnside_dimension counts it by listing."""
+    return SymmetryGroup(group.n, [QubitPermutation.identity(group.n), *group.generators])
+
+
 def closed_form_dimension(preset, n):
     """Orbits of the 4^n strings under the preset, minus the identity, from
-    the closed forms: multisets of n letters (full_swap), necklaces (cyclic)
-    and bracelets (dihedral) over 4 letters."""
+    the closed forms: multisets of n letters (full_swap), necklaces (cyclic),
+    bracelets (dihedral) and words (trivial) over 4 letters."""
     totient = [sum(math.gcd(i, d) == 1 for i in range(1, d + 1)) for d in range(n + 1)]
     necklaces = sum(totient[d] * 4 ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
     reflected = 5 * 4 ** (n // 2) // 2 if n % 2 == 0 else 4 ** ((n + 1) // 2)
     return {"full_swap": math.comb(n + 3, 3),
             "cyclic": necklaces,
-            "dihedral": (necklaces + reflected) // 2}[preset] - 1
+            "dihedral": (necklaces + reflected) // 2,
+            "trivial": 4 ** n}[preset] - 1
 
 
 @pytest.mark.parametrize("call", [
@@ -417,19 +425,47 @@ class TestBurnside:
             g = preset_group(preset, n)
             assert len(build_basis(n, g)) == burnside_dimension(n, g)
 
-    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_closed_forms_up_to_eight_qubits(self, preset):
+        # the listing route is the cycle index's oracle: the same group from a generator list no preset has
         for n in range(1, 9):
-            assert burnside_dimension(n, preset_group(preset, n)) == closed_form_dimension(preset, n)
-        assert len(build_basis(8, preset_group(preset, 8))) == closed_form_dimension(preset, 8)
+            group = preset_group(preset, n)
+            listed = relisted(group)
+            assert (burnside_dimension(n, group) == burnside_dimension(n, listed) == len(build_basis(n, group))
+                    == closed_form_dimension(preset, n))
+            assert group._images is None and listed._images is not None
 
     @pytest.mark.parametrize("preset", ["cyclic", "dihedral"])
     def test_closed_forms_past_int64_closure_keys(self, preset):
-        # _close_images keys its rows by Python ints from n = 16 on
-        dims = [burnside_dimension(n, preset_group(preset, n)) for n in (15, 16, 20)]
+        # _close_images keys its rows by Python ints from n = 16 on; the listing
+        # route reads them, the cycle index does not
+        listed = {n: relisted(preset_group(preset, n)) for n in (15, 16, 20)}
+        dims = [burnside_dimension(n, g) for n, g in listed.items()]
+        assert [len(g.images) for g in listed.values()] == [(1 if preset == "cyclic" else 2) * n for n in listed]
         assert dims == [closed_form_dimension(preset, n) for n in (15, 16, 20)]
+        assert dims == [burnside_dimension(n, preset_group(preset, n)) for n in (15, 16, 20)]
         assert dims == {"cyclic": [71_582_943, 268_439_589, 54_975_633_975],
                         "dihedral": [35_824_239, 134_301_714, 27_489_127_707]}[preset]
+
+    def test_preset_count_never_lists(self, monkeypatch):
+        def listing(group):
+            raise AssertionError("a preset was listed to be counted")
+
+        monkeypatch.setattr(SymmetryGroup, "images", property(listing))
+        for preset in PRESETS:
+            for n in (1, 2, 3, 4, 9, 10, 40):
+                spelled = group_from_spec({"n": n, "generators": [
+                    {"perm": list(g.image)} for g in PRESETS[preset](n)]})
+                for group in (preset_group(preset, n), spelled):
+                    assert burnside_dimension(n, group) == closed_form_dimension(preset, n)
+        with pytest.raises(AssertionError, match="listed"):
+            burnside_dimension(3, relisted(preset_group("cyclic", 3)))
+
+    def test_group_named_as_a_preset_is_listed(self):
+        # the generator rows, not the name, pick the cycle-index route
+        named = SymmetryGroup(3, [QubitPermutation.transposition(3, 0, 1)], "full_swap")
+        assert burnside_dimension(3, named) == 39 == (64 + 16) // 2 - 1
+        assert named._images is not None
 
     def test_closed_forms_at_eight_qubits(self):
         assert [closed_form_dimension(p, 8) for p in ("full_swap", "cyclic", "dihedral")] == [

@@ -27,7 +27,7 @@ from symsu import (
     symmetrize,
     synthesize_pauli_exponential,
 )
-from symsu import unitary_ops
+from symsu import symmetry, unitary_ops
 from symsu.cli import main
 
 from conftest import dense_label, fro
@@ -182,9 +182,29 @@ class TestDimCommand:
         code, out, _ = run(capsys, "dim", "--n", "8", "--symmetry", "full_swap", "--no-header")
         assert code == 0 and out.splitlines() == ["n,group,dimension", "8,full_swap,164"]
 
-    def test_full_swap_nine_qubits_names_the_bound(self, capsys):
-        err = assert_rejected(capsys, "dim", "--n", "9", "--symmetry", "full_swap")
+    def test_full_swap_past_the_listing_cap(self, capsys):
+        code, out, _ = run(capsys, "dim", "--n", "9,10", "--symmetry", "full_swap", "--no-header")
+        assert code == 0 and out.splitlines() == ["n,group,dimension", "9,full_swap,219", "10,full_swap,285"]
+
+    def test_full_swap_nine_qubits_names_the_bound(self, capsys, tmp_path):
+        # S_9 from (0 1) and the 9-cycle is no preset's generator list, so it is listed
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps({"n": 9, "generators": [
+            {"perm": [1, 0, 2, 3, 4, 5, 6, 7, 8]}, {"perm": [(i + 1) % 9 for i in range(9)]}]}))
+        err = assert_rejected(capsys, "dim", "--n", "9", "--symmetry", str(path))
         assert "exceeded the cap of 40320 elements" in err
+
+    def test_preset_qubit_cap(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "dim", "--n", "1024", "--symmetry", "cyclic", "--no-header")
+        assert code == 0 and out.splitlines()[1].startswith("1024,cyclic,")
+        built = []
+        for name in symmetry.PRESETS:
+            monkeypatch.setitem(symmetry.PRESETS, name, built.append)
+        for command in ("dim", "basis", "random", "verify"):
+            for name in ("full_swap", "cyclic"):
+                err = assert_rejected(capsys, command, "--n", "1025", "--symmetry", name)
+                assert "exceeds the cap of 1024 qubits" in err
+        assert built == []
 
     def test_infinite_raw_group_names_the_bound(self, capsys, tmp_path):
         rz = [[[1, 0], [0, 0]], [[0, 0], [np.cos(1.0), np.sin(1.0)]]]

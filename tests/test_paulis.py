@@ -3,6 +3,7 @@
 import copy
 import operator
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,6 +285,20 @@ class TestPauliSum:
                 op(other, s)
         assert s + t == PauliSum.from_labels(2, [("XZ", 1.0), ("ZZ", 0.5)])
         assert s - t == PauliSum.from_labels(2, [("XZ", 1.0), ("ZZ", -0.5)])
+
+    @pytest.mark.parametrize("other", ["2", "2j", "abc", None, [2.0]])
+    def test_scalar_not_a_number_refused(self, other):
+        s = PauliSum.from_label("XZ")
+        with pytest.raises(TypeError):
+            s * other
+        with pytest.raises(TypeError):
+            other * s
+
+    @pytest.mark.parametrize("scalar", [2, -0.5, 2j, True, Fraction(1, 3), np.float64(0.1), np.float32(0.1),
+                                        np.int64(3), np.int8(-2), np.complex128(0.3 + 0.2j)])
+    def test_numeric_scalars_scale_as_complex(self, scalar):
+        s = PauliSum.from_labels(2, [("XZ", 1.0), ("YY", 0.3 - 0.1j)])
+        assert same_arrays(s * scalar, s * complex(scalar)) and same_arrays(scalar * s, s * complex(scalar))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

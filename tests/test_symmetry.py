@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsu import (
+    CapacityError,
     DimensionError,
     GroupClosureError,
     NotUnitaryError,
@@ -37,6 +38,7 @@ from symsu.basis import _cycle_counts
 from symsu.symmetry import (
     DEFAULT_CLOSURE_CAP,
     PRESETS,
+    _PRESET_QUBIT_CAP,
     _close_images,
     _compose,
     _defects,
@@ -636,6 +638,20 @@ class TestSpecsAndPresets:
         assert len(preset_group("cyclic", 5)) == 5
         assert len(preset_group("dihedral", 4)) == 8
         assert len(preset_group("trivial", 3)) == 1
+
+    def test_preset_qubit_cap(self, monkeypatch):
+        # refused before any generator row is built, also through a spec file
+        cap = _PRESET_QUBIT_CAP
+        assert len(preset_group("cyclic", cap).generators) == 1
+        built = []
+        for name in PRESETS:
+            monkeypatch.setitem(PRESETS, name, built.append)
+        for name in PRESETS:
+            for make in (lambda: preset_group(name, cap + 1),
+                         lambda: group_from_spec({"n": cap + 1, "generators": name})):
+                with pytest.raises(CapacityError, match=f"on {cap + 1} qubits exceeds the cap of {cap} qubits"):
+                    make()
+        assert built == []
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
