@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from . import paulis
-from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _I_POWERS, _anticommuting_pairs, _product
+from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _anticommuting_pairs, _product
 from .symmetry import PRESETS, SymmetryGroup, _move_masks
 
 
@@ -255,17 +255,25 @@ class ClosureReport:
     passed: bool
 
 
+def _run_sums(key: np.ndarray, *values: np.ndarray) -> tuple:
+    """Sorted distinct keys, and each value array summed per key (exact for integer-valued floats)."""
+    order = np.argsort(key)
+    key, head = key[order], np.ones(len(key), dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    return key[head], *(np.add.reduceat(v[order], np.flatnonzero(head)) for v in values)
+
+
 def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
     """Check that every pairwise commutator stays inside the span.
 
     The residual of a pair is in_span(sum_commutator(A_i, A_j), basis),
     computed for the anticommuting term pairs of orbit i against a block of
-    whole orbits j > i, from paulis' one pair scan and product rule.  Per (j, product
-    string) the coefficients are summed as sum_commutator merges them; per
-    (j, target orbit k) the squared residual is sum |c|^2 - |sum c|^2 / |O_k|,
-    members absent from the commutator counting as 0, and strings in no orbit
-    add |c|^2.  The coefficients are all 1, so every sum is an exact integer.
-    The worst pair is the first to reach the maximum, in (i, j) order.
+    whole orbits j > i, from paulis' one pair scan and product rule.  All coefficients
+    are 1, so each pair adds exactly +-2i (its i-power is odd), and the +-2 are summed as
+    exact integers per (j, product string), then per (j, target orbit k): the squared
+    residual adds sum |c|^2 - |sum c|^2 / |O_k| over k in increasing order, members absent
+    from the commutator counting as 0, and strings in no orbit add |c|^2.  The worst pair
+    is the first to reach the maximum, in (i, j) order.
     """
     n, d, x, z, starts = basis.n, len(basis), basis.x, basis.z, basis.offsets
     sizes = np.diff(starts)
@@ -286,16 +294,12 @@ def closure_report(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
             first = owner[lo]
             ra, rb = (np.concatenate(ix) for ix in zip(*_anticommuting_pairs(xa, za, x[lo:hi], z[lo:hi])))
             px, pz, power = _product(xa[ra], za[ra], x[lo + rb], z[lo + rb])
-            c = 2.0 * _I_POWERS[power]
-            key = (owner[lo + rb] - first) << 2 * n | pz << n | px
-            keys, at = np.unique(key, return_inverse=True)
-            sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
-            jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
-                               return_inverse=True)
-            sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)  # not abs(): exact for Gaussian integers
-            total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
-            spread = np.maximum(sq - (total.real ** 2 + total.imag ** 2) / orbit_size[jk % (d + 1)], 0.0)
-            residual_sq = np.bincount(jk // (d + 1), spread, minlength=owner[hi - 1] - first + 1)
+            sign = 2.0 - 2.0 * (power & 2)  # the imaginary part of 2 i^power: 2 at power 1, -2 at 3
+            keys, sums = _run_sums((owner[lo + rb] - first) << 2 * n | pz << n | px, sign)
+            jk, sq, total = _run_sums((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
+                                      sums * sums, sums)
+            spread = np.maximum(sq - total * total / orbit_size[jk % (d + 1)], 0.0)
+            residual_sq = np.bincount(jk // (d + 1), spread, minlength=1)  # k increasing; [0.] if no pair
             top = int(np.argmax(residual_sq))
             r = float(np.sqrt(residual_sq[top]))
             if r > worst:

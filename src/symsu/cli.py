@@ -223,17 +223,18 @@ def cmd_verify(args) -> int:
     basis = build_basis(group.n, group)
     tol = args.tol
     results: list[tuple[str, int, bool, str]] = []  # name, samples, passed, detail
+    pairs, paths = (args.pairs, args.paths) if args.depth else (0, 0)  # depth 0 draws only identities
 
     # Products of invariant unitaries stay invariant.
     ok, worst = True, 0.0
-    for k in range(args.pairs):
+    for k in range(pairs):
         u1 = random_invariant(group.n, group, args.seed + 2 * k, args.depth, basis=basis)
         u2 = random_invariant(group.n, group, args.seed + 2 * k + 1, args.depth, basis=basis)
         ok = ok and all(is_invariant(u.matrix, group, tol)[0] for u in (u1, u2))
         flag, defect = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
         ok = ok and flag
         worst = max(worst, defect)
-    results.append(("composition", args.pairs, ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
+    results.append(("composition", pairs, ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
 
     # Pairwise commutators stay inside the span.
     report = closure_report(basis, tol)
@@ -253,7 +254,7 @@ def cmd_verify(args) -> int:
 
     # The eigenphase path stays invariant and hits both endpoints.
     ok, worst = True, 0.0
-    for k in range(args.paths):
+    for k in range(paths):
         u = random_invariant(group.n, group, args.seed + 1000 + k, args.depth, basis=basis)
         ends = {0.0: np.eye(u.dim), 1.0: u.matrix}
         for t in np.linspace(0.0, 1.0, 11):
@@ -265,7 +266,7 @@ def cmd_verify(args) -> int:
             worst = max(worst, defect)
         proj = project_to_su(u)
         ok = ok and abs(np.linalg.det(proj.matrix) - 1) < 1e-10
-    results.append(("path", args.paths, ok, f"paths={args.paths} max_defect={worst:.3e} tol=1.0e-08"))
+    results.append(("path", paths, ok, f"paths={args.paths} max_defect={worst:.3e} tol=1.0e-08"))
 
     # A suite that checked nothing is reported as skipped, not as passed.
     verdicts = [(name, "SKIP" if samples == 0 else "PASS" if passed else "FAIL", detail)

@@ -40,7 +40,7 @@ _REALIZATION_BLOCK = 1 << 14
 _TEXT_BLOCK = 1 << 13
 
 # Term pairs per block of _anticommuting_pairs and of closure_report; bounds their temporary arrays.
-_PAIR_BLOCK = 1 << 11
+_PAIR_BLOCK = 1 << 13
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _I_POWERS = np.array(PHASES)
@@ -106,12 +106,12 @@ def _anticommutes(ax, az, bx, bz):
 
 
 def _product(ax, az, bx, bz) -> tuple:
-    """Masks and i-power (0..3) of each product P_a P_b of phase-free strings, broadcasting:
-    to X^x Z^z form (one i per Y), Z past X, back to letters.  Bit counts are made int64:
-    np.bitwise_count gives uint8, or a Python int past 64 bits."""
+    """Masks and uint8 i-power (0..3) of each product P_a P_b of phase-free strings, broadcasting:
+    to X^x Z^z form (one i per Y), Z past X, back to letters.  np.bitwise_count gives uint8 (a Python
+    int past 64 bits); each count is reduced mod 4 before it is added, 3y for -y, so no sum passes 17."""
     x, z = ax ^ bx, az ^ bz
-    ya, yb, y, zx = (np.asarray(np.bitwise_count(m), np.int64) for m in (ax & az, bx & bz, x & z, az & bx))
-    return x, z, (ya + yb - y + 2 * zx) % 4
+    ya, yb, y, zx = (np.bitwise_count(m) for m in (ax & az, bx & bz, x & z, az & bx))
+    return x, z, np.asarray((ya % 4 + yb % 4 + 3 * (y % 4) + 2 * (zx % 2)) % 4, np.uint8)
 
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from symsu import (DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary, pauli_multiply,
-                   paulis_commute, preset_group)
+from symsu import (ClosureReport, DimensionError, InvariantBasis, PauliString, PauliSum, QubitPermutation, Unitary,
+                   pauli_multiply, paulis_commute, preset_group)
+from symsu import paulis
+from symsu.paulis import _I_POWERS, _anticommuting_pairs, _product
 from symsu.symmetry import _move_masks
 
 ORACLE_LETTERS = {
@@ -287,3 +289,42 @@ def dict_closure(basis) -> tuple:
         if r > worst:
             worst, worst_pair = r, (i, j)
     return len(pairs), float(np.sqrt(float(worst))), worst_pair
+
+
+def reference_closure(basis: InvariantBasis, tol: float = 1e-10) -> ClosureReport:
+    """Reference for basis.closure_report: the complex-coefficient kernel it
+    replaced.  Per block of whole orbits j, each anticommuting pair adds
+    2 * i**power as a complex number; np.unique merges them per (j, product
+    string), and again per (j, target orbit k), where np.bincount sums the
+    squared residual over k in increasing order."""
+    n, d, x, z, starts = basis.n, len(basis), basis.x, basis.z, basis.offsets
+    sizes = np.diff(starts)
+    owner = np.repeat(np.arange(d), sizes)
+    string_mask = (1 << 2 * n) - 1
+    orbit_size = np.append(np.inf, sizes.astype(float))
+    worst, worst_pair = 0.0, None
+    for i in range(d - 1):
+        xa, za = x[starts[i]:starts[i + 1]], z[starts[i]:starts[i + 1]]
+        step = max(1, paulis._PAIR_BLOCK // int(sizes[i]))
+        lo = starts[i + 1]
+        while lo < starts[d]:
+            hi = starts[min(d, np.searchsorted(starts, lo + step))]
+            first = owner[lo]
+            ra, rb = (np.concatenate(ix) for ix in zip(*_anticommuting_pairs(xa, za, x[lo:hi], z[lo:hi])))
+            px, pz, power = _product(xa[ra], za[ra], x[lo + rb], z[lo + rb])
+            c = 2.0 * _I_POWERS[power]
+            key = (owner[lo + rb] - first) << 2 * n | pz << n | px
+            keys, at = np.unique(key, return_inverse=True)
+            sums = np.bincount(at, c.real) + 1j * np.bincount(at, c.imag)
+            jk, at = np.unique((keys >> 2 * n) * (d + 1) + basis.orbit_of[keys & string_mask] + 1,
+                               return_inverse=True)
+            sq = np.bincount(at, sums.real ** 2 + sums.imag ** 2)
+            total = np.bincount(at, sums.real) + 1j * np.bincount(at, sums.imag)
+            spread = np.maximum(sq - (total.real ** 2 + total.imag ** 2) / orbit_size[jk % (d + 1)], 0.0)
+            residual_sq = np.bincount(jk // (d + 1), spread, minlength=owner[hi - 1] - first + 1)
+            top = int(np.argmax(residual_sq))
+            r = float(np.sqrt(residual_sq[top]))
+            if r > worst:
+                worst, worst_pair = r, (i, int(first) + top)
+            lo = hi
+    return ClosureReport(d * (d - 1) // 2, worst, worst_pair, tol, worst < tol)

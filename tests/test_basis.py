@@ -40,7 +40,7 @@ from symsu import paulis
 from symsu.basis import _cycle_counts, _generator_images, _orbit_table
 
 from conftest import (basis_from_sums, conjugate_pauli, dict_closure, generator_sets, has_identity_term, orbit_members,
-                      permute_mask, phase_free, split_orbit_table)
+                      permute_mask, phase_free, reference_closure, split_orbit_table)
 
 
 def P(label):
@@ -541,6 +541,19 @@ def assert_matches_scalar(basis):
     return report
 
 
+def assert_matches_reference(basis, budgets):
+    """closure_report at each pair budget against the reference kernel, bit for bit."""
+    want = reference_closure(basis)
+    for block in budgets:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paulis, "_PAIR_BLOCK", block)
+            got = closure_report(basis)
+        assert got.pair_count == want.pair_count and got.passed == want.passed
+        assert got.max_residual.hex() == want.max_residual.hex()
+        assert got.worst_pair == want.worst_pair
+        assert got.worst_pair is None or all(type(v) is int for v in got.worst_pair)
+
+
 class TestClosureReport:
     def test_two_qubit_swap(self, s2):
         report = closure_report(build_basis(2, s2), tol=1e-12)
@@ -599,6 +612,23 @@ class TestClosureReport:
                     mp.setattr(paulis, "_PAIR_BLOCK", block)
                     reports.append(closure_report(b))
             assert reports[0] == reports[1] == reports[2]
+
+    @settings(max_examples=25, deadline=None)
+    @given(generator_sets(4), st.integers(0, 1 << 16))
+    def test_matches_reference_kernel_at_any_pair_budget(self, case, pick):
+        # Budgets of 1 and 3 pairs cut a block at every orbit j; 2^11 and the default hold many orbits.
+        n, images = case
+        basis = build_basis(n, generate_group(n, [QubitPermutation(n, tuple(im)) for im in images]))
+        splittable = [k for k in range(len(basis)) if len(basis.elements[k]) > 1]
+        broken = [split_orbit(basis, splittable[pick % len(splittable)])] if splittable else []
+        for b in [basis] + broken:
+            assert_matches_reference(b, (1, 3, 1 << 11, paulis._PAIR_BLOCK))
+
+    @pytest.mark.parametrize("name, n", [("full_swap", 5), ("dihedral", 5), ("full_swap", 6)])
+    def test_split_matches_reference_kernel(self, name, n):
+        basis = build_basis(n, preset_group(name, n))
+        broken = split_orbit(basis, int(np.argmax(np.diff(basis.offsets))))  # the largest orbit
+        assert_matches_reference(broken, (1 << 11, paulis._PAIR_BLOCK))
 
     def test_commutators_commute_with_group_matrices(self, s2):
         basis = build_basis(2, s2)

@@ -546,6 +546,18 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == (
             "verify: no failures; skipped with no samples: composition, path")
 
+    def test_depth_zero_draws_no_samples(self, capsys):
+        # At depth 0 every drawn unitary is the identity: the two suites that draw report no samples.
+        code, out, _ = run(capsys, "verify", "--n", "3", "--symmetry", "full_swap",
+                           "--pairs", "3", "--paths", "2", "--depth", "0")
+        lines = out.splitlines()
+        verdicts = {line.split()[0]: line.split()[1] for line in lines[:-1]}
+        assert code == 0
+        assert verdicts == {"composition": "SKIP", "closure": "PASS", "exp_invariance": "PASS", "path": "SKIP"}
+        assert lines[0] == "composition     SKIP  pairs=3 max_defect=0.000e+00 tol=3.0e-10"
+        assert lines[3] == "path            SKIP  paths=2 max_defect=0.000e+00 tol=1.0e-08"
+        assert lines[-1] == "verify: no failures; skipped with no samples: composition, path"
+
     def test_failures_reported(self, capsys):
         # Float error of about 1e-14 fails a 1e-300 tolerance; closure's exact zero passes, and
         # the path suite keeps its own 1e-8 bound.

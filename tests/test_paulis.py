@@ -415,7 +415,7 @@ class TestProductRule:
         anti = paulis._anticommutes(ax[:, None], az[:, None], bx, bz)
         x, z, power = paulis._product(ax[:, None], az[:, None], bx, bz)
         assert anti.shape == x.shape == power.shape == (len(left), len(right))
-        assert x.dtype == z.dtype == dtype and power.dtype == np.int64
+        assert x.dtype == z.dtype == dtype and power.dtype == np.uint8
         for r, a in enumerate(left):
             for c, b in enumerate(right):
                 coeff, key = string_product(n, a, b)
