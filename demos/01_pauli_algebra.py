@@ -9,9 +9,7 @@ import numpy as np
 from symsu import (
     PauliString,
     PauliSum,
-    pauli_commutator,
     pauli_multiply,
-    pauli_to_matrix,
     sum_commutator,
     sum_to_matrix,
 )
@@ -26,10 +24,8 @@ print("  Y * X =", pauli_multiply(Y, X))
 print("  X * X =", pauli_multiply(X, X))
 
 print("\ncommutators")
-print("  [X, Y] =", pauli_commutator(X, Y))
-print("  [X, X] =", pauli_commutator(X, X))
-print("  [XX, YY] =", pauli_commutator(PauliString.from_label("XX"),
-                                       PauliString.from_label("YY")))
+for a, b in (("X", "Y"), ("X", "X"), ("XX", "YY")):
+    print(f"  [{a}, {b}] =", sum_commutator(PauliSum.from_label(a), PauliSum.from_label(b)))
 
 print("\nsums canonicalize: phases fold into coefficients, duplicates merge")
 s = PauliSum(1, ((X, 1.0), (X, 1.0), (PauliString.from_label("Z", phase_exp=2), 1.0)))
@@ -46,4 +42,4 @@ am, bm = sum_to_matrix(a), sum_to_matrix(b)
 print("  |realized - (AB - BA)| =", np.linalg.norm(sum_to_matrix(c) - (am @ bm - bm @ am)))
 
 print("\ndense realization of Y, for reference")
-print(pauli_to_matrix(Y))
+print(sum_to_matrix(PauliSum.from_label("Y")))

@@ -16,9 +16,9 @@ from symsu import (
     circuit_to_matrix,
     exp_generator,
     is_invariant,
-    pauli_commutator,
     preset_group,
     synthesize_pauli_exponential,
+    sum_commutator,
     synthesize_sum_exponential,
     two_pauli_condition,
 )
@@ -48,6 +48,5 @@ for element in basis.elements:
           f"error {mismatch:.1e}, invariant={flag}")
 
 print("\nwhy the identity-mixed orbits refuse: a concrete anticommuting pair")
-a = PauliString.from_label("XZI")
-b = PauliString.from_label("ZIX")
-print(f"  [{a}, {b}] = {pauli_commutator(a, b)}")
+a, b = "XZI", "ZIX"
+print(f"  [{a}, {b}] = {sum_commutator(PauliSum.from_label(a), PauliSum.from_label(b))}")

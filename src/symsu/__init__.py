@@ -40,9 +40,7 @@ from .errors import (
 from .paulis import (
     PauliString,
     PauliSum,
-    pauli_commutator,
     pauli_multiply,
-    pauli_to_matrix,
     paulis_commute,
     sum_commutator,
     sum_to_matrix,

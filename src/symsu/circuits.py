@@ -70,6 +70,8 @@ class Circuit:
     gates: tuple
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {self.n}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.n for q in g.qubits):

@@ -204,10 +204,6 @@ class PauliSum:
         """Build from (label, coeff) pairs."""
         return cls(n, tuple((PauliString.from_label(lab), c) for lab, c in pairs))
 
-    @classmethod
-    def zero(cls, n: int) -> "PauliSum":
-        return cls(n, ())
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -313,11 +309,6 @@ def _parse_term(chunk: str) -> tuple[PauliString, complex]:
     return PauliString.from_label(m.group(3)), complex(float(m.group(1)), float(m.group(2)))
 
 
-def pauli_commutator(a: PauliString, b: PauliString) -> PauliSum:
-    """Commutator a*b - b*a as a sum: empty, or one term 2*(phase of ab)."""
-    return sum_commutator(PauliSum(a.n, ((a, 1.0),)), PauliSum(b.n, ((b, 1.0),)))
-
-
 def _anticommuting_pairs(ax, az, bx, bz):
     """Index arrays (i, j) of the anticommuting pairs of strings (ax, az) and (bx, bz)
     in row-major order, at least one block of about _PAIR_BLOCK pairs of rows at a time."""
@@ -337,12 +328,6 @@ def sum_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     x, z, power = _product(a.x[i], a.z[i], b.x[j], b.z[j])
     values = _complex_product(_complex_product(2.0 * a.coeffs[i], b.coeffs[j]), _I_POWERS[power])
     return PauliSum._canonical(a.n, x, z, values)
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n realization: i**phase_exp times the letter kron,
-    filled as the monomial matrix it is (see sum_to_matrix)."""
-    return sum_to_matrix(PauliSum(p.n, ((p, 1.0),)))
 
 
 def sum_to_matrix(s: PauliSum) -> np.ndarray:

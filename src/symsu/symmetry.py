@@ -50,6 +50,8 @@ class QubitPermutation:
     image: tuple
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {self.n}")
         object.__setattr__(self, "image", tuple(int(i) for i in self.image))
         if sorted(self.image) != list(range(self.n)):
             raise ValueError(f"image {self.image} is not a bijection on 0..{self.n - 1}")
@@ -137,6 +139,8 @@ class SymmetryGroup:
     __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_images", "_elements")
 
     def __init__(self, n: int, generators, name: str = "custom"):
+        if n < 1:
+            raise ValueError(f"qubit count must be >= 1, got {n}")
         gens = tuple(_coerce_element(g) for g in generators)
         for g in gens:
             k = g.n if isinstance(g, QubitPermutation) else len(g).bit_length() - 1

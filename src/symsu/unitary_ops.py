@@ -171,6 +171,8 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
     Deterministic per seed; angles are uniform in [0, 2*pi).  A basis of
     another group must keep its orbit table under the group's generators.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     _check_qubits(n, group)
     if basis is None:
         basis = build_basis(n, group)

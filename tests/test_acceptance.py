@@ -30,7 +30,7 @@ from symsu import (
     connectedness_path,
     exp_generator,
     is_invariant,
-    pauli_commutator,
+    paulis_commute,
     preset_group,
     project_to_su,
     random_invariant,
@@ -281,7 +281,7 @@ def test_criterion_7_commutation_mechanism():
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     pairs_checked += 1
-                    if witness is None and len(pauli_commutator(members[i], members[j])) != 0:
+                    if witness is None and not paulis_commute(members[i], members[j]):
                         witness = f"[{members[i].to_label()}, {members[j].to_label()}] != 0"
             predicted = orbit_terms_commute(rep)
             if predicted and witness is not None:

@@ -599,22 +599,6 @@ class TestClosureReport:
 
     @settings(max_examples=25, deadline=None)
     @given(generator_sets(4), st.integers(0, 1 << 16))
-    def test_same_report_at_any_pair_budget(self, case, pick):
-        # One orbit j and one row of orbit i per block at a budget of 1 pair, a few at 3.
-        n, images = case
-        basis = build_basis(n, generate_group(n, [QubitPermutation(n, tuple(im)) for im in images]))
-        splittable = [k for k in range(len(basis)) if len(basis.elements[k]) > 1]
-        broken = [split_orbit(basis, splittable[pick % len(splittable)])] if splittable else []
-        for b in [basis] + broken:
-            reports = []
-            for block in (1, 3, paulis._PAIR_BLOCK):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(paulis, "_PAIR_BLOCK", block)
-                    reports.append(closure_report(b))
-            assert reports[0] == reports[1] == reports[2]
-
-    @settings(max_examples=25, deadline=None)
-    @given(generator_sets(4), st.integers(0, 1 << 16))
     def test_matches_reference_kernel_at_any_pair_budget(self, case, pick):
         # Budgets of 1 and 3 pairs cut a block at every orbit j; 2^11 and the default hold many orbits.
         n, images = case

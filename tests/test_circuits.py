@@ -62,6 +62,13 @@ class TestGateAndCircuitTypes:
         with pytest.raises(ValueError):
             Circuit(1, (Gate("H", (1,)),))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_qubit_count_below_one_refused(self, n):
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            Circuit(n, ())
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            Circuit.from_text(f"QUBITS {n}")
+
     def test_text_round_trip(self):
         c = Circuit(3, (Gate("H", (0,)), Gate("SDG", (2,)), Gate("CNOT", (0, 1)),
                         Gate("RZ", (1,), 0.7853981633974483), Gate("S", (2,))))
@@ -244,7 +251,7 @@ class TestSumExponential:
             synthesize_sum_exponential(s, 0.3)
 
     def test_empty_sum_gives_empty_circuit(self):
-        c = synthesize_sum_exponential(PauliSum.zero(2), 0.3)
+        c = synthesize_sum_exponential(PauliSum(2), 0.3)
         assert len(c) == 0
         assert fro(circuit_to_matrix(c).matrix - np.eye(4)) == 0
 

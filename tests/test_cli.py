@@ -621,7 +621,7 @@ class TestMiscellaneous:
     def test_public_names(self):
         import symsu
 
-        assert len(symsu.__all__) == 51 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
+        assert len(symsu.__all__) == 49 and {"pauli_orbit", "PRESETS", "SymsuError"} <= set(symsu.__all__)
         assert not any(inspect.ismodule(getattr(symsu, name)) for name in symsu.__all__)
 
     def test_module_entry_point(self):

@@ -15,9 +15,7 @@ from symsu import (
     DimensionError,
     PauliString,
     PauliSum,
-    pauli_commutator,
     pauli_multiply,
-    pauli_to_matrix,
     paulis_commute,
     sum_commutator,
     sum_to_matrix,
@@ -144,38 +142,39 @@ class TestPauliString:
     @settings(max_examples=200, deadline=None)
     def test_realization_homomorphism(self, pair):
         a, b = pair
-        product = pauli_to_matrix(pauli_multiply(a, b))
-        oracle = pauli_to_matrix(a) @ pauli_to_matrix(b)
+        product = sum_to_matrix(PauliSum(a.n, ((pauli_multiply(a, b), 1.0),)))
+        oracle = sum_to_matrix(PauliSum(a.n, ((a, 1.0),))) @ sum_to_matrix(PauliSum(b.n, ((b, 1.0),)))
         assert np.max(np.abs(product - oracle)) < 1e-14
 
     @given(string_pairs())
     @settings(max_examples=100, deadline=None)
     def test_commute_flag_matches_dense(self, pair):
         a, b = pair
-        am, bm = pauli_to_matrix(a), pauli_to_matrix(b)
+        am, bm = sum_to_matrix(PauliSum(a.n, ((a, 1.0),))), sum_to_matrix(PauliSum(b.n, ((b, 1.0),)))
         assert paulis_commute(a, b) == (fro(am @ bm - bm @ am) < 1e-12)
 
 
 class TestCommutator:
     def test_x_y_commutator(self):
-        c = pauli_commutator(P("X"), P("Y"))
+        c = sum_commutator(PauliSum.from_label("X"), PauliSum.from_label("Y"))
         assert len(c) == 1
         (p, coeff), = c.terms
         assert p.to_label() == "Z" and coeff == 2j
 
     def test_self_commutator_empty(self):
-        assert len(pauli_commutator(P("X"), P("X"))) == 0
+        assert len(sum_commutator(PauliSum.from_label("X"), PauliSum.from_label("X"))) == 0
 
     def test_xx_yy_commutator_empty(self):
         # both products equal -(Z kron Z)
-        assert len(pauli_commutator(P("XX"), P("YY"))) == 0
+        assert len(sum_commutator(PauliSum.from_label("XX"), PauliSum.from_label("YY"))) == 0
 
     @given(string_pairs())
     @settings(max_examples=100, deadline=None)
     def test_commutator_matches_dense(self, pair):
         a, b = pair
-        am, bm = pauli_to_matrix(a), pauli_to_matrix(b)
-        realized = sum_to_matrix(pauli_commutator(a, b))
+        sa, sb = PauliSum(a.n, ((a, 1.0),)), PauliSum(b.n, ((b, 1.0),))
+        am, bm = sum_to_matrix(sa), sum_to_matrix(sb)
+        realized = sum_to_matrix(sum_commutator(sa, sb))
         assert fro(realized - (am @ bm - bm @ am)) < 1e-12
 
 
@@ -344,7 +343,7 @@ class TestArrayArithmetic:
     def test_equal_sums_hash_equal(self, ab):
         a, b = ab
         assert a + b == b + a and hash(a + b) == hash(b + a)
-        for twin in (PauliSum(a.n, a.terms), pickle.loads(pickle.dumps(a)), a * 1, a + PauliSum.zero(a.n)):
+        for twin in (PauliSum(a.n, a.terms), pickle.loads(pickle.dumps(a)), a * 1, a + PauliSum(a.n)):
             assert twin == a and hash(twin) == hash(a)
 
     def test_complex_scalar_is_cpython_product(self):
@@ -463,7 +462,8 @@ class TestSumCommutator:
         monkeypatch.setattr(PauliSum, "terms", property(refuse))
         assert same_bytes(sum_commutator(a, b), expected[0]) and same_bytes(sum_commutator(b, a), expected[1])
         assert len(expected[0]) == 3
-        assert pauli_commutator(P("XY"), P("ZX")) == PauliSum.zero(2) and len(pauli_commutator(P("XY"), P("ZY"))) == 1
+        xy, zx, zy = (PauliSum.from_label(label) for label in ("XY", "ZX", "ZY"))
+        assert sum_commutator(xy, zx) == PauliSum(2) and len(sum_commutator(xy, zy)) == 1
 
     def test_symmetrized_pair(self):
         a = PauliSum.from_labels(2, [("XI", 1), ("IX", 1)])
@@ -509,12 +509,12 @@ class TestSumCommutator:
 
 class TestMatrices:
     def test_single_letters(self):
-        assert np.array_equal(pauli_to_matrix(P("X")), np.array([[0, 1], [1, 0]]))
-        assert np.array_equal(pauli_to_matrix(P("Y")), np.array([[0, -1j], [1j, 0]]))
-        assert np.array_equal(pauli_to_matrix(P("Z")), np.array([[1, 0], [0, -1]]))
+        assert np.array_equal(sum_to_matrix(PauliSum.from_label("X")), np.array([[0, 1], [1, 0]]))
+        assert np.array_equal(sum_to_matrix(PauliSum.from_label("Y")), np.array([[0, -1j], [1j, 0]]))
+        assert np.array_equal(sum_to_matrix(PauliSum.from_label("Z")), np.array([[1, 0], [0, -1]]))
 
     def test_phase_prefactor(self):
-        assert np.array_equal(pauli_to_matrix(P("Z", phase_exp=1)), 1j * dense_label("Z"))
+        assert np.array_equal(sum_to_matrix(PauliSum(1, ((P("Z", phase_exp=1), 1.0),))), 1j * dense_label("Z"))
 
     def test_xi_plus_ix(self):
         m = sum_to_matrix(PauliSum.from_labels(2, [("XI", 1), ("IX", 1)]))
@@ -525,7 +525,7 @@ class TestMatrices:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            pauli_to_matrix(PauliString(11, 0, 0))
+            sum_to_matrix(PauliSum(11, ((PauliString(11, 0, 0), 1.0),)))
         with pytest.raises(CapacityError):
             sum_to_matrix(PauliSum(11, ((PauliString(11, 1, 0), 1.0),)))
 
@@ -533,7 +533,7 @@ class TestMatrices:
     @settings(max_examples=50, deadline=None)
     def test_matrix_matches_oracle(self, p):
         phase = (1, 1j, -1, -1j)[p.phase_exp]
-        assert np.array_equal(pauli_to_matrix(p), phase * dense_label(p.to_label()))
+        assert np.array_equal(sum_to_matrix(PauliSum(p.n, ((p, 1.0),))), phase * dense_label(p.to_label()))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_string_and_phase_matches_oracle(self, n):
@@ -543,7 +543,6 @@ class TestMatrices:
                     p = PauliString(n, x, z, k)
                     oracle = phase * dense_label(p.to_label())
                     assert np.array_equal(sum_to_matrix(PauliSum(n, ((p, 1.0),))), oracle)
-                    assert np.array_equal(pauli_to_matrix(p), oracle)
 
     def test_weighted_sum_matches_oracle_exactly(self):
         # Same terms added in the same order: every entry is bit-identical.
@@ -646,7 +645,7 @@ class TestFlipCosets:
     @example(PauliSum.from_labels(5, [("ZZIZI", 0.7), ("IIZZZ", -1.2)]))  # x = 0: 32 blocks
     @example(PauliSum.from_labels(4, [("IIII", 0.5), ("YZIX", 1.1), ("IYYI", 0.3)]))  # identity term, odd Y
     @example(PauliSum.from_labels(6, [(f"{'I' * (5 - q)}X{'I' * q}", 1.0) for q in range(6)]))  # full rank
-    @example(PauliSum.zero(3))
+    @example(PauliSum(3))
     def test_cosets_partition_the_states(self, s):
         cosets = paulis._flip_cosets(s)
         span = xor_span(s.x.tolist())

@@ -115,6 +115,13 @@ class TestQubitPermutation:
         with pytest.raises(ValueError):
             QubitPermutation(3, (0, 0, 2))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_qubit_count_below_one_refused(self, n):
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            QubitPermutation(n, ())
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            SymmetryGroup(n, [])
+
     def test_compose_applies_right_operand_first(self):
         rot = QubitPermutation(3, (1, 2, 0))
         swap01 = QubitPermutation.transposition(3, 0, 1)
@@ -652,6 +659,12 @@ class TestSpecsAndPresets:
                 with pytest.raises(CapacityError, match=f"on {cap + 1} qubits exceeds the cap of {cap} qubits"):
                     make()
         assert built == []
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_preset_below_one_qubit_refused(self, name, n):
+        with pytest.raises(ValueError, match=f"qubit count must be >= 1, got {n}"):
+            preset_group(name, n)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

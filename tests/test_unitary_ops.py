@@ -356,6 +356,10 @@ class TestRandomInvariant:
         u = random_invariant(2, s2, seed=9, depth=0)
         assert fro(u.matrix - np.eye(4)) == 0
 
+    def test_negative_depth_refused(self):
+        with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+            random_invariant(3, preset_group("cyclic", 3), 0, -1)
+
     def test_swap_defect_small(self, s2):
         u = random_invariant(2, s2, seed=1, depth=8)
         _, defect = is_invariant(u.matrix, s2, 1e-10)
