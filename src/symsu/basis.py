@@ -83,6 +83,12 @@ class _Elements(Sequence):
         return PauliSum._canonical(b.n, b.x[lo:hi], b.z[lo:hi], np.ones(hi - lo, complex))
 
 
+class _Spectra(dict):
+    """Eigenpairs kept per element for unitary_ops, and ``nbytes``, their arrays' byte total."""
+
+    nbytes = 0
+
+
 @dataclass(frozen=True, eq=False)
 class InvariantBasis:
     """One unit-coefficient orbit sum per Pauli-string orbit, identity excluded.
@@ -94,7 +100,7 @@ class InvariantBasis:
     masks, in canonical order.  A group not on n qubits or a table of
     another length raises DimensionError; a label below -1, a labelled
     identity or an element index with no string raises ValueError.
-    ``_spectra`` caches eigenpairs for unitary_ops.
+    ``_spectra`` caches eigenpairs for unitary_ops, with their byte total.
     """
 
     n: int
@@ -103,7 +109,7 @@ class InvariantBasis:
     x: np.ndarray = field(init=False)
     z: np.ndarray = field(init=False)
     offsets: np.ndarray = field(init=False)
-    _spectra: dict = field(default_factory=dict, init=False, repr=False)
+    _spectra: _Spectra = field(default_factory=_Spectra, init=False, repr=False)
 
     def __post_init__(self):
         n, table = self.n, np.array(self.orbit_of, dtype=np.int64)

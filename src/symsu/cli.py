@@ -26,6 +26,7 @@ from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group
 from .unitary_ops import (
     Unitary,
     _basis_exp,
+    _random_invariants,
     compose,
     connectedness_path,
     project_to_su,
@@ -227,9 +228,8 @@ def cmd_verify(args) -> int:
 
     # Products of invariant unitaries stay invariant.
     ok, worst = True, 0.0
-    for k in range(pairs):
-        u1 = random_invariant(group.n, group, args.seed + 2 * k, args.depth, basis=basis)
-        u2 = random_invariant(group.n, group, args.seed + 2 * k + 1, args.depth, basis=basis)
+    draws = _random_invariants(group.n, group, range(args.seed, args.seed + 2 * pairs), args.depth, basis)
+    for u1, u2 in zip(draws, draws):
         ok = ok and all(is_invariant(u.matrix, group, tol)[0] for u in (u1, u2))
         flag, defect = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
         ok = ok and flag
@@ -254,8 +254,8 @@ def cmd_verify(args) -> int:
 
     # The eigenphase path stays invariant and hits both endpoints.
     ok, worst = True, 0.0
-    for k in range(paths):
-        u = random_invariant(group.n, group, args.seed + 1000 + k, args.depth, basis=basis)
+    first = args.seed + 1000
+    for u in _random_invariants(group.n, group, range(first, first + paths), args.depth, basis):
         ends = {0.0: np.eye(u.dim), 1.0: u.matrix}
         for t in np.linspace(0.0, 1.0, 11):
             point = connectedness_path(u, float(t)).matrix

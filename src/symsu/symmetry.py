@@ -129,14 +129,15 @@ class SymmetryGroup:
     `_coerce_element` to an element, a `QubitPermutation` or a validated
     read-only complex array, and must act on n qubits, else DimensionError.
     They are split once: ``_perm_images``, the read-only (k, n) wire images
-    of the permutation generators, and ``_raw``, the arrays.
+    of the permutation generators, and ``_raw``, the arrays; ``_perm_maps``,
+    the images' basis-state maps (`_state_maps`), is built on first use and kept.
     The group is closed only when ``images``, ``elements`` or ``len`` is
     first read, and the result is kept.  A group with no raw generator has
     ``images``, an (|G|, n) array of wire images listed coset by coset,
     and builds ``elements`` from the rows; any other group has ``images`` None.
     """
 
-    __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_images", "_elements")
+    __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_maps", "_images", "_elements")
 
     def __init__(self, n: int, generators, name: str = "custom"):
         if n < 1:
@@ -151,7 +152,15 @@ class SymmetryGroup:
         self._perm_images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
         self._perm_images.setflags(write=False)
         self._raw = tuple(g for g in gens if not isinstance(g, QubitPermutation))
-        self._images = self._elements = None
+        self._maps = self._images = self._elements = None
+
+    @property
+    def _perm_maps(self) -> np.ndarray:
+        if self._maps is None:
+            maps = _state_maps(self._perm_images)
+            maps.setflags(write=False)
+            self._maps = maps
+        return self._maps
 
     @property
     def images(self) -> np.ndarray | None:
@@ -264,30 +273,43 @@ def _square(u, n: int) -> np.ndarray:
     return m
 
 
-def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """||S U - U S|| for the wire permutation S of each image row.
+def _state_maps(images: np.ndarray) -> np.ndarray:
+    """Row k: q(b) for every basis state b, the state S+|b> of the wire permutation S
+    of image row k, which has bit w of b at bit image^-1[w]: the product of
+    2^image^-1 and the states' bits."""
+    bits = np.arange(1 << images.shape[1]) >> np.arange(images.shape[1])[:, None] & 1  # bits[w, b]
+    return (1 << images.argsort(axis=1)) @ bits
+
+
+def _map_defects(m: np.ndarray, tables) -> np.ndarray:
+    """||S U - U S|| for the wire permutation S of each row q of each table of
+    basis-state maps (`_state_maps`), in order.
 
     The entries of S U - U S are those of S U S+ - U in another order, and
-    (S U S+)[i, j] = U[q(i), q(j)], where q(b), the basis state of S+|b>,
-    has bit w of b at bit image^-1[w]: q is the product of 2^image^-1 and
-    the states' bits, 512 rows at a time.  Per row, a row and a column gather
-    of U fill one C-ordered buffer, U is subtracted in place, and
-    np.linalg.norm's two dots sum it in row order, so a defect does not
-    depend on U's memory layout.
+    (S U S+)[i, j] = U[q(i), q(j)].  Per row, a row and a column gather of U
+    fill one C-ordered buffer, U is subtracted in place, and np.linalg.norm's
+    two dots sum it in row order, so a defect does not depend on U's memory
+    layout.
     """
-    n = images.shape[1]
-    bits = np.arange(1 << n) >> np.arange(n)[:, None] & 1  # bits[w, b]: bit w of state b
     m = np.ascontiguousarray(m)
     rows, diff = np.empty(m.shape, m.dtype), np.empty(m.shape, m.dtype)
     re, im = diff.reshape(-1).real, diff.reshape(-1).imag
-    sq = np.empty(len(images))
-    for start in range(0, len(images), 512):
-        for k, q in enumerate((1 << images[start:start + 512].argsort(axis=1)) @ bits, start):
+    defects = [np.empty(0)]
+    for table in tables:
+        sq = np.empty(len(table))
+        for k, q in enumerate(table):
             m.take(q, axis=0, out=rows, mode="clip")
             rows.take(q, axis=1, out=diff, mode="clip")
             np.subtract(diff, m, out=diff)
             sq[k] = re.dot(re) + im.dot(im)
-    return np.sqrt(sq, out=sq)
+        defects.append(np.sqrt(sq, out=sq))
+    return np.concatenate(defects)
+
+
+def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """||S U - U S|| for the wire permutation S of each image row, its maps
+    built 512 rows at a time."""
+    return _map_defects(m, (_state_maps(images[start:start + 512]) for start in range(0, len(images), 512)))
 
 
 def symmetry_defect(u, element) -> float:
@@ -319,7 +341,7 @@ def is_invariant(u, group: SymmetryGroup, tol: float = 1e-10) -> tuple[bool, flo
     m = _square(u, group.n)
     if not np.isfinite(m).all():
         return False, float("nan")
-    worst = max([0.0, *_permutation_defects(m, group._perm_images).tolist(),
+    worst = max([0.0, *_map_defects(m, [group._perm_maps]).tolist(),
                  *(symmetry_defect(m, g) for g in group._raw)])
     return worst < tol, worst
 

@@ -32,14 +32,22 @@ _SPECTRA_BYTES = 1 << 26
 
 _REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost more than they save
 
+# Bytes of one complex factor stack of _random_invariants below _REAL_PRODUCT_DIM: 8 seeds at n=5.
+_STACK_BYTES = 1 << 17
+
 
 def _unitarity_residual(m: np.ndarray) -> float:
-    """||M M+ - 1||_F, over all blocks of a stack; from _REAL_PRODUCT_DIM on, for
+    """||M M+ - 1||_F, over all blocks of a stack: below _REAL_PRODUCT_DIM, summed by
+    np.linalg.norm's dots over M M+ less 1 on its diagonal; from it on, for
     M = A + iB, Re(M M+) = A A^T + B B^T is one symmetric product of M's
     interleaved real view and Im(M M+) = K - K^T with K = B A^T."""
     dim = m.shape[-1]
     if dim < _REAL_PRODUCT_DIM:
-        return float(np.linalg.norm(m @ m.conj().mT - np.eye(dim)))
+        g = m @ m.conj().mT
+        g.reshape(-1, dim * dim)[:, ::dim + 1] -= 1.0
+        g = g.reshape(-1)
+        sq = g.real.dot(g.real) + g.imag.dot(g.imag) if np.iscomplexobj(g) else g.dot(g)
+        return float(np.sqrt(sq))
     r = np.ascontiguousarray(m).view(np.float64).reshape(*m.shape[:-1], -1)
     re = r @ r.mT
     re.reshape(-1, dim * dim)[:, ::dim + 1] -= 1.0
@@ -76,6 +84,17 @@ def _scatter(blocks: np.ndarray, cosets) -> np.ndarray:
     return out
 
 
+def _checked_residual(m: np.ndarray, tol: float = UNITARITY_TOL) -> float:
+    """_unitarity_residual of m, over all blocks of a stack, so at least each block's;
+    NotUnitaryError unless m is finite and it is below tol."""
+    if not np.isfinite(m).all():
+        raise NotUnitaryError("matrix has a non-finite entry")
+    residual = _unitarity_residual(m)
+    if not residual < tol:
+        raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
+    return residual
+
+
 class Unitary:
     """A dense square matrix validated to be unitary by ||UU+ - 1||_F (_unitarity_residual); with a coset
     table `_cosets`, built from the stack of blocks on its rows: validated, then scattered, zero off them."""
@@ -89,11 +108,7 @@ class Unitary:
         dim = m.shape[-1]
         if dim < 1 or dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
-        if not np.isfinite(m).all():
-            raise NotUnitaryError("matrix has a non-finite entry")
-        residual = _unitarity_residual(m)
-        if not residual < tol:
-            raise NotUnitaryError(f"||UU+ - 1|| = {residual:.3e} exceeds {tol:.1e}")
+        residual = _checked_residual(m, tol)
         m = _scatter(m, _cosets)
         m.setflags(write=False)
         self.matrix = m
@@ -147,14 +162,23 @@ def exp_generator(h: PauliSum, alpha: float) -> Unitary:
     return _spectral_exp(*_generator_spectrum(h), alpha)
 
 
+def _basis_spectrum(basis: InvariantBasis, k: int) -> tuple:
+    """_generator_spectrum(basis.elements[k]), solved once per basis while the kept
+    eigenpairs' byte total, kept beside them, stays within _SPECTRA_BYTES."""
+    kept = basis._spectra
+    spectrum = kept.get(k)
+    if spectrum is None:
+        spectrum = _generator_spectrum(basis.elements[k])
+        size = sum(a.nbytes for a in spectrum if a is not None)
+        if kept.nbytes + size <= _SPECTRA_BYTES:
+            kept[k] = spectrum
+            kept.nbytes += size
+    return spectrum
+
+
 def _basis_exp(basis: InvariantBasis, k: int, alpha: float) -> Unitary:
-    """exp_generator(basis.elements[k], alpha), eigensolving each element once per
-    basis while its kept eigenpairs fit in _SPECTRA_BYTES."""
-    spectrum = basis._spectra.get(k) or _generator_spectrum(basis.elements[k])
-    if k not in basis._spectra and sum(
-            a.nbytes for kept in (*basis._spectra.values(), spectrum) for a in kept if a is not None) <= _SPECTRA_BYTES:
-        basis._spectra[k] = spectrum
-    return _spectral_exp(*spectrum, alpha)
+    """exp_generator(basis.elements[k], alpha) from the element's kept eigenpairs."""
+    return _spectral_exp(*_basis_spectrum(basis, k), alpha)
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
@@ -171,6 +195,20 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
     Deterministic per seed; angles are uniform in [0, 2*pi).  A basis of
     another group must keep its orbit table under the group's generators.
     """
+    return next(_random_invariants(n, group, (seed,), depth, basis))
+
+
+def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
+    """Yield random_invariant(n, group, seed, depth, basis) for each seed, in order.
+
+    Each seed draws from its own default_rng(seed).  Below _REAL_PRODUCT_DIM the
+    seeds go in chunks of _STACK_BYTES of complex matrices: per depth step, the
+    chunk's factors are one stack, built by one spectral product, checked at
+    once (finite, stack residual below UNITARITY_TOL) and multiplied on by one
+    stacked matmul, a BLAS call per slice, so every product is bit for bit the
+    one-seed one.  From _REAL_PRODUCT_DIM on, where factors may be blocked, each
+    seed's factors are built and multiplied one by one, a seed at a time.
+    """
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     _check_qubits(n, group)
@@ -184,13 +222,32 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
             raise ValueError(f"a basis of group {basis.group.name!r} is not invariant under {group.name!r}")
     if len(basis) == 0:
         raise ValueError("degenerate group: the invariant basis is empty")
-    rng = np.random.default_rng(seed)
-    u = np.eye(1 << n, dtype=complex)
-    for _ in range(depth):
-        k = int(rng.integers(len(basis)))
-        alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        u = _basis_exp(basis, k, alpha).matrix @ u
-    return Unitary(u)
+    dim = 1 << n
+    if dim >= _REAL_PRODUCT_DIM:
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            u = np.eye(dim, dtype=complex)
+            for _ in range(depth):
+                k = int(rng.integers(len(basis)))
+                alpha = float(rng.uniform(0.0, 2.0 * math.pi))
+                u = _basis_exp(basis, k, alpha).matrix @ u
+            yield Unitary(u)
+        return
+    seeds, chunk = list(seeds), max(1, _STACK_BYTES // (16 * dim * dim))
+    for start in range(0, len(seeds), chunk):
+        rngs = [np.random.default_rng(seed) for seed in seeds[start:start + chunk]]
+        u = np.tile(np.eye(dim, dtype=complex), (len(rngs), 1, 1))
+        for _ in range(depth):
+            spectra, lambdas = [], []
+            for rng in rngs:
+                spectra.append(_basis_spectrum(basis, int(rng.integers(len(basis)))))
+                lambdas.append(np.exp(-0.5j * float(rng.uniform(0.0, 2.0 * math.pi)) * spectra[-1][0]))
+            # A real P stacked with complex ones gets +0 imaginary parts, -0 in P+: that signs
+            # only zero terms, and a BLAS sum, started from +0, ends with the same bits.
+            factors = _spectral_product(np.stack([v for _, v, _ in spectra]), np.stack(lambdas))
+            _checked_residual(factors)
+            u = factors @ u
+        yield from map(Unitary, u)
 
 
 @dataclass(frozen=True)

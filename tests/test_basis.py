@@ -578,6 +578,7 @@ class TestClosureReport:
     @pytest.mark.parametrize("name, n, k, worst_pair, residual", [
         ("full_swap", 3, 1, (1, 4), 4 / np.sqrt(3)),
         ("dihedral", 4, 7, (7, 23), 8.0),
+        ("cyclic", 3, 16, (6, 16), 2 * np.sqrt(2)),  # 4 / sqrt(3) at (0, 16) if every product sign were +2
     ])
     def test_split_orbit_fails(self, name, n, k, worst_pair, residual):
         broken = split_orbit(build_basis(n, preset_group(name, n)), k)

@@ -44,6 +44,7 @@ from symsu.symmetry import (
     _defects,
     _permutation_defects,
     _phase_key,
+    _state_maps,
     full_swap_generators,
 )
 
@@ -636,6 +637,17 @@ class TestGatherKernel:
         # a table of all 40 320 rows would hold 5.2 MB, their inverse images 1.3 MB
         assert peak < 1_000_000
         assert np.array_equal(got[::97], transposition_defects(m, images[::97]))
+
+    @pytest.mark.parametrize("name, n", [("full_swap", 5), ("dihedral", 6), ("trivial", 3)])
+    def test_generator_maps_are_kept(self, name, n):
+        group = preset_group(name, n)
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        first = is_invariant(m, group)
+        maps = group._perm_maps
+        assert not maps.flags.writeable and np.array_equal(maps, _state_maps(group._perm_images))
+        assert is_invariant(m, group) == first and group._perm_maps is maps
+        assert first[1] == max(transposition_defects(m, group._perm_images).tolist(), default=0.0)
 
 
 class TestSpecsAndPresets:

@@ -1,6 +1,8 @@
 """Exponential map, invariant sampling, eigenphase paths, SU projection."""
 
 import json
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,7 +35,13 @@ from symsu import (
 )
 from symsu import unitary_ops
 from symsu.paulis import PauliString
-from symsu.unitary_ops import UNITARITY_TOL, _cluster_indices, _spectral_product, _unitarity_residual
+from symsu.unitary_ops import (
+    UNITARITY_TOL,
+    _cluster_indices,
+    _random_invariants,
+    _spectral_product,
+    _unitarity_residual,
+)
 
 from conftest import dagger, dense_label, dense_sum, fro, identity_unitary
 
@@ -448,6 +456,97 @@ class TestBasisSpectra:
         random_invariant(3, s3, seed=0, depth=8, basis=filled)
         assert filled._spectra and not fresh._spectra
         assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+
+
+class TestStackedDraws:
+    """_random_invariants below _REAL_PRODUCT_DIM: a depth step of a chunk of seeds is
+    one factor stack, checked at once; every product is bit for bit the one-seed one."""
+
+    @staticmethod
+    def explicit_product(basis, seed, depth):
+        rng = np.random.default_rng(seed)
+        oracle = np.eye(1 << basis.n, dtype=complex)
+        for _ in range(depth):
+            k = int(rng.integers(len(basis)))
+            oracle = exp_generator(basis.elements[k], float(rng.uniform(0.0, 2.0 * np.pi))).matrix @ oracle
+        return oracle
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral", "trivial"])
+    def test_products_match_one_seed_draws(self, preset, n, monkeypatch):
+        group = preset_group(preset, n)
+        basis = build_basis(n, group)
+        dim = 1 << n
+        monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 * dim * dim)  # chunks of 3 seeds
+        for depth in (1, 4):
+            seeds = range(10, 17)  # 7 seeds: two full chunks and one of 1
+            got = list(_random_invariants(n, group, seeds, depth, basis))
+            assert len(got) == len(seeds)
+            for seed, u in zip(seeds, got):
+                assert isinstance(u, Unitary) and not u.matrix.flags.writeable
+                assert np.array_equal(u.matrix, random_invariant(n, group, seed, depth, basis=basis).matrix)
+                assert np.array_equal(u.matrix, self.explicit_product(basis, seed, depth))
+
+    def test_default_chunk_at_five_qubits(self):
+        group = preset_group("full_swap", 5)
+        basis = build_basis(5, group)
+        assert unitary_ops._STACK_BYTES // (16 << 10) == 8
+        got = list(_random_invariants(5, group, range(3, 22), 6, basis))  # 19 seeds: chunks 8, 8, 3
+        for seed, u in zip(range(3, 22), got, strict=True):
+            assert np.array_equal(u.matrix, random_invariant(5, group, seed, 6, basis=basis).matrix)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_basis_of_a_larger_group(self, n):
+        cyclic = preset_group("cyclic", n)
+        basis = build_basis(n, preset_group("full_swap", n))
+        got = list(_random_invariants(n, cyclic, range(9), 3, basis))
+        for seed, u in enumerate(got):
+            assert np.array_equal(u.matrix, self.explicit_product(basis, seed, 3))
+            assert is_invariant(u.matrix, cyclic, 1e-9)[0]
+
+    @staticmethod
+    def corrupted_basis(n, corrupt):
+        """A full_swap basis whose every kept spectrum (w, v, None) is corrupt(w, v)."""
+        group = preset_group("full_swap", n)
+        basis = build_basis(n, group)
+        for k in range(len(basis)):
+            unitary_ops._basis_spectrum(basis, k)
+        for k, (w, v, cosets) in basis._spectra.items():
+            basis._spectra[k] = (*corrupt(w, v), cosets)
+        return group, basis
+
+    def test_non_orthonormal_factor_stack_refused(self):
+        # Each factor is 1.5 U for a unitary U, so the first step's stack of 4 has residual
+        # 1.25 sqrt(4 dim); the products after 3 steps would report 1.5^6 - 1 times sqrt(dim).
+        group, basis = self.corrupted_basis(3, lambda w, v: (w, v * np.sqrt(1.5)))
+        draws = _random_invariants(3, group, range(4), 3, basis)
+        with pytest.raises(NotUnitaryError, match="exceeds") as info:
+            next(draws)
+        residual = float(re.search(r"= (\S+) exceeds", str(info.value)).group(1))
+        assert residual == pytest.approx(1.25 * np.sqrt(4 * 8), rel=1e-3)
+
+    def test_non_finite_factor_refused(self):
+        def with_nan(w, v):
+            w = w.copy()
+            w[0] = np.nan
+            return w, v
+        group, basis = self.corrupted_basis(3, with_nan)
+        with pytest.raises(NotUnitaryError, match="non-finite entry"):
+            next(_random_invariants(3, group, range(4), 3, basis))
+
+    def test_draws_stay_within_a_memory_bound(self):
+        group = preset_group("full_swap", 5)
+        basis = build_basis(5, group)
+        for k in range(len(basis)):  # keep every spectrum the draws read
+            unitary_ops._basis_spectrum(basis, k)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in _random_invariants(5, group, range(100), 6, basis))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.5 MB in chunks of 8 seeds; unchunked, every stack of 100 complex 32 x 32 matrices holds 1.6 MB
+        assert count == 100 and peak < 2_000_000
 
 
 class TestEigUnitary:
