@@ -4,8 +4,9 @@ A symmetry element is a `QubitPermutation` (realized as a basis-permutation
 matrix) or a read-only complex array, a raw unitary such as CNOT, checked
 once when it enters a group.  A group is held as its generator list and
 closed under composition only when its elements are first read; a closed
-group of wire permutations is one array of wire images, a row per element.  The invariance of a matrix U under a group is measured by the
-worst Frobenius defect ||S U - U S|| over the generators: U commutes with
+group of wire permutations is one array of wire images, a row per element.
+The invariance of a matrix U under a group is measured by the worst
+Frobenius defect ||S U - U S|| over the generators: U commutes with
 every element iff it commutes with them, so invariance never closes a group.
 
 Qubit index 0 is the least significant bit of a basis-state index, which
@@ -26,7 +27,7 @@ RAW_UNITARITY_TOL = 1e-10
 # enumeration, invariance checks and the cycle-index count of a preset read only the generators.
 DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
-# Presets up to 2^10 wires: full_swap's rows are 8 MB, orbit counts far below int-to-str's digit limit.
+# Presets and spec files up to 2^10 wires: full_swap's rows are 8 MB, orbit counts below int-to-str's limit.
 _PRESET_QUBIT_CAP = 1 << 10
 
 
@@ -396,14 +397,16 @@ def group_from_spec(spec: dict) -> SymmetryGroup:
     Shape: {"n": 3, "generators": [{"perm": [1, 0, 2]},
     {"unitary": [[[re, im], ...], ...]}]}.  A preset name may stand in
     for the generator list; presets resolve to plain generators before
-    closure, so files and presets share one code path.  Any other shape
-    raises ValueError.
+    closure, so files and presets share one code path and one qubit cap
+    (CapacityError above it).  Any other shape raises ValueError.
     """
     n = spec.get("n") if isinstance(spec, dict) else None
     if type(n) is not int:
         raise ValueError(f"symmetry spec needs an integer 'n', got {n!r}")
     if n < 1:
         raise ValueError(f"symmetry spec 'n' must be at least 1, got {n}")
+    if n > _PRESET_QUBIT_CAP:
+        raise CapacityError(f"symmetry spec on {n} qubits exceeds the cap of {_PRESET_QUBIT_CAP} qubits")
     raw = spec.get("generators", [])
     if isinstance(raw, str):
         return preset_group(raw, n)

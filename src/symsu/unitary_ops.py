@@ -201,13 +201,14 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
 def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
     """Yield random_invariant(n, group, seed, depth, basis) for each seed, in order.
 
-    Each seed draws from its own default_rng(seed).  Below _REAL_PRODUCT_DIM the
-    seeds go in chunks of _STACK_BYTES of complex matrices: per depth step, the
-    chunk's factors are one stack, built by one spectral product, checked at
-    once (finite, stack residual below UNITARITY_TOL) and multiplied on by one
-    stacked matmul, a BLAS call per slice, so every product is bit for bit the
-    one-seed one.  From _REAL_PRODUCT_DIM on, where factors may be blocked, each
-    seed's factors are built and multiplied one by one, a seed at a time.
+    Each seed draws from its own default_rng(seed).  The seeds go in chunks:
+    _STACK_BYTES of complex matrices below _REAL_PRODUCT_DIM, one seed from it
+    on, where a factor may be blocked and blocks of different elements differ
+    in shape.  Per depth step, the chunk's factors are one stack, built by one
+    spectral product, checked at once (finite, stack residual below
+    UNITARITY_TOL), scattered if blocked and multiplied on by one stacked
+    matmul, a BLAS call per slice, so every product is bit for bit that of the
+    seed's exp_generator matrices, multiplied on one by one.
     """
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -223,20 +224,11 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
     if len(basis) == 0:
         raise ValueError("degenerate group: the invariant basis is empty")
     dim = 1 << n
-    if dim >= _REAL_PRODUCT_DIM:
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            u = np.eye(dim, dtype=complex)
-            for _ in range(depth):
-                k = int(rng.integers(len(basis)))
-                alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-                u = _basis_exp(basis, k, alpha).matrix @ u
-            yield Unitary(u)
-        return
-    seeds, chunk = list(seeds), max(1, _STACK_BYTES // (16 * dim * dim))
+    seeds = list(seeds)
+    chunk = max(1, _STACK_BYTES // (16 * dim * dim)) if dim < _REAL_PRODUCT_DIM else 1
     for start in range(0, len(seeds), chunk):
         rngs = [np.random.default_rng(seed) for seed in seeds[start:start + chunk]]
-        u = np.tile(np.eye(dim, dtype=complex), (len(rngs), 1, 1))
+        u = np.broadcast_to(np.eye(dim, dtype=complex), (len(rngs), dim, dim))
         for _ in range(depth):
             spectra, lambdas = [], []
             for rng in rngs:
@@ -246,7 +238,10 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
             # only zero terms, and a BLAS sum, started from +0, ends with the same bits.
             factors = _spectral_product(np.stack([v for _, v, _ in spectra]), np.stack(lambdas))
             _checked_residual(factors)
-            u = factors @ u
+            # A coset table comes only from _REAL_PRODUCT_DIM on, in a chunk of one seed: its
+            # (1, blocks, b, b) stack scatters into one dim x dim factor.
+            u = _scatter(factors, spectra[0][2]) @ u
+            del factors  # freed before the next step's eigensolve
         yield from map(Unitary, u)
 
 

@@ -194,9 +194,17 @@ class TestDimCommand:
         err = assert_rejected(capsys, "dim", "--n", "9", "--symmetry", str(path))
         assert "exceeded the cap of 40320 elements" in err
 
-    def test_preset_qubit_cap(self, capsys, monkeypatch):
+    def test_preset_qubit_cap(self, capsys, monkeypatch, tmp_path):
         code, out, _ = run(capsys, "dim", "--n", "1024", "--symmetry", "cyclic", "--no-header")
         assert code == 0 and out.splitlines()[1].startswith("1024,cyclic,")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 1024, "generators": []}))
+        code, out, _ = run(capsys, "dim", "--n", "1024", "--symmetry", str(spec), "--no-header")
+        assert code == 0 and out.splitlines()[1] == f"1024,custom,{4 ** 1024 - 1}"
+        for generators in ([], [{"perm": list(range(1, 1025)) + [0]}]):  # explicit lists share the cap
+            spec.write_text(json.dumps({"n": 1025, "generators": generators}))
+            err = assert_rejected(capsys, "dim", "--n", "1025", "--symmetry", str(spec))
+            assert "symmetry spec on 1025 qubits exceeds the cap of 1024 qubits" in err
         built = []
         for name in symmetry.PRESETS:
             monkeypatch.setitem(symmetry.PRESETS, name, built.append)

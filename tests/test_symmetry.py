@@ -671,6 +671,11 @@ class TestSpecsAndPresets:
                 with pytest.raises(CapacityError, match=f"on {cap + 1} qubits exceeds the cap of {cap} qubits"):
                     make()
         assert built == []
+        # explicit lists share the cap and are refused before any entry is read
+        for generators in ([], [{"perm": list(range(1, cap + 1)) + [0]}], [{"bogus": 1}]):
+            with pytest.raises(CapacityError, match=f"spec on {cap + 1} qubits exceeds the cap of {cap} qubits"):
+                group_from_spec({"n": cap + 1, "generators": generators})
+        assert group_from_spec({"n": cap, "generators": []}).n == cap
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("n", [0, -1])

@@ -459,8 +459,9 @@ class TestBasisSpectra:
 
 
 class TestStackedDraws:
-    """_random_invariants below _REAL_PRODUCT_DIM: a depth step of a chunk of seeds is
-    one factor stack, checked at once; every product is bit for bit the one-seed one."""
+    """_random_invariants: a depth step of a chunk of seeds is one factor stack, checked at
+    once, and from _REAL_PRODUCT_DIM on a chunk is one seed whose blocked factor is scattered;
+    every product is bit for bit the one-seed one and the explicit exp_generator product."""
 
     @staticmethod
     def explicit_product(basis, seed, depth):
@@ -471,7 +472,7 @@ class TestStackedDraws:
             oracle = exp_generator(basis.elements[k], float(rng.uniform(0.0, 2.0 * np.pi))).matrix @ oracle
         return oracle
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("preset", ["full_swap", "cyclic", "dihedral", "trivial"])
     def test_products_match_one_seed_draws(self, preset, n, monkeypatch):
         group = preset_group(preset, n)
@@ -486,6 +487,8 @@ class TestStackedDraws:
                 assert isinstance(u, Unitary) and not u.matrix.flags.writeable
                 assert np.array_equal(u.matrix, random_invariant(n, group, seed, depth, basis=basis).matrix)
                 assert np.array_equal(u.matrix, self.explicit_product(basis, seed, depth))
+        if n >= 6:  # the drawn elements' kept spectra include blocked ones, so the scatter ran
+            assert any(cosets is not None for _, _, cosets in basis._spectra.values())
 
     def test_default_chunk_at_five_qubits(self):
         group = preset_group("full_swap", 5)
