@@ -157,16 +157,19 @@ def _orbit_table(width: int, images) -> np.ndarray:
     Every key is moved once per generator; then each key pulls the label
     of its image, pushes its label to its image (a move is a bijection) and
     jumps to its label's label, until no label changes.  Labels only fall
-    and stay in the orbit, so each ends as its orbit's smallest key.
+    and stay in the orbit, so each ends as its orbit's smallest key.  A
+    self-inverse row (row[row[i]] == i) skips the push: its image's pull
+    has just stored that minimum there already.
     """
     keys = np.arange(1 << width)
-    moves = [_move_masks(keys, row) for row in images]
+    moves = [(_move_masks(keys, row), [row[i] for i in row] == list(range(len(row)))) for row in images]
     label, last = keys, None
     while last is None or not np.array_equal(label, last):
         last = label
-        for move in moves:
+        for move, involution in moves:
             label = np.minimum(label, label[move])
-            label[move] = np.minimum(label[move], label)
+            if not involution:
+                label[move] = np.minimum(label[move], label)
         label = label[label]
     return (np.cumsum(label == keys) - 2)[label]  # roots are the smallest keys
 

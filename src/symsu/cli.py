@@ -20,7 +20,7 @@ import numpy as np
 from .basis import build_basis, burnside_dimension, closure_report
 from .circuits import synthesize_sum_exponential
 from .errors import NotUnitaryError, ProductFormulaError, SymsuError
-from .paulis import PauliSum, _labels, _sum_texts
+from .paulis import PauliSum, _sum_texts
 from .serialize import _pairs_json, load_matrix
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
@@ -63,11 +63,11 @@ def _emit_pieces(pieces, out: Path | None):
         fh.writelines(pieces)
 
 
-def _csv_header(args, command: str) -> list[str]:
-    if getattr(args, "no_header", False):
-        return []
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [f"# symsu {command} {stamp}"]
+def _csv_header(args, command: str):
+    """Write the '# symsu <command> <UTC stamp>' line to stderr, unless --no-header, once
+    the command has its CSV; the CSV itself stays byte-stable."""
+    if not getattr(args, "no_header", False):
+        print(f"# symsu {command} {datetime.now(timezone.utc).isoformat(timespec='seconds')}", file=sys.stderr)
 
 
 def _at_least(value: int, low: int, flag: str):
@@ -108,20 +108,20 @@ def _matrix_group(symmetry: str, dim: int) -> SymmetryGroup:
 def cmd_basis(args) -> int:
     group = _resolve_group(args.symmetry, args.n)
     basis = build_basis(group.n, group)
+    d, first = len(basis), np.broadcast_to(np.intp(0), basis.x.shape)  # every term has head 0
     if args.format == "json":
-        labels = np.strings.decode(_labels(basis.n, basis.x, basis.z)).tolist()
-        terms = [[1.0, 0.0, label] for label in labels]
-        bounds = basis.offsets.tolist()
-        data = {"n": basis.n, "group": group.name, "dimension": len(basis),
-                "elements": [terms[lo:hi] for lo, hi in zip(bounds, bounds[1:])]}
-        text = json.dumps(data, indent=2)
+        # The bytes of json.dumps(indent=2) with one [1.0, 0.0, label] list per term; json writes the header.
+        head = json.dumps({"n": basis.n, "group": group.name, "dimension": d, "elements": []}, indent=2)
+        body = _sum_texts(basis.n, basis.x, basis.z, ['      [\n        1.0,\n        0.0,\n        "'], first,
+                          basis.offsets, '"\n      ],\n', '"\n      ]\n    ],\n    [\n')
+        pieces = [head.removesuffix("[]\n}") + "[\n    [\n", *body[:-1],
+                  body[-1].removesuffix(",\n    [\n") + "\n  ]\n}\n"]
     else:
-        # One line per element; the basis is freed before the lines are joined.
-        ones = np.broadcast_to(np.complex128(1), basis.x.shape)
-        lines = _sum_texts(basis.n, basis.x, basis.z, ones, basis.offsets, " + ")
-        del basis
-        text = "\n".join(lines + [f"dim {len(lines)}"])
-    _emit(text, _resolve_out(args.out))
+        # One line per element, from blocks of whole elements.
+        pieces = _sum_texts(basis.n, basis.x, basis.z, ["(1,0) "], first, basis.offsets, " + ", "\n")
+        pieces.append(f"dim {d}\n")
+    del basis, first
+    _emit_pieces(pieces, _resolve_out(args.out))
     return 0
 
 
@@ -130,11 +130,11 @@ def cmd_dim(args) -> int:
         ns = [int(tok) for tok in str(args.n).split(",")]
     except ValueError as exc:
         raise ValueError(f"--n must be an integer or comma list: {exc}") from exc
-    lines = _csv_header(args, "dim")
-    lines.append("n,group,dimension")
+    lines = ["n,group,dimension"]
     for n in ns:
         group = _resolve_group(args.symmetry, n)
         lines.append(f"{n},{group.name},{burnside_dimension(n, group)}")
+    _csv_header(args, "dim")
     _emit("\n".join(lines), _resolve_out(args.out))
     return 0
 
@@ -180,13 +180,13 @@ def cmd_path(args) -> int:
     m = load_matrix(args.matrix)
     group = _matrix_group(args.symmetry, m.shape[0])
     u = Unitary(m)  # non-unitary input is a usage error for path sampling
-    lines = _csv_header(args, "path")
-    lines.append("t,invariance_defect,unitarity_residual")
+    lines = ["t,invariance_defect,unitarity_residual"]
     for k in range(args.samples + 1):
         t = k / args.samples
         point = connectedness_path(u, t)
         _, defect = is_invariant(point.matrix, group)
         lines.append(f"{_fmt(t)},{_fmt(defect)},{_fmt(point.unitarity_residual)}")
+    _csv_header(args, "path")
     _emit("\n".join(lines), _resolve_out(args.out))
     return 0
 

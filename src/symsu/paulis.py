@@ -46,7 +46,10 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 _I_POWERS = np.array(PHASES)
 
 _LETTERS = "IXZY"  # indexed by x_bit + 2*z_bit
-_LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
+# Four letters, most significant qubit first, as the bytes of one uint32, indexed by x_nibble | z_nibble << 4.
+_QUAD_LETTERS = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)[
+    (np.arange(256)[:, None] >> np.arange(3, -1, -1) & 1) + 2 * (np.arange(256)[:, None] >> np.arange(7, 3, -1) & 1)
+].view(np.uint32).ravel()
 _X_DIGITS, _Z_DIGITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 
 
@@ -240,11 +243,13 @@ class PauliSum:
 
     def to_line(self) -> str:
         """One-line form: terms joined by ' + '."""
-        return _sum_texts(self.n, self.x, self.z, self.coeffs, (0, len(self)), " + ")[0]
+        heads, at = _coefficient_texts(self.coeffs)
+        return _sum_texts(self.n, self.x, self.z, heads, at, (0, len(self)), " + ", "\n")[0][:-1]
 
     def to_text(self) -> str:
         """Multi-line form: one '(re,im) LETTERS' term per line."""
-        return _sum_texts(self.n, self.x, self.z, self.coeffs, (0, len(self)), "\n")[0]
+        heads, at = _coefficient_texts(self.coeffs)
+        return _sum_texts(self.n, self.x, self.z, heads, at, (0, len(self)), "\n", "\n")[0][:-1]
 
     @classmethod
     def from_line(cls, line: str) -> "PauliSum":
@@ -268,35 +273,38 @@ class PauliSum:
         return f"PauliSum({self.to_line()})"
 
 
-def _labels(n: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Letter strings of the mask pairs, most significant qubit first, as an
-    array of n-byte strings; built one qubit column at a time."""
-    letters = np.empty((len(x), n), dtype=np.uint8)
-    for column, q in enumerate(range(n - 1, -1, -1)):
-        code = (x >> q & 1) + 2 * (z >> q & 1)
-        letters[:, column] = _LETTER_BYTES[code.astype(np.intp, copy=False)]  # object dtype above 62 qubits
-    return letters.view(f"S{n}").reshape(len(x))
+def _coefficient_texts(coeffs: np.ndarray) -> tuple:
+    """The distinct '(re,im) ' texts of the coefficients, each formatted once, keyed by
+    its bytes so that -0.0, 0.0 and nan keep texts of their own, and each one's index."""
+    values, at = np.unique(coeffs.view("V16"), return_inverse=True)
+    return [f"({c.real:.17g},{c.imag:.17g}) " for c in values.view(complex).tolist()], at
 
 
-def _sum_texts(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, offsets, sep: str) -> list:
-    """One text per sum on n qubits, sum k being terms offsets[k]:offsets[k + 1] of
-    the arrays: its '(re,im) LETTERS' terms joined by sep.  Per block of whole
-    sums, the letters are read from the masks at once, and each distinct
-    coefficient is formatted once, keyed by its bytes so that -0.0, 0.0 and
-    nan keep texts of their own."""
-    offsets = np.asarray(offsets)
-    lines, k, joint = [], 0, sep.encode()
+def _sum_texts(n: int, x: np.ndarray, z: np.ndarray, heads, at, offsets, sep: str, end: str) -> list:
+    """The text of the sums on n qubits, sum k being terms offsets[k]:offsets[k + 1] of
+    the arrays, one str per block of whole sums.  Term t is its ASCII head heads[at[t]]
+    and its letters, then sep, or end after its sum's last term; an empty sum writes
+    nothing.  A block of up to _TEXT_BLOCK terms (a longer sum is a block of its own)
+    is one buffer of byte rows of NUL-padded fields (head | letters | separator), the
+    letters looked up four qubits at a time; its NULs are dropped and it is decoded once."""
+    offsets, heads, fields, quads = np.asarray(offsets), np.array(heads, "S"), np.array([sep, end], "S"), -(-n // 4)
+    row = np.dtype([("head", heads.dtype), ("letters", np.uint8, (n,)), ("sep", fields.dtype)])
+    texts, k = [], 0
     while k < len(offsets) - 1:
-        # Up to _TEXT_BLOCK terms; a longer sum is a block of its own.
         j = max(k + 1, int(np.searchsorted(offsets, offsets[k] + _TEXT_BLOCK, "right")) - 1)
         lo, hi = int(offsets[k]), int(offsets[j])
-        values, at = np.unique(coeffs[lo:hi].view("V16"), return_inverse=True)
-        texts = np.array([f"({c.real:.17g},{c.imag:.17g}) " for c in values.view(complex).tolist()], "S")
-        terms = np.strings.add(texts[at], _labels(n, x[lo:hi], z[lo:hi])).tolist()
-        bounds = (offsets[k:j + 1] - lo).tolist()
-        lines += [joint.join(terms[a:b]).decode() for a, b in zip(bounds, bounds[1:])]
+        rows, letters = np.empty(hi - lo, row), np.empty((hi - lo, quads), dtype=np.uint32)
+        rows["head"] = heads[at[lo:hi]]
+        for i in range(quads):  # the lowest four qubits last
+            code = x[lo:hi] >> 4 * i & 15 | (z[lo:hi] >> 4 * i & 15) << 4
+            letters[:, quads - 1 - i] = _QUAD_LETTERS[code.astype(np.intp, copy=False)]  # object above 62 qubits
+        rows["letters"] = letters.view(np.uint8)[:, 4 * quads - n:]
+        rows["sep"] = fields[0]
+        last = offsets[k + 1:j + 1] - lo - 1  # -1 for an empty sum at the block's start
+        rows["sep"][last[last >= 0]] = fields[1]
+        texts.append(rows.tobytes().replace(b"\0", b"").decode())
         k = j
-    return lines
+    return texts
 
 
 _TERM_RE = re.compile(r"^\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)\s+([IXYZ]+)$")

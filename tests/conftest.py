@@ -328,3 +328,28 @@ def reference_closure(basis: InvariantBasis, tol: float = 1e-10) -> ClosureRepor
                 worst, worst_pair = r, (i, int(first) + top)
             lo = hi
     return ClosureReport(d * (d - 1) // 2, worst, worst_pair, tol, worst < tol)
+
+
+def reference_sum_texts(n: int, x: np.ndarray, z: np.ndarray, coeffs: np.ndarray, offsets, sep: str) -> list:
+    """Reference for paulis._sum_texts: the per-block writer it replaced.  One text per
+    sum on n qubits, sum k being terms offsets[k]:offsets[k + 1] of the arrays, its
+    '(re,im) LETTERS' terms joined by sep.  Per block of whole sums, the letters are
+    read from the masks one qubit column at a time, and each distinct coefficient is
+    formatted once, keyed by its bytes; the terms are joined as byte strings."""
+    offsets = np.asarray(offsets)
+    letter_bytes = np.frombuffer(b"IXZY", dtype=np.uint8)
+    lines, k, joint = [], 0, sep.encode()
+    while k < len(offsets) - 1:
+        j = max(k + 1, int(np.searchsorted(offsets, offsets[k] + paulis._TEXT_BLOCK, "right")) - 1)
+        lo, hi = int(offsets[k]), int(offsets[j])
+        values, at = np.unique(coeffs[lo:hi].view("V16"), return_inverse=True)
+        texts = np.array([f"({c.real:.17g},{c.imag:.17g}) " for c in values.view(complex).tolist()], "S")
+        letters = np.empty((hi - lo, n), dtype=np.uint8)
+        for column, q in enumerate(range(n - 1, -1, -1)):
+            code = (x[lo:hi] >> q & 1) + 2 * (z[lo:hi] >> q & 1)
+            letters[:, column] = letter_bytes[code.astype(np.intp, copy=False)]
+        terms = np.strings.add(texts[at], letters.view(f"S{n}").reshape(hi - lo)).tolist()
+        bounds = (offsets[k:j + 1] - lo).tolist()
+        lines += [joint.join(terms[a:b]).decode() for a, b in zip(bounds, bounds[1:])]
+        k = j
+    return lines

@@ -220,6 +220,36 @@ class TestOrbitTableWidth:
         images = _generator_images(group)
         assert np.array_equal(_orbit_table(2 * n, images.tolist()), split_orbit_table(n, images[:, :n].tolist()))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dihedral_rotation_and_reflection_match_split_moves(self, n):
+        """A rotation, which keeps its push, and a self-inverse reflection, which skips it."""
+        images = _generator_images(preset_group("dihedral", n))
+        assert np.array_equal(_orbit_table(2 * n, images.tolist()), split_orbit_table(n, images[:, :n].tolist()))
+
+    @pytest.mark.parametrize("perms", [
+        [[1, 2, 0, 3, 4], [0, 1, 2, 4, 3]],  # a 3-cycle and a transposition
+        [[1, 2, 0, 3, 4], [1, 2, 0, 3, 4], [0, 1, 3, 4, 2]],  # a repeated 3-cycle
+        [[0, 1, 2, 3, 4], [1, 2, 3, 4, 0], [1, 0, 2, 3, 4]],  # an identity row, a 5-cycle and a transposition
+    ], ids=["3-cycle-and-transposition", "repeated-3-cycle", "identity-row"])
+    def test_mixed_spec_generators_match_split_moves(self, perms):
+        group = group_from_spec({"n": 5, "generators": [{"perm": p} for p in perms]})
+        images = _generator_images(group)
+        assert np.array_equal(_orbit_table(10, images.tolist()), split_orbit_table(5, images[:, :5].tolist()))
+
+    @pytest.mark.parametrize("spec", [{"n": 8, "generators": "cyclic"}, {"n": 7, "generators": "dihedral"},
+                                      {"n": 5, "generators": [{"perm": [1, 2, 0, 3, 4]}, {"perm": [0, 1, 2, 4, 3]}]}],
+                             ids=["cyclic-8", "dihedral-7", "3-cycle-and-transposition"])
+    def test_rounds_match_split_moves(self, monkeypatch, spec):
+        """A self-inverse row's push changes no label, so skipping it keeps every round
+        the reference's; a row that is not self-inverse needs its push to keep them."""
+        rounds, array_equal = [], np.array_equal  # one comparison per round in each
+        monkeypatch.setattr(np, "array_equal", lambda a, b: rounds.append(1) or array_equal(a, b))
+        n, images = spec["n"], _generator_images(group_from_spec(spec))
+        _orbit_table(2 * n, images.tolist())
+        ours = len(rounds)
+        split_orbit_table(n, images[:, :n].tolist())
+        assert ours == len(rounds) - ours > 1
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_state_orbits_match_burnside(self, preset):
         """m state orbits, key 0 labelled -1, against the average of 2^cycles."""

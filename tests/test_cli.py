@@ -83,6 +83,28 @@ class TestBasisCommand:
         _, out, _ = run(capsys, "basis", "--n", str(n), "--symmetry", preset, "--format", "json")
         assert out == json.dumps(data, indent=2) + "\n"
 
+    @staticmethod
+    def old_json(basis) -> str:
+        """The JSON listing as json.dumps(indent=2) of one [1.0, 0.0, label] list per term."""
+        labels = [PauliString(basis.n, x, z).to_label() for x, z in zip(basis.x.tolist(), basis.z.tolist())]
+        bounds = basis.offsets.tolist()
+        return json.dumps({"n": basis.n, "group": basis.group.name, "dimension": len(basis),
+                           "elements": [[[1.0, 0.0, label] for label in labels[lo:hi]]
+                                        for lo, hi in zip(bounds, bounds[1:])]}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("preset", sorted(symmetry.PRESETS))
+    def test_json_matches_json_dumps(self, capsys, preset):
+        for n in range(1, 6):
+            _, out, _ = run(capsys, "basis", "--n", str(n), "--symmetry", preset, "--format", "json")
+            # Compared as line lists, which pytest explains without a slow full-text diff.
+            assert out.split("\n") == self.old_json(build_basis(n, preset_group(preset, n))).split("\n")
+
+    def test_spec_file_json_matches_json_dumps(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 4, "generators": [{"perm": [1, 2, 0, 3]}, {"perm": [0, 1, 3, 2]}]}))
+        _, out, _ = run(capsys, "basis", "--symmetry", str(spec), "--format", "json")
+        assert out.split("\n") == self.old_json(build_basis(4, load_group(spec))).split("\n")
+
     def test_elements_parse_back(self, capsys):
         _, out, _ = run(capsys, "basis", "--n", "2", "--symmetry", "full_swap")
         for line in out.strip().splitlines()[:-1]:
@@ -165,8 +187,9 @@ class TestDimCommand:
         assert [r.split(",")[2] for r in rows[1:]] == ["3", "9", "19", "34", "55"]
 
     def test_header_has_timestamp_comment(self, capsys):
-        _, out, _ = run(capsys, "dim", "--n", "2", "--symmetry", "cyclic")
-        assert out.splitlines()[0].startswith("# symsu dim ")
+        _, out, err = run(capsys, "dim", "--n", "2", "--symmetry", "cyclic")
+        assert err.splitlines()[0].startswith("# symsu dim ")
+        assert out == "n,group,dimension\n2,cyclic,9\n"  # stdout does not change with the clock
 
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "dim", "--n", "two", "--symmetry", "full_swap")
@@ -352,6 +375,14 @@ class TestPathCommand:
         assert rows[0] == "t,invariance_defect,unitarity_residual"
         assert len(rows) == 6
         assert all(float(r.split(",")[1]) == 0 for r in rows[1:])
+
+    def test_header_goes_to_stderr(self, capsys, tmp_path):
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(4))
+        argv = ("path", str(path), "--symmetry", "full_swap", "--samples", "2")
+        _, out, err = run(capsys, *argv)
+        assert err.startswith("# symsu path ") and err.count("\n") == 1
+        assert (out, "") == run(capsys, *argv, "--no-header")[1:]
 
     def test_random_invariant_stays_invariant(self, capsys, tmp_path):
         path = tmp_path / "u.json"

@@ -4,6 +4,7 @@ import copy
 import operator
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from symsu import (
 
 from symsu import paulis
 
-from conftest import coefficient, dense_label, dense_sum, fro, is_identity, pairs_commutator, string_product, weight
+from conftest import (coefficient, dense_label, dense_sum, fro, is_identity, pairs_commutator, reference_sum_texts,
+                      string_product, weight)
 
 
 def P(label, phase_exp=0):
@@ -555,6 +557,19 @@ class TestMatrices:
         assert np.array_equal(sum_to_matrix(s), oracle)
 
 
+# Coefficients whose text is easy to get wrong: signed zeros, non-finite values, a tiny one, a repeating fraction.
+SPECIAL_COEFFS = (-0.0, complex(0, -0.0), float("nan"), float("inf"), 1e-300, 1 / 3 + 2j, complex(-float("inf"), -0.0))
+
+
+def terms_on(n: int, finite=False):
+    """Up to eight (x_mask, z_mask, coeff) terms on n qubits; finite ones fit a PauliSum."""
+    special = [c for c in SPECIAL_COEFFS if np.isfinite(c)] if finite else SPECIAL_COEFFS
+    coeffs = st.complex_numbers(max_magnitude=1e300 if finite else None, allow_nan=not finite,
+                                allow_infinity=not finite)
+    mask = st.integers(0, (1 << n) - 1)
+    return st.lists(st.tuples(mask, mask, st.one_of(st.sampled_from(special), coeffs)), max_size=8)
+
+
 class TestSerialization:
     def test_term_lines(self):
         s = PauliSum.from_labels(2, [("XI", 1.5), ("IX", -0.25j)])
@@ -580,26 +595,67 @@ class TestSerialization:
         expected = [f"({c.real:.17g},{c.imag:.17g}) {PauliString(4, xm, zm).to_label()}"
                     for xm, zm, c in zip(x.tolist(), z.tolist(), coeffs.tolist())]
         assert expected[:5] == ["(-0,0) IZIZ", "(0,0) IZIY", "(0,-0) IZXZ", "(nan,-0) IZXY", "(inf,-inf) IYIZ"]
-        assert paulis._sum_texts(4, x, z, coeffs, (0, 9), "\n") == ["\n".join(expected)]
-        assert paulis._sum_texts(4, x, z, coeffs, (0, 9), " + ") == [" + ".join(expected)]
+        heads, at = paulis._coefficient_texts(coeffs)
+        assert paulis._sum_texts(4, x, z, heads, at, (0, 9), "\n", "\n") == ["\n".join(expected) + "\n"]
+        assert paulis._sum_texts(4, x, z, heads, at, (0, 9), " + ", "\n") == [" + ".join(expected) + "\n"]
 
     def test_blocks_of_sums_match_per_sum_lines(self, monkeypatch):
         # Blocks of up to three terms hold whole sums, up to four of them; a longer sum is alone.
+        # An empty sum writes nothing, not even its end.
         monkeypatch.setattr(paulis, "_TEXT_BLOCK", 3)
         rng = np.random.default_rng(5)
         sums = [PauliSum(3, [(PauliString(3, int(k) & 7, int(k) >> 3), complex(*rng.integers(-2, 3, 2)))
                              for k in rng.choice(64, size=size, replace=False)])
                 for size in (1, 5, 2, 1, 0, 0, 1, 3, 0, 4, 1, 1, 1)]
-        expected = [" + ".join(f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms)
-                    for s in sums]
+        expected = [" + ".join(f"({c.real:.17g},{c.imag:.17g}) {p.to_label()}" for p, c in s.terms) + "\n"
+                    for s in sums if len(s)]
         x, z, coeffs = (np.concatenate([getattr(s, name) for s in sums]) for name in ("x", "z", "coeffs"))
-        assert paulis._sum_texts(3, x, z, coeffs, np.cumsum([0] + [len(s) for s in sums]), " + ") == expected
+        blocks = paulis._sum_texts(3, x, z, *paulis._coefficient_texts(coeffs),
+                                   np.cumsum([0] + [len(s) for s in sums]), " + ", "\n")
+        assert "".join(blocks) == "".join(expected)
+        assert [b.count("\n") for b in blocks] == [1, 1, 2, 1, 1, 1, 3]
 
     def test_labels_above_62_qubits(self):
         label = "XY" + "I" * 66 + "ZX"
         s = PauliSum.from_labels(70, [(label, 0.5), (label[::-1], -1)])
         assert s.x.dtype == object
         assert s.to_text().splitlines() == [f"(-1,0) {label[::-1]}", f"(0.5,0) {label}"]
+
+    @given(st.sampled_from([1, 5, 63, 70]).flatmap(lambda n: st.tuples(st.just(n), st.lists(terms_on(n), max_size=6))),
+           st.sampled_from([" + ", "\n"]), st.sampled_from([3, paulis._TEXT_BLOCK]))
+    @settings(max_examples=120, deadline=None)
+    def test_writer_matches_reference(self, case, sep, block):
+        n, sums = case
+        terms = [t for s in sums for t in s]
+        x, z = (np.array([t[k] for t in terms], dtype=np.int64 if n <= 62 else object) for k in (0, 1))
+        coeffs = np.array([t[2] for t in terms], dtype=complex)
+        offsets = np.cumsum([0] + [len(s) for s in sums])
+        with mock.patch.object(paulis, "_TEXT_BLOCK", block):
+            got = paulis._sum_texts(n, x, z, *paulis._coefficient_texts(coeffs), offsets, sep, "\n")
+            lines = reference_sum_texts(n, x, z, coeffs, offsets, sep)
+        assert "".join(got) == "".join(line + "\n" for line, s in zip(lines, sums) if s)
+
+    @given(st.sampled_from([1, 5, 63, 70]).flatmap(lambda n: st.tuples(st.just(n), terms_on(n, finite=True))))
+    @settings(max_examples=80, deadline=None)
+    def test_to_line_and_to_text_match_reference(self, case):
+        n, terms = case
+        s = PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in terms])
+        for sep, text in ((" + ", s.to_line()), ("\n", s.to_text())):
+            assert text == reference_sum_texts(n, s.x, s.z, s.coeffs, (0, len(s)), sep)[0]
+
+    def test_sums_longer_than_a_block(self):
+        rng = np.random.default_rng(31)
+        sizes = [2, paulis._TEXT_BLOCK + 700, 1, paulis._TEXT_BLOCK - 3, 4]
+        keys = rng.integers(0, 1 << 10, size=sum(sizes))
+        values = np.array(SPECIAL_COEFFS + (1.0, -2.5j), dtype=complex)
+        coeffs = values[rng.integers(0, len(values), size=len(keys))]
+        offsets = np.cumsum([0] + sizes)
+        for sep in (" + ", "\n"):
+            got = paulis._sum_texts(5, keys & 31, keys >> 5, *paulis._coefficient_texts(coeffs), offsets, sep, "\n")
+            assert len(got) == 4  # the first sum, the long sum alone, the next two, the last
+            lines = reference_sum_texts(5, keys & 31, keys >> 5, coeffs, offsets, sep)
+            # Compared as line lists, which pytest explains without a slow full-text diff.
+            assert "".join(got).split("\n") == "".join(line + "\n" for line in lines).split("\n")
 
     def test_malformed_text(self):
         with pytest.raises(ValueError):
