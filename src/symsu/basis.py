@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from . import paulis
 from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _anticommuting_pairs, _product
-from .symmetry import PRESETS, SymmetryGroup, _move_masks
+from .symmetry import PRESETS, SymmetryGroup, _move_masks, _moved_keys
 
 
 def _check_qubits(n: int, group: SymmetryGroup) -> None:
@@ -154,15 +154,15 @@ def _orbit_table(width: int, images) -> np.ndarray:
     image rows, bit i to bit row[i], from -1 (key 0: the identity string or
     the all-zero state) in the order of the orbits' smallest keys.
 
-    Every key is moved once per generator; then each key pulls the label
-    of its image, pushes its label to its image (a move is a bijection) and
-    jumps to its label's label, until no label changes.  Labels only fall
-    and stay in the orbit, so each ends as its orbit's smallest key.  A
-    self-inverse row (row[row[i]] == i) skips the push: its image's pull
-    has just stored that minimum there already.
+    Each generator moves every key once (`_moved_keys`, from two half-width
+    key tables); each key then pulls its image's label, pushes its label to
+    its image (a move is a bijection) and jumps to its label's label, until
+    no label changes.  Labels only fall and stay in the orbit, so each ends
+    as its orbit's smallest key.  A self-inverse row (row[row[i]] == i) skips
+    the push: its image's pull has just stored that minimum there already.
     """
     keys = np.arange(1 << width)
-    moves = [(_move_masks(keys, row), [row[i] for i in row] == list(range(len(row)))) for row in images]
+    moves = [(_moved_keys(width, row), [row[i] for i in row] == list(range(len(row)))) for row in images]
     label, last = keys, None
     while last is None or not np.array_equal(label, last):
         last = label

@@ -7,6 +7,7 @@ exactly through text.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -285,16 +286,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="symsu",
-        description="Symmetry-invariant bases, invariance checks, and circuit synthesis.",
-    )
+        prog="symsu", description="Symmetry-invariant bases, invariance checks, and circuit synthesis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_required=False):
-        p.add_argument("--n", type=int, required=n_required,
-                       help="qubit count (required with presets)")
+    def common(p):
+        p.add_argument("--n", type=int, help="qubit count (required with presets)")
         p.add_argument("--symmetry", required=True,
                        help=f"preset ({', '.join(sorted(PRESETS))}) or JSON spec file")
         p.add_argument("--out", help="output file (default: stdout)")
@@ -302,14 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="print the invariant basis and its dimension")
     common(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("dim", help="dimension table as CSV")
     p.add_argument("--n", required=True, help="qubit count or comma list, e.g. 2,3,4")
     p.add_argument("--symmetry", required=True)
     p.add_argument("--out")
     p.add_argument("--no-header", action="store_true", help="omit the timestamp comment")
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("check", help="invariance report for a matrix file")
     p.add_argument("matrix", help="JSON matrix file (nested [re, im] pairs)")
@@ -317,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check, n=None)
+    p.set_defaults(n=None)
 
     p = sub.add_parser("path", help="sample the identity-to-A path as CSV")
     p.add_argument("matrix")
@@ -325,20 +322,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--out")
     p.add_argument("--no-header", action="store_true")
-    p.set_defaults(func=cmd_path, n=None)
+    p.set_defaults(n=None)
 
     p = sub.add_parser("synth", help="compile a Pauli-sum exponential to gates")
     p.add_argument("--pauli", help="single Pauli letter string, e.g. XZY")
     p.add_argument("--sum-file", help="Pauli sum text file, one '(re,im) LETTERS' per line")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("random", help="write a seeded random invariant unitary")
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=8)
-    p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="run the structure-property suites")
     common(p)
@@ -347,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--paths", type=int, default=8)
     p.add_argument("--depth", type=int, default=6)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -355,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)  # looked up per call: spans rebind cmd_*
     except (SymsuError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

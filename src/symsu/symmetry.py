@@ -43,6 +43,12 @@ def _move_masks(masks: np.ndarray, image) -> np.ndarray:
     return out
 
 
+def _moved_keys(width: int, image) -> np.ndarray:
+    """_move_masks(np.arange(1 << width), image): bits move alone, so OR the high and low halves' moves."""
+    hi, lo = np.arange(1 << width - width // 2) << width // 2, np.arange(1 << width // 2)
+    return (_move_masks(hi, image)[:, None] | _move_masks(lo, image)).ravel()
+
+
 @dataclass(frozen=True, order=True)
 class QubitPermutation:
     """A relabeling of wires; image[i] is the destination wire of qubit i."""
@@ -76,7 +82,7 @@ class QubitPermutation:
     def to_matrix(self) -> np.ndarray:
         dim = 1 << self.n
         m = np.zeros((dim, dim), dtype=complex)
-        m[_move_masks(np.arange(dim), self.image), np.arange(dim)] = 1.0
+        m[_moved_keys(self.n, self.image), np.arange(dim)] = 1.0
         return m
 
 

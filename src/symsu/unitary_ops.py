@@ -15,7 +15,7 @@ import numpy as np
 from .basis import InvariantBasis, _check_qubits, _generator_images, build_basis
 from .errors import DimensionError, NotUnitaryError, NumericError
 from .paulis import PauliSum, _flip_cosets, sum_to_matrix
-from .symmetry import SymmetryGroup, _move_masks
+from .symmetry import SymmetryGroup, _moved_keys
 
 UNITARITY_TOL = 1e-9
 
@@ -217,8 +217,7 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
         basis = build_basis(n, group)
     _check_qubits(n, basis.group)
     if basis.group is not group:
-        keys = np.arange(basis.orbit_of.size)
-        if any(not np.array_equal(basis.orbit_of[_move_masks(keys, row)], basis.orbit_of)
+        if any(not np.array_equal(basis.orbit_of[_moved_keys(2 * n, row)], basis.orbit_of)
                for row in _generator_images(group).tolist()):
             raise ValueError(f"a basis of group {basis.group.name!r} is not invariant under {group.name!r}")
     if len(basis) == 0:

@@ -27,7 +27,7 @@ from symsu import (
     symmetrize,
     synthesize_pauli_exponential,
 )
-from symsu import symmetry, unitary_ops
+from symsu import cli, symmetry, unitary_ops
 from symsu.cli import main
 
 from conftest import dense_label, fro
@@ -627,6 +627,64 @@ class TestVerifyCommand:
         for command in (1, 2):
             assert run(capsys, *argv)[0] == 0
             assert len(realized) == command * dim == command * 135
+
+
+class TestParserReuse:
+    """One parser serves every main call in a process; no call leaves state for the next."""
+
+    DIM = ("dim", "--n", "2,3", "--symmetry", "cyclic", "--no-header")
+
+    def test_command_looked_up_at_call_time(self, capsys, monkeypatch):
+        # Spans and spies rebind cli.cmd_* after the parser is built; the rebound function must run.
+        code, out, _ = run(capsys, *self.DIM)
+        calls = []
+        original = cli.cmd_dim
+        monkeypatch.setattr(cli, "cmd_dim", lambda args: calls.append(args.n) or original(args))
+        assert run(capsys, *self.DIM) == (code, out, "") and calls == ["2,3"]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_format_default_restored(self, capsys):
+        argv = ("basis", "--n", "2", "--symmetry", "full_swap")
+        assert run(capsys, *argv, "--format", "json")[1].startswith("{")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[-1] == "dim 9"
+
+    def test_usage_error_then_valid_command(self, capsys):
+        for argv in (["basis", "--n"], ["dim", "--symmetry", "cyclic"], ["nope"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
+            assert run(capsys, *self.DIM) == (0, "n,group,dimension\n2,cyclic,9\n3,cyclic,23\n", "")
+
+    def test_help_text_stable(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._build_parser.cache_clear()  # the first help below comes from a new parser
+
+        def helps():
+            texts = []
+            for argv in (["--help"], *([command, "--help"] for command in
+                                       ("basis", "dim", "check", "path", "synth", "random", "verify"))):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            return texts
+
+        first = helps()
+        run(capsys, "basis", "--n", "2", "--symmetry", "full_swap", "--format", "json")
+        run(capsys, "verify", "--n", "2", "--symmetry", "full_swap", "--tol", "-1")
+        assert helps() == first and all(text.startswith("usage: symsu") for text in first)
+
+    @pytest.mark.parametrize("command", ["check", "path"])
+    def test_matrix_commands_see_no_n(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "u.json"
+        assert run(capsys, "random", "--n", "2", "--symmetry", "full_swap", "--out", str(path))[0] == 0
+        seen = []
+        original = getattr(cli, "cmd_" + command)
+        monkeypatch.setattr(cli, "cmd_" + command, lambda args: seen.append(args.n) or original(args))
+        assert run(capsys, "basis", "--n", "3", "--symmetry", "full_swap")[0] == 0
+        assert run(capsys, command, str(path), "--symmetry", "full_swap")[0] == 0
+        assert seen == [None]
 
 
 class TestMiscellaneous:

@@ -42,6 +42,8 @@ from symsu.symmetry import (
     _close_images,
     _compose,
     _defects,
+    _move_masks,
+    _moved_keys,
     _permutation_defects,
     _phase_key,
     _state_maps,
@@ -55,6 +57,7 @@ from conftest import (
     fro,
     generator_sets,
     inverse,
+    permute_mask,
     transposition_defects,
 )
 
@@ -160,6 +163,23 @@ class TestPermutationMatrix:
             b0, b1, b2 = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
             out = (b0 << 2) | (b1 << 1) | b2
             assert m[out, idx] == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))))
+    def test_matches_scalar_mask_moves(self, image):
+        p = QubitPermutation(len(image), image)
+        expected = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+        for b in range(1 << p.n):
+            expected[permute_mask(p, b), b] = 1.0
+        assert np.array_equal(p.to_matrix(), expected)
+
+    # Odd widths included: there the high half is the wider one, and to_matrix moves n-bit keys.
+    @pytest.mark.parametrize("width", range(1, 21))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_moved_keys_are_every_key_moved(self, width, data):
+        row = data.draw(st.permutations(range(width)))
+        assert np.array_equal(_moved_keys(width, row), _move_masks(np.arange(1 << width), row))
 
 
 class TestGroupGeneration:
