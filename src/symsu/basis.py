@@ -100,7 +100,7 @@ class InvariantBasis:
     masks, in canonical order.  A group not on n qubits or a table of
     another length raises DimensionError; a label below -1, a labelled
     identity or an element index with no string raises ValueError.
-    ``_spectra`` caches eigenpairs for unitary_ops, with their byte total.
+    ``_spectra`` caches eigenpairs for unitary_ops, with their byte total; a pickle drops them.
     """
 
     n: int
@@ -128,6 +128,9 @@ class InvariantBasis:
                             ("offsets", offsets)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return InvariantBasis, (self.n, self.group, self.orbit_of)
 
     @property
     def elements(self) -> _Elements:

@@ -15,6 +15,7 @@ fixes the bit-permutation formula for permutation matrices.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,12 @@ DEFAULT_CLOSURE_CAP = 10_000
 _PERMUTATION_CAP = 40_320
 # Presets and spec files up to 2^10 wires: full_swap's rows are 8 MB, orbit counts below int-to-str's limit.
 _PRESET_QUBIT_CAP = 1 << 10
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _move_masks(masks: np.ndarray, image) -> np.ndarray:
@@ -95,7 +102,7 @@ def _coerce_element(obj):
     |1 << i> goes becomes that permutation."""
     if isinstance(obj, QubitPermutation):
         return obj
-    m = np.array(obj, dtype=complex, order="C")
+    m = _frozen(np.array(obj, dtype=complex, order="C"))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"raw symmetry must be square, got shape {m.shape}")
     dim = m.shape[0]
@@ -107,7 +114,6 @@ def _coerce_element(obj):
     residual = np.linalg.norm(m @ m.conj().T - np.eye(dim))
     if not residual < RAW_UNITARITY_TOL:
         raise NotUnitaryError(f"raw symmetry is not unitary: ||SS+ - 1|| = {residual:.3e}")
-    m.setflags(write=False)
     rows = abs(m[:, 1 << np.arange(n)]).argmax(axis=0).tolist()
     try:
         perm = QubitPermutation(n, [r.bit_length() - 1 for r in rows])
@@ -120,9 +126,7 @@ def _compose(a, b):
     """a after b: a permutation while both are, else the matrix product."""
     if isinstance(a, QubitPermutation) and isinstance(b, QubitPermutation):
         return a.compose(b)
-    m = _matrix(a) @ _matrix(b)
-    m.setflags(write=False)
-    return m
+    return _frozen(_matrix(a) @ _matrix(b))
 
 
 def _matrix(element) -> np.ndarray:
@@ -136,15 +140,13 @@ class SymmetryGroup:
     `_coerce_element` to an element, a `QubitPermutation` or a validated
     read-only complex array, and must act on n qubits, else DimensionError.
     They are split once: ``_perm_images``, the read-only (k, n) wire images
-    of the permutation generators, and ``_raw``, the arrays; ``_perm_maps``,
-    the images' basis-state maps (`_state_maps`), is built on first use and kept.
-    The group is closed only when ``images``, ``elements`` or ``len`` is
-    first read, and the result is kept.  A group with no raw generator has
-    ``images``, an (|G|, n) array of wire images listed coset by coset,
-    and builds ``elements`` from the rows; any other group has ``images`` None.
+    of the permutation generators, and ``_raw``, the arrays.  ``_perm_maps``
+    (their `_state_maps`), ``images`` and ``elements`` are read-only cached
+    properties; the group is closed on the first read of ``images``,
+    ``elements`` or ``len``, and a closure past its cap raises on every read.
+    A group with no raw generator has ``images``, an (|G|, n) array of wire
+    images listed coset by coset, built into ``elements``; else ``images`` is None.
     """
-
-    __slots__ = ("n", "generators", "name", "_perm_images", "_raw", "_maps", "_images", "_elements")
 
     def __init__(self, n: int, generators, name: str = "custom"):
         if n < 1:
@@ -156,37 +158,28 @@ class SymmetryGroup:
                 raise DimensionError(f"generator acts on {k} qubits, group is on {n}")
         perms = [g.image for g in gens if isinstance(g, QubitPermutation)]
         self.n, self.generators, self.name = n, gens, name
-        self._perm_images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-        self._perm_images.setflags(write=False)
+        self._perm_images = _frozen(np.array(perms, dtype=np.int64).reshape(len(perms), n))
         self._raw = tuple(g for g in gens if not isinstance(g, QubitPermutation))
-        self._maps = self._images = self._elements = None
 
-    @property
+    def __reduce__(self):
+        return SymmetryGroup, (self.n, self.generators, self.name)
+
+    @cached_property
     def _perm_maps(self) -> np.ndarray:
-        if self._maps is None:
-            maps = _state_maps(self._perm_images)
-            maps.setflags(write=False)
-            self._maps = maps
-        return self._maps
+        return _frozen(_state_maps(self._perm_images))
 
-    @property
+    @cached_property
     def images(self) -> np.ndarray | None:
-        if self._images is None and not self._raw:
-            rows = _close_images(self.n, self._perm_images)
-            rows.setflags(write=False)
-            self._images = rows
-        return self._images
+        return None if self._raw else _frozen(_close_images(self.n, self._perm_images))
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = (_close(QubitPermutation.identity(self.n), self.generators)
-                              if self.images is None else
-                              tuple(QubitPermutation(self.n, row) for row in self.images.tolist()))
-        return self._elements
+        if self.images is None:
+            return _close(QubitPermutation.identity(self.n), self.generators)
+        return tuple(QubitPermutation(self.n, row) for row in self.images.tolist())
 
     def __len__(self) -> int:
-        return len(self.elements) if self.images is None else len(self.images)
+        return len(self.elements if self.images is None else self.images)
 
     def __repr__(self) -> str:
         return f"SymmetryGroup(n={self.n}, name={self.name!r}, generators={len(self.generators)})"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import re
 import time
 import tracemalloc
@@ -441,15 +442,31 @@ class TestLazyClosure:
         pauli_orbit(PauliString.from_label("XZII"), group)
         symmetrize(PauliString.from_label("XYII"), group)
         build_basis(4, group)
-        assert group._images is None and group._elements is None
+        assert "images" not in vars(group) and "elements" not in vars(group)
         assert len(group) == 24
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_groups_past_the_cap_build_and_refuse_when_listed(self, n):
         group = preset_group("full_swap", n)
         assert repr(group) == f"SymmetryGroup(n={n}, name='full_swap', generators={n - 1})"
-        with pytest.raises(GroupClosureError, match="exceeded the cap of 40320 elements"):
-            len(group)
+        for _ in range(2):  # a failed closure is not cached: every read raises again
+            with pytest.raises(GroupClosureError, match="exceeded the cap of 40320 elements"):
+                len(group)
+        assert "images" not in vars(group) and "elements" not in vars(group)
+
+    @pytest.mark.parametrize("make", [lambda: preset_group("dihedral", 5), gl32_group], ids=["dihedral", "gl32"])
+    def test_cached_forms_are_read_once_and_frozen(self, make):
+        group = make()
+        for name in ("_perm_maps", "images", "elements"):
+            first = getattr(group, name)
+            assert getattr(group, name) is first and vars(group)[name] is first
+        arrays = [group._perm_images, group._perm_maps, *group._raw]
+        arrays += [e for e in group.elements if isinstance(e, np.ndarray)]
+        if group._raw:  # a raw-unitary group has no image rows, and keeps that too
+            assert group.images is None and "images" in vars(group)
+        else:
+            arrays.append(group.images)
+        assert not any(a.flags.writeable for a in arrays)
 
     def test_ten_qubit_invariance_and_path(self):
         group = preset_group("full_swap", 10)
@@ -459,7 +476,27 @@ class TestLazyClosure:
         flag, defect = is_invariant(u, group)
         assert flag and defect < 1e-10
         assert is_invariant(connectedness_path(u, 0.5).matrix, group, 1e-8)[0]
-        assert group._images is None and group._elements is None
+        assert "images" not in vars(group) and "elements" not in vars(group)
+
+
+class TestPickle:
+    @pytest.mark.parametrize("make", [lambda: preset_group("full_swap", 4), gl32_group,
+                                      lambda: generate_group(2, [SWAP, np.diag([1, 1, 1, -1])], "mixed")],
+                             ids=["full_swap", "gl32", "mixed"])
+    def test_round_trip_rebuilds_a_read_only_group(self, make):
+        group = make()
+        size, maps = len(group), group._perm_maps
+        twin = pickle.loads(pickle.dumps(group))
+        assert set(vars(twin)) == {"n", "generators", "name", "_perm_images", "_raw"}  # no cached form
+        assert (twin.n, twin.name, len(twin)) == (group.n, group.name, size)
+        assert np.array_equal(twin._perm_images, group._perm_images) and np.array_equal(twin._raw, group._raw)
+        assert np.array_equal(twin._perm_maps, maps)
+        if group.images is None:
+            assert twin.images is None
+        else:
+            assert np.array_equal(twin.images, group.images) and not twin.images.flags.writeable
+        assert not any(a.flags.writeable for a in (twin._perm_images, twin._perm_maps, *twin._raw))
+        assert repr(twin) == repr(group)
 
 
 class TestConjugatePauli:
