@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DimensionError, UnsupportedSymmetryError
 from . import paulis
 from .paulis import DEFAULT_MATRIX_CAP, PauliString, PauliSum, _anticommuting_pairs, _product
-from .symmetry import PRESETS, SymmetryGroup, _move_masks, _moved_keys
+from .symmetry import PRESETS, QubitPermutation, SymmetryGroup, _move_masks, _moved_keys
 
 
 def _check_qubits(n: int, group: SymmetryGroup) -> None:
@@ -140,7 +140,9 @@ class InvariantBasis:
         return len(self.offsets) - 1
 
     def _value(self) -> tuple:
-        return self.n, self.group, self.orbit_of.tobytes()
+        # The group by what its pickle keeps (n, generators, name), so a round trip compares equal.
+        gens = tuple(g.image if isinstance(g, QubitPermutation) else g.tobytes() for g in self.group.generators)
+        return self.n, self.group.name, gens, self.orbit_of.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, InvariantBasis) and self._value() == other._value()

@@ -26,9 +26,12 @@ from .serialize import _pairs_json, load_matrix
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
     Unitary,
-    _basis_exp,
+    _basis_spectra,
+    _composed_pairs,
+    _path_stack,
     _random_invariants,
-    compose,
+    _scatter,
+    _spectral_exp,
     connectedness_path,
     project_to_su,
     random_invariant,
@@ -227,41 +230,44 @@ def cmd_verify(args) -> int:
     results: list[tuple[str, int, bool, str]] = []  # name, samples, passed, detail
     pairs, paths = (args.pairs, args.paths) if args.depth else (0, 0)  # depth 0 draws only identities
 
-    # Products of invariant unitaries stay invariant.
+    # Exponentials of symmetrized generators land in the invariant group.  Run first, as it
+    # solves every element's eigenpairs a chunk at a time, and the draws below read them.
+    rng = np.random.default_rng(args.seed)
     ok, worst = True, 0.0
-    draws = _random_invariants(group.n, group, range(args.seed, args.seed + 2 * pairs), args.depth, basis)
-    for u1, u2 in zip(draws, draws):
-        ok = ok and all(is_invariant(u.matrix, group, tol)[0] for u in (u1, u2))
-        flag, defect = is_invariant(compose(u1, u2).matrix, group, 3 * tol)
+    for spectrum in _basis_spectra(basis):
+        alpha = float(rng.uniform(0.0, 2.0 * np.pi))
+        flag, defect = is_invariant(_spectral_exp(*spectrum, alpha).matrix, group, tol)
         ok = ok and flag
         worst = max(worst, defect)
+    exp_result = ("exp_invariance", len(basis), ok,
+                  f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}")
+
+    # Products of invariant unitaries stay invariant.
+    ok, worst = True, 0.0
+    for draws, products in _composed_pairs(group.n, group, range(args.seed, args.seed + 2 * pairs),
+                                           args.depth, basis):
+        ok = ok and all(is_invariant(m, group, tol)[0] for m in draws)
+        for m in products:
+            flag, defect = is_invariant(m, group, 3 * tol)
+            ok = ok and flag
+            worst = max(worst, defect)
     results.append(("composition", pairs, ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
 
     # Pairwise commutators stay inside the span.
     report = closure_report(basis, tol)
     results.append(("closure", report.pair_count, report.passed,
                     f"pairs={report.pair_count} max_residual={report.max_residual:.3e} tol={tol:.1e}"))
+    results.append(exp_result)
 
-    # Exponentials of symmetrized generators land in the invariant group.
-    rng = np.random.default_rng(args.seed)
-    ok, worst = True, 0.0
-    for k in range(len(basis)):
-        alpha = float(rng.uniform(0.0, 2.0 * np.pi))
-        flag, defect = is_invariant(_basis_exp(basis, k, alpha).matrix, group, tol)
-        ok = ok and flag
-        worst = max(worst, defect)
-    results.append(("exp_invariance", len(basis), ok,
-                    f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}"))
-
-    # The eigenphase path stays invariant and hits both endpoints.
+    # The eigenphase path stays invariant and hits both endpoints: 11 points A(t) per draw, one stack.
     ok, worst = True, 0.0
     first = args.seed + 1000
     for u in _random_invariants(group.n, group, range(first, first + paths), args.depth, basis):
-        ends = {0.0: np.eye(u.dim), 1.0: u.matrix}
-        for t in np.linspace(0.0, 1.0, 11):
-            point = connectedness_path(u, float(t)).matrix
-            if t in ends:
-                ok = ok and np.linalg.norm(point - ends[t]) < 1e-9
+        blocks, _, cosets = _path_stack(u, np.linspace(0.0, 1.0, 11))
+        points = _scatter(blocks, cosets)
+        ok = (ok and np.linalg.norm(points[0] - np.eye(u.dim)) < 1e-9
+              and np.linalg.norm(points[-1] - u.matrix) < 1e-9)
+        for point in points:
             flag, defect = is_invariant(point, group, 1e-8)
             ok = ok and flag
             worst = max(worst, defect)

@@ -350,18 +350,26 @@ def sum_to_matrix(s: PauliSum) -> np.ndarray:
     """
     if s.n > DEFAULT_MATRIX_CAP:
         raise CapacityError(f"dense realization of {s.n} qubits exceeds the cap of {DEFAULT_MATRIX_CAP}")
-    dim = 1 << s.n
-    out = np.zeros((dim, dim), dtype=complex)
+    value = s.coeffs * _I_POWERS[np.bitwise_count(s.x & s.z) % 4]
+    return _realize(s.n, s.x, s.z, value, np.zeros(len(s), dtype=np.int64), 1)[0]
+
+
+def _realize(n: int, x: np.ndarray, z: np.ndarray, value: np.ndarray, element: np.ndarray,
+             count: int) -> np.ndarray:
+    """sum_to_matrix's monomial scatter with an element axis: the (count, 2^n, 2^n) stack in
+    whose matrix element[j] term j, with masks x[j] and z[j], puts +-value[j] (its coefficient
+    times i**#Y) in each column.  np.add.at adds the terms in order, a block at a time."""
+    dim = 1 << n
+    out = np.zeros(count * dim * dim, dtype=complex)
     b = np.arange(dim)
-    x, z = s.x[:, None], s.z[:, None]
-    value = (s.coeffs * _I_POWERS[np.bitwise_count(s.x & s.z) % 4])[:, None]
-    step = max(1, _REALIZATION_BLOCK >> s.n)
-    for lo in range(0, len(s), step):
+    x, z, value, element = x[:, None], z[:, None], value[:, None], element[:, None] << 2 * n
+    step = max(1, _REALIZATION_BLOCK >> n)
+    for lo in range(0, len(x), step):
         hi = lo + step
         odd = np.bitwise_count(b & z[lo:hi]) & 1  # uint8: select with it, no arithmetic
         entries = np.where(odd, -value[lo:hi], value[lo:hi])
-        np.add.at(out, (b ^ x[lo:hi], np.broadcast_to(b, entries.shape)), entries)
-    return out
+        np.add.at(out, element[lo:hi] | (b ^ x[lo:hi]) << n | b, entries)
+    return out.reshape(count, dim, dim)
 
 
 def _flip_cosets(s: PauliSum) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import InvariantBasis, _check_qubits, _generator_images, build_basis
 from .errors import DimensionError, NotUnitaryError, NumericError
-from .paulis import PauliSum, _flip_cosets, sum_to_matrix
+from .paulis import _I_POWERS, PauliSum, _flip_cosets, _realize, sum_to_matrix
 from .symmetry import SymmetryGroup, _moved_keys
 
 UNITARITY_TOL = 1e-9
@@ -26,14 +26,20 @@ CLUSTER_TOL = 1e-8
 
 RECONSTRUCTION_TOL = 1e-9
 
-# Bytes of element eigenpairs one basis keeps for _basis_exp, as their arrays hold them: all of
+# Bytes of element eigenpairs one basis keeps for the draws, as their arrays hold them: all of
 # cyclic n=6 (d = 699); at n=10, 4 dense complex ones (16 MiB each) or more blocked or real ones.
 _SPECTRA_BYTES = 1 << 26
 
 _REAL_PRODUCT_DIM = 64  # below it, the extra numpy calls of real products cost more than they save
 
-# Bytes of one complex factor stack of _random_invariants below _REAL_PRODUCT_DIM: 8 seeds at n=5.
+# Bytes of one complex stack of a chunk (_chunk) below _REAL_PRODUCT_DIM: 8 seeds or elements at n=5.
 _STACK_BYTES = 1 << 17
+
+
+def _chunk(dim: int) -> int:
+    """Matrices per stack of the draws and the element eigensolves: _STACK_BYTES of complex ones
+    below _REAL_PRODUCT_DIM, one from it on, where blocks of different elements differ in shape."""
+    return max(1, _STACK_BYTES // (16 * dim * dim)) if dim < _REAL_PRODUCT_DIM else 1
 
 
 def _unitarity_residual(m: np.ndarray) -> float:
@@ -76,11 +82,12 @@ def _blocks(m: np.ndarray, cosets) -> np.ndarray:
 
 
 def _scatter(blocks: np.ndarray, cosets) -> np.ndarray:
-    """The matrix of a stack's blocks on the rows of a coset table, zero off them; blocks for no table."""
+    """The matrix of a stack's blocks on the rows of a coset table, zero off them, or one such matrix
+    per leading index of a stack of block stacks; blocks for no table."""
     if cosets is None:
         return blocks
-    out = np.zeros((cosets.size,) * 2, dtype=complex)
-    out[cosets[:, :, None], cosets[:, None, :]] = blocks
+    out = np.zeros(blocks.shape[:-3] + (cosets.size,) * 2, dtype=complex)
+    out[..., cosets[:, :, None], cosets[:, None, :]] = blocks
     return out
 
 
@@ -108,13 +115,27 @@ class Unitary:
         dim = m.shape[-1]
         if dim < 1 or dim & (dim - 1):
             raise DimensionError(f"dimension {dim} is not a power of two")
-        residual = _checked_residual(m, tol)
-        m = _scatter(m, _cosets)
+        self._adopt(m, _checked_residual(m, tol), _cosets)
+
+    def _adopt(self, blocks: np.ndarray, residual: float, cosets) -> "Unitary":
+        m = _scatter(blocks, cosets)
         m.setflags(write=False)
-        self.matrix = m
-        self.unitarity_residual = residual
+        if cosets is not None:
+            cosets.setflags(write=False)
+        self.matrix, self.unitarity_residual, self._cosets = m, residual, cosets
         self._eig = self._spectrum = None
-        self._cosets = _cosets
+        return self
+
+    @classmethod
+    def _checked(cls, blocks: np.ndarray, residual: float, cosets=None) -> "Unitary":
+        """The Unitary of a kernel's fresh array (blocks on the rows of cosets, if given), whose
+        _checked_residual the kernel has taken as `residual`."""
+        return cls.__new__(cls)._adopt(blocks, residual, cosets)
+
+    def __reduce__(self):
+        # Rebuilt from its blocks, so the residual is recounted bit for bit; tol inf, as the one it
+        # was checked against is not kept.  Kept eigenpairs are not pickled.
+        return Unitary, (_blocks(self.matrix, self._cosets), math.inf, self._cosets)
 
     @property
     def dim(self) -> int:
@@ -162,30 +183,74 @@ def exp_generator(h: PauliSum, alpha: float) -> Unitary:
     return _spectral_exp(*_generator_spectrum(h), alpha)
 
 
-def _basis_spectrum(basis: InvariantBasis, k: int) -> tuple:
-    """_generator_spectrum(basis.elements[k]), solved once per basis while the kept
-    eigenpairs' byte total, kept beside them, stays within _SPECTRA_BYTES."""
+def _keep(basis: InvariantBasis, k: int, spectrum: tuple) -> tuple:
+    """Keep element k's eigenpairs on the basis if its kept byte total stays within _SPECTRA_BYTES."""
     kept = basis._spectra
-    spectrum = kept.get(k)
-    if spectrum is None:
-        spectrum = _generator_spectrum(basis.elements[k])
-        size = sum(a.nbytes for a in spectrum if a is not None)
-        if kept.nbytes + size <= _SPECTRA_BYTES:
-            kept[k] = spectrum
-            kept.nbytes += size
+    size = sum(a.nbytes for a in spectrum if a is not None)
+    if kept.nbytes + size <= _SPECTRA_BYTES:
+        kept[k] = spectrum
+        kept.nbytes += size
     return spectrum
 
 
-def _basis_exp(basis: InvariantBasis, k: int, alpha: float) -> Unitary:
-    """exp_generator(basis.elements[k], alpha) from the element's kept eigenpairs."""
-    return _spectral_exp(*_basis_spectrum(basis, k), alpha)
+def _basis_spectrum(basis: InvariantBasis, k: int) -> tuple:
+    """_generator_spectrum(basis.elements[k]), solved once per basis while it is kept (_keep)."""
+    spectrum = basis._spectra.get(k)
+    return _keep(basis, k, _generator_spectrum(basis.elements[k])) if spectrum is None else spectrum
+
+
+def _basis_spectra(basis: InvariantBasis):
+    """Yield _basis_spectrum(basis, k) for every element k, in index order, each kept as it comes.
+
+    Below _REAL_PRODUCT_DIM, the unkept ones are solved a chunk (_chunk) at a time: its complex
+    realizations, built at once by sum_to_matrix's scatter from the basis's masks (their
+    entries are Gaussian integers, so the sums are exact and equal its matrices), then one eigh of
+    the real ones and one of the complex ones (the same imag.any() test per element).  A kept
+    spectrum is a view of its chunk's stacks.  From _REAL_PRODUCT_DIM on, each is solved alone,
+    on the blocks of its coset table.
+    """
+    dim = 1 << basis.n
+    if dim >= _REAL_PRODUCT_DIM:
+        yield from (_basis_spectrum(basis, k) for k in range(len(basis)))
+        return
+    chunk = _chunk(dim)
+    for start in range(0, len(basis), chunk):
+        ks = range(start, min(start + chunk, len(basis)))
+        todo = np.array([k for k in ks if k not in basis._spectra], dtype=np.int64)
+        solved = dict(zip(todo.tolist(), _element_spectra(basis, todo)))
+        for k in ks:
+            yield _keep(basis, k, solved[k]) if k in solved else basis._spectra[k]
+
+
+def _element_spectra(basis: InvariantBasis, ks: np.ndarray) -> list:
+    """_generator_spectrum(basis.elements[k]) for each k of ks, realized as one stack."""
+    lo, sizes = basis.offsets[ks], basis.offsets[ks + 1] - basis.offsets[ks]
+    terms = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+    x, z = basis.x[terms], basis.z[terms]
+    value = _I_POWERS[np.bitwise_count(x & z) % 4]
+    hm = _realize(basis.n, x, z, value, np.repeat(np.arange(len(ks)), sizes), len(ks))
+    odd = hm.imag.reshape(len(ks), -1).any(axis=1)
+    spectra = [None] * len(ks)
+    for which, stack in ((~odd, hm.real), (odd, hm)):
+        if which.any():
+            w, v = np.linalg.eigh(stack[which])
+            v.setflags(write=False)
+            for i, wi, vi in zip(np.flatnonzero(which).tolist(), w, v):
+                spectra[i] = (wi, vi, None)
+    return spectra
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
     """Apply u1 first, then u2: the matrix product U2 U1."""
     if u1.dim != u2.dim:
         raise DimensionError(f"dimensions differ: {u1.dim} vs {u2.dim}")
-    return Unitary(u2.matrix @ u1.matrix)
+    return Unitary._checked(*_products(u1.matrix, u2.matrix))
+
+
+def _products(m1: np.ndarray, m2: np.ndarray) -> tuple:
+    """(M2 M1, its _checked_residual) for two matrices or, slice by slice, two stacks of them."""
+    products = m2 @ m1
+    return products, _checked_residual(products)
 
 
 def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
@@ -199,12 +264,32 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
 
 
 def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
-    """Yield random_invariant(n, group, seed, depth, basis) for each seed, in order.
+    """Yield random_invariant(n, group, seed, depth, basis) for each seed, in order."""
+    for u in _draw_stacks(n, group, seeds, depth, basis):
+        yield from map(Unitary, u)
 
-    Each seed draws from its own default_rng(seed).  The seeds go in chunks:
-    _STACK_BYTES of complex matrices below _REAL_PRODUCT_DIM, one seed from it
-    on, where a factor may be blocked and blocks of different elements differ
-    in shape.  Per depth step, the chunk's factors are one stack, built by one
+
+def _composed_pairs(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis):
+    """Yield (draws, products) per chunk of _draw_stacks over seeds in pairs: draws[2i] and
+    draws[2i + 1] are the draws U1 and U2 of a pair, and products[i] is compose(U1, U2).matrix,
+    one BLAS call per slice.  Each stack is checked at once; a stack residual below tol bounds
+    every member's.  A chunk of one seed, from _REAL_PRODUCT_DIM on, waits for the next."""
+    held = None
+    for u in _draw_stacks(n, group, seeds, depth, basis):
+        if held is not None:
+            u = np.concatenate((held, u))
+        u, held = (u[:-1], u[-1:]) if len(u) % 2 else (u, None)
+        if len(u):
+            _checked_residual(u)
+            yield u, _products(u[::2], u[1::2])[0]
+
+
+def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
+    """Yield the random_invariant matrices of the seeds, in order, as unchecked stacks of a chunk.
+
+    Each seed draws from its own default_rng(seed).  The seeds go in chunks
+    (_chunk; one seed from _REAL_PRODUCT_DIM on, where a factor may be
+    blocked).  Per depth step, the chunk's factors are one stack, built by one
     spectral product, checked at once (finite, stack residual below
     UNITARITY_TOL), scattered if blocked and multiplied on by one stacked
     matmul, a BLAS call per slice, so every product is bit for bit that of the
@@ -224,7 +309,7 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
         raise ValueError("degenerate group: the invariant basis is empty")
     dim = 1 << n
     seeds = list(seeds)
-    chunk = max(1, _STACK_BYTES // (16 * dim * dim)) if dim < _REAL_PRODUCT_DIM else 1
+    chunk = _chunk(dim)
     for start in range(0, len(seeds), chunk):
         rngs = [np.random.default_rng(seed) for seed in seeds[start:start + chunk]]
         u = np.broadcast_to(np.eye(dim, dtype=complex), (len(rngs), dim, dim))
@@ -241,7 +326,7 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
             # (1, blocks, b, b) stack scatters into one dim x dim factor.
             u = _scatter(factors, spectra[0][2]) @ u
             del factors  # freed before the next step's eigensolve
-        yield from map(Unitary, u)
+        yield u
 
 
 @dataclass(frozen=True)
@@ -259,12 +344,26 @@ class EigDecomposition:
     clusters: tuple
     cosets: np.ndarray | None = None
 
+    def __post_init__(self):
+        for a in (self.eigenvectors, self.thetas, self.cosets):
+            if a is not None:
+                a.setflags(write=False)  # a Unitary shares its decomposition with every reader
+
+    def __reduce__(self):
+        return EigDecomposition, (self.eigenvectors, self.thetas, self.clusters, self.cosets)
+
     def reconstruct(self, t: float = 1.0) -> np.ndarray:
-        return _scatter(_spectral_product(self.eigenvectors, np.exp(1j * t * self.thetas)), self.cosets)
+        return _scatter(self._points((t,))[0], self.cosets)
+
+    def _points(self, ts) -> np.ndarray:
+        """P diag(exp(i t theta)) P+ for each t of ts, one stack from one _spectral_product;
+        per block, with cosets."""
+        return _spectral_product(self.eigenvectors, np.exp(np.multiply.outer(1j * np.asarray(ts), self.thetas)))
 
 
-def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group indices of unit-circle values into single-linkage clusters.
+def _cluster_indices(values: np.ndarray, tol: float) -> tuple:
+    """Group indices of unit-circle values into single-linkage clusters:
+    (members, starts), cluster c being members[starts[c]:starts[c + 1]].
 
     Two values within tol of each other are linked.  Every value on the
     shorter arc between two linked ones is within tol of both, so in angle
@@ -280,23 +379,27 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list[np.ndarray]:
     by_index = np.empty_like(labels)
     by_index[order] = labels
     members = np.argsort(by_index, kind="stable")
-    starts = np.flatnonzero(np.diff(by_index[members])) + 1
-    return np.split(members, starts)
+    return members, np.flatnonzero(np.diff(by_index[members], prepend=-1))
 
 
 def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cosets=None) -> EigDecomposition:
     """Cluster the eigenvalues of Hermitian eigensolves' orthonormal columns, over
     all blocks of a stack, and sort each block's columns by theta, ties by index."""
-    flat, thetas = lambdas.reshape(-1), np.empty(lambdas.size)
-    for members in _cluster_indices(flat, CLUSTER_TOL):
-        rep = np.mean(flat[members])
-        thetas[members] = np.angle(rep / abs(rep))
+    flat = lambdas.reshape(-1)
+    members, starts = _cluster_indices(flat, CLUSTER_TOL)
+    sizes = np.diff(starts, append=flat.size)
+    # Each cluster's theta is that of its np.mean: clusters go by size, as a 2-D add.reduce sums
+    # each row as the 1-D one does, and np.hypot is the scalar abs.
+    reps = np.empty(len(starts), dtype=complex)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
+        which = np.flatnonzero(sizes == size)
+        reps[which] = np.add.reduce(flat[members[starts[which, None] + np.arange(size)]], axis=1) / size
+    thetas = np.empty(flat.size)
+    thetas[members] = np.repeat(np.angle(reps / np.hypot(reps.real, reps.imag)), sizes)
     order = np.argsort(thetas.reshape(lambdas.shape), axis=-1, kind="stable")
     thetas = np.take_along_axis(thetas.reshape(lambdas.shape), order, -1)
     starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf)).tolist()  # and every block's start
     vectors = np.take_along_axis(vectors, order[..., None, :], -1)
-    for a in (vectors, thetas):
-        a.setflags(write=False)  # a Unitary shares its decomposition with every reader
     return EigDecomposition(vectors, thetas, tuple(zip(starts, starts[1:] + [thetas.size])), cosets)
 
 
@@ -363,8 +466,17 @@ def connectedness_path(a: Unitary, t: float) -> Unitary:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
+    blocks, residual, cosets = _path_stack(a, (t,))
+    return Unitary._checked(blocks[0], residual, cosets)
+
+
+def _path_stack(a, ts) -> tuple:
+    """(blocks, residual, cosets): connectedness_path(a, t) for each t of ts, as one stack of
+    EigDecomposition._points (of blocks on the rows of cosets, if not None), checked at once;
+    for one t, the residual is that point's own."""
     dec = eig_unitary(a)
-    return Unitary(_spectral_product(dec.eigenvectors, np.exp(1j * t * dec.thetas)), _cosets=dec.cosets)
+    blocks = dec._points(ts)
+    return blocks, _checked_residual(blocks), dec.cosets
 
 
 def project_to_su(u: Unitary) -> Unitary:

@@ -367,6 +367,22 @@ class TestBuildBasis:
         assert np.array_equal(twin.group.images, group.images) and not twin.group.images.flags.writeable
         assert not twin.group._perm_images.flags.writeable
 
+    @pytest.mark.parametrize("preset, n", [("full_swap", 3), ("dihedral", 5), ("trivial", 1)])
+    def test_pickled_basis_compares_and_hashes_equal(self, preset, n):
+        basis = build_basis(n, preset_group(preset, n))
+        twin = pickle.loads(pickle.dumps(basis))
+        assert twin.group is not basis.group
+        assert twin == basis and hash(twin) == hash(basis) and {twin: 1}[basis] == 1
+
+    def test_bases_of_other_groups_differ(self):
+        # Same n and orbit table, but another group name or other generators: not equal.
+        swap = preset_group("full_swap", 2)
+        basis = build_basis(2, swap)
+        renamed = InvariantBasis(2, SymmetryGroup(2, swap.generators, name="renamed"), basis.orbit_of)
+        listed = InvariantBasis(2, SymmetryGroup(2, swap.generators * 2, name=swap.name), basis.orbit_of)
+        assert basis == InvariantBasis(2, SymmetryGroup(2, swap.generators, name=swap.name), basis.orbit_of)
+        assert renamed != basis and listed != basis
+
     @pytest.mark.parametrize("preset, n", [("full_swap", 9), ("full_swap", 10), ("cyclic", 9)])
     def test_closed_form_sizes_past_eight_qubits(self, preset, n):
         assert len(build_basis(n, preset_group(preset, n))) == closed_form_dimension(preset, n)

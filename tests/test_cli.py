@@ -552,6 +552,14 @@ class TestRandomCommand:
 
 
 class TestVerifyCommand:
+    # stdout of each case, byte for byte, as recorded before the sample loops ran on stacks.
+    GOLDEN = json.loads((Path(__file__).parent / "verify_stdout.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("argv", list(GOLDEN))
+    def test_stdout_matches_the_recorded_bytes(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0 and out == self.GOLDEN[argv]
+
     def test_two_qubit_swap_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--symmetry", "full_swap",
                            "--pairs", "10", "--paths", "3")
@@ -618,15 +626,17 @@ class TestVerifyCommand:
 
     def test_each_element_realized_once_per_command(self, capsys, monkeypatch):
         # The eigenpairs kept for each basis element die with the command's
-        # basis: a second identical command realizes every element again.
+        # basis: a second identical command realizes every element again.  An element is realized
+        # alone by sum_to_matrix, or in a stack of `count` by _realize.
         realized = []
-        original = unitary_ops.sum_to_matrix
-        monkeypatch.setattr(unitary_ops, "sum_to_matrix", lambda s: realized.append(s) or original(s))
+        to_matrix, realize = unitary_ops.sum_to_matrix, unitary_ops._realize
+        monkeypatch.setattr(unitary_ops, "sum_to_matrix", lambda s: realized.append(1) or to_matrix(s))
+        monkeypatch.setattr(unitary_ops, "_realize", lambda *a: realized.append(a[-1]) or realize(*a))
         dim = len(build_basis(5, preset_group("dihedral", 5)))
         argv = ("verify", "--n", "5", "--symmetry", "dihedral")
         for command in (1, 2):
             assert run(capsys, *argv)[0] == 0
-            assert len(realized) == command * dim == command * 135
+            assert sum(realized) == command * dim == command * 135
 
 
 class TestParserReuse:

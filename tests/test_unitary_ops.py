@@ -1,6 +1,7 @@
 """Exponential map, invariant sampling, eigenphase paths, SU projection."""
 
 import json
+import pickle
 import re
 import tracemalloc
 from unittest import mock
@@ -36,7 +37,9 @@ from symsu import (
 from symsu import unitary_ops
 from symsu.paulis import PauliString
 from symsu.unitary_ops import (
+    CLUSTER_TOL,
     UNITARITY_TOL,
+    _assemble,
     _cluster_indices,
     _random_invariants,
     _spectral_product,
@@ -428,7 +431,8 @@ class TestBasisSpectra:
             alpha = float(rng.uniform(0.0, 2.0 * np.pi))
             oracle = exp_generator(element, alpha).matrix
             for _ in range(2):  # the second call reads the kept spectrum
-                assert np.array_equal(unitary_ops._basis_exp(basis, k, alpha).matrix, oracle)
+                u = unitary_ops._spectral_exp(*unitary_ops._basis_spectrum(basis, k), alpha)
+                assert np.array_equal(u.matrix, oracle)
         real = [np.isrealobj(v) for _, v, _ in basis._spectra.values()]
         assert len(real) == len(basis) and any(real) and not all(real)
 
@@ -447,7 +451,7 @@ class TestBasisSpectra:
 
     def test_kept_spectra_are_read_only(self, s2):
         basis = build_basis(2, s2)
-        u = unitary_ops._basis_exp(basis, 0, 0.3)
+        u = unitary_ops._spectral_exp(*unitary_ops._basis_spectrum(basis, 0), 0.3)
         _, v, _ = basis._spectra[0]
         assert u._spectrum[0] is v and not v.flags.writeable
 
@@ -456,6 +460,39 @@ class TestBasisSpectra:
         random_invariant(3, s3, seed=0, depth=8, basis=filled)
         assert filled._spectra and not fresh._spectra
         assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+
+    @pytest.mark.parametrize("preset, n", CASES + [("full_swap", 1), ("trivial", 3), ("cyclic", 6)])
+    def test_stacked_spectra_match_one_element_solves(self, preset, n):
+        basis = build_basis(n, preset_group(preset, n))
+        got = list(unitary_ops._basis_spectra(basis))
+        assert len(got) == len(basis) and list(basis._spectra) == list(range(len(basis)))
+        for k, (w, v, cosets) in enumerate(got):
+            ow, ov, ocosets = unitary_ops._generator_spectrum(basis.elements[k])
+            assert w.tobytes() == ow.tobytes() and v.dtype == ov.dtype and v.tobytes() == ov.tobytes()
+            assert np.array_equal(cosets, ocosets) if n == 6 else cosets is ocosets is None
+            assert basis._spectra[k] is got[k] and not v.flags.writeable
+
+    def test_stacked_spectra_keep_index_order_within_the_budget(self, monkeypatch):
+        group = preset_group("dihedral", 5)
+        held = [sum(a.nbytes for a in kept if a is not None)
+                for kept in unitary_ops._basis_spectra(build_basis(5, group))]
+        monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", sum(held[:10]))
+        monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 << 10)  # chunks of 3: the 4th is split
+        basis = build_basis(5, group)
+        first = unitary_ops._basis_spectrum(basis, 2)  # kept already: read, not solved again
+        got = list(unitary_ops._basis_spectra(basis))
+        assert list(basis._spectra) == [2, 0, 1, *range(3, 10)] and got[2] is first
+        for k, (w, v, _) in enumerate(got):
+            ow, ov, _ = unitary_ops._generator_spectrum(basis.elements[k])
+            assert w.tobytes() == ow.tobytes() and v.tobytes() == ov.tobytes()
+
+    def test_spectra_solved_one_element_at_a_time_from_64_on(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a stack of elements was realized")
+
+        monkeypatch.setattr(unitary_ops, "_element_spectra", refuse)
+        basis = build_basis(6, preset_group("full_swap", 6))
+        assert len(list(unitary_ops._basis_spectra(basis))) == len(basis) == 83
 
 
 class TestStackedDraws:
@@ -552,6 +589,74 @@ class TestStackedDraws:
         assert count == 100 and peak < 2_000_000
 
 
+class TestComposedPairs:
+    """_composed_pairs: per chunk of draws, the products of consecutive seeds' draws, one
+    matmul and one check per stack, bit for bit compose of the one-seed draws."""
+
+    @pytest.mark.parametrize("preset, n", [("full_swap", 2), ("dihedral", 5), ("cyclic", 6)])
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_products_match_compose(self, preset, n, chunk, monkeypatch):
+        group = preset_group(preset, n)
+        basis = build_basis(n, group)
+        if chunk:  # pairs that straddle two chunks
+            monkeypatch.setattr(unitary_ops, "_STACK_BYTES", chunk * 16 << 2 * n)
+        seeds = range(5, 15)
+        stacks = list(unitary_ops._composed_pairs(n, group, seeds, 3, basis))
+        draws = np.concatenate([d for d, _ in stacks])
+        products = np.concatenate([p for _, p in stacks])
+        singles = [random_invariant(n, group, seed, 3, basis=basis) for seed in seeds]
+        assert len(draws) == 10 and len(products) == 5
+        for i, (u1, u2) in enumerate(zip(singles[::2], singles[1::2])):
+            assert np.array_equal(draws[2 * i], u1.matrix) and np.array_equal(draws[2 * i + 1], u2.matrix)
+            assert products[i].tobytes() == compose(u1, u2).matrix.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_unitary_draw_or_product_refused(self, bad, monkeypatch):
+        # Draws [1, 2], or draws [D, D^-1] with D = diag(2, 1/2), whose product is the identity.
+        d = np.diag([2.0, 0.5]).astype(complex)
+        stack = np.stack([d, np.linalg.inv(d)]) if bad == 0 else np.stack([np.eye(2), 2 * np.eye(2)]) + 0j
+        monkeypatch.setattr(unitary_ops, "_draw_stacks", lambda *_: iter([stack]))
+        with pytest.raises(NotUnitaryError, match="exceeds"):
+            next(unitary_ops._composed_pairs(1, None, range(2), 1, None))
+
+
+class TestPathStack:
+    """_path_stack: the points A(t) of one decomposition as one stack, checked at once; its
+    one-t case is connectedness_path, with that point's own residual."""
+
+    @staticmethod
+    def unitaries():
+        for preset, n in (("full_swap", 3), ("dihedral", 5)):
+            group = preset_group(preset, n)
+            yield from _random_invariants(n, group, range(3), 4)
+        yield exp_generator(next(TestFlipBlocks.sums()), 1.3)  # blocked
+        yield Unitary(np.diag(np.exp(1j * np.array([0.4, 0.4, -2.0, 3.0]))))  # a cluster of two
+
+    def test_points_match_connectedness_path(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        for u in self.unitaries():
+            blocks, residual, cosets = unitary_ops._path_stack(u, ts)
+            assert np.array_equal(cosets, u._cosets) if u._cosets is not None else cosets is None
+            points = unitary_ops._scatter(blocks, cosets)
+            assert points.shape == (11, u.dim, u.dim)
+            own = []
+            for t, point in zip(ts, points):
+                single = connectedness_path(u, float(t))
+                assert point.tobytes() == single.matrix.tobytes()
+                assert single.unitarity_residual == unitary_ops._path_stack(u, (float(t),))[1]
+                recount = Unitary(unitary_ops._blocks(single.matrix, cosets), _cosets=cosets)
+                assert single.unitarity_residual == recount.unitarity_residual
+                own.append(single.unitarity_residual)
+            assert residual >= max(own)
+
+    def test_non_unitary_stack_refused(self):
+        u = random_invariant(2, preset_group("full_swap", 2), seed=1, depth=3)
+        dec = eig_unitary(u)
+        u._eig = unitary_ops.EigDecomposition(dec.eigenvectors * 1.5, dec.thetas, dec.clusters)
+        with pytest.raises(NotUnitaryError, match="exceeds"):
+            unitary_ops._path_stack(u, np.linspace(0.0, 1.0, 11))
+
+
 class TestEigUnitary:
     def test_swap_spectrum(self):
         dec = eig_unitary(Unitary(SWAP))
@@ -636,9 +741,73 @@ class TestClusterIndices:
         # the gap that closes the circle must be clear of tol as well
         assume(angles[-1] - angles[0] < 2 * np.pi - 1.1 * tol)
         values = np.exp(1j * np.random.default_rng(seed).permutation(angles))
-        sweep = [m.tolist() for m in _cluster_indices(values, tol)]
+        members, starts = _cluster_indices(values, tol)
+        sweep = [m.tolist() for m in np.split(members, starts[1:])]
         assert all(m == sorted(m) for m in sweep)
         assert sorted(sweep) == sorted(union_find_clusters(values, tol))
+
+
+class TestAssemble:
+    """_assemble's cluster means, formed by size class without a per-cluster loop, give the
+    thetas of np.mean over each cluster, bit for bit."""
+
+    @staticmethod
+    def loop_thetas(lambdas: np.ndarray) -> np.ndarray:
+        flat, thetas = lambdas.reshape(-1), np.empty(lambdas.size)
+        members, starts = _cluster_indices(flat, CLUSTER_TOL)
+        for cluster in np.split(members, starts[1:]):
+            rep = np.mean(flat[cluster])
+            thetas[cluster] = np.angle(rep / abs(rep))
+        return thetas
+
+    @pytest.mark.parametrize("sizes", [[1] * 32, [7, 8, 1, 16], [8] * 4, [7] * 4 + [4], [32], [64],
+                                       [1, 7, 8, 48]])
+    def test_thetas_match_the_cluster_loop(self, sizes):
+        dim = sum(sizes)
+        rng = np.random.default_rng(dim + len(sizes))
+        centres = np.linspace(-3.0, 3.0, len(sizes)) if len(sizes) > 1 else np.array([np.pi - 2e-9])
+        # members 1e-9 apart, within CLUSTER_TOL of a neighbour; moduli off 1 in the last bits
+        angles = np.concatenate([c + 1e-9 * rng.permutation(size) for c, size in zip(centres, sizes)])
+        lambdas = (np.exp(1j * angles) * (1 + rng.normal(0.0, 1e-13, dim)))[rng.permutation(dim)]
+        expected = self.loop_thetas(lambdas)
+        for blocks in (1, 2):  # and as a stack of two blocks
+            vectors = np.tile(np.eye(dim // blocks, dtype=complex), (blocks, 1, 1))
+            dec = _assemble(vectors, lambdas.reshape(blocks, -1))
+            oracle = np.sort(expected.reshape(blocks, -1), axis=-1, kind="stable")
+            assert dec.thetas.tobytes() == oracle.tobytes()
+        assert sorted(stop - start for start, stop in _assemble(np.eye(dim), lambdas).clusters) == sorted(sizes)
+
+
+class TestPickle:
+    """A pickled Unitary or EigDecomposition comes back read-only; a Unitary is rebuilt from its
+    blocks, so its residual is recounted bit for bit, and its kept eigenpairs are dropped."""
+
+    @staticmethod
+    def unitaries():
+        u = random_invariant(3, preset_group("cyclic", 3), seed=2, depth=5)
+        blocked = exp_generator(next(TestFlipBlocks.sums()), 1.3)
+        return [u, blocked, project_to_su(blocked), connectedness_path(blocked, 0.4), compose(u, u)]
+
+    def test_unitary_round_trip(self):
+        for u in self.unitaries():
+            dec = eig_unitary(u)
+            twin = pickle.loads(pickle.dumps(u))
+            assert twin.matrix.tobytes() == u.matrix.tobytes() and not twin.matrix.flags.writeable
+            assert twin.unitarity_residual == u.unitarity_residual
+            assert u._eig is dec and twin._eig is None and twin._spectrum is None
+            if u._cosets is None:
+                assert twin._cosets is None
+            else:
+                assert np.array_equal(twin._cosets, u._cosets) and not twin._cosets.flags.writeable
+
+    def test_decomposition_round_trip(self):
+        for u in self.unitaries():
+            dec = eig_unitary(u)
+            twin = pickle.loads(pickle.dumps(dec))
+            assert twin.clusters == dec.clusters
+            for name in ("eigenvectors", "thetas", "cosets"):
+                a, b = getattr(twin, name), getattr(dec, name)
+                assert (a is None and b is None) or (np.array_equal(a, b) and not a.flags.writeable)
 
 
 class TestStoredSpectrum:
