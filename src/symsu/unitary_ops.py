@@ -358,7 +358,8 @@ class EigDecomposition:
     def _points(self, ts) -> np.ndarray:
         """P diag(exp(i t theta)) P+ for each t of ts, one stack from one _spectral_product;
         per block, with cosets."""
-        return _spectral_product(self.eigenvectors, np.exp(np.multiply.outer(1j * np.asarray(ts), self.thetas)))
+        d = np.exp(np.multiply.outer(1j * np.asarray(ts), self.thetas))
+        return _spectral_product(self.eigenvectors, d)
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> tuple:
@@ -386,14 +387,14 @@ def _assemble(vectors: np.ndarray, lambdas: np.ndarray, cosets=None) -> EigDecom
     """Cluster the eigenvalues of Hermitian eigensolves' orthonormal columns, over
     all blocks of a stack, and sort each block's columns by theta, ties by index."""
     flat = lambdas.reshape(-1)
-    members, starts = _cluster_indices(flat, CLUSTER_TOL)
-    sizes = np.diff(starts, append=flat.size)
+    members, heads = _cluster_indices(flat, CLUSTER_TOL)
+    sizes = np.diff(heads, append=flat.size)
     # Each cluster's theta is that of its np.mean: clusters go by size, as a 2-D add.reduce sums
     # each row as the 1-D one does, and np.hypot is the scalar abs.
-    reps = np.empty(len(starts), dtype=complex)
+    reps = np.empty(len(heads), dtype=complex)
     for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
         which = np.flatnonzero(sizes == size)
-        reps[which] = np.add.reduce(flat[members[starts[which, None] + np.arange(size)]], axis=1) / size
+        reps[which] = np.add.reduce(flat[members[heads[which, None] + np.arange(size)]], axis=1) / size
     thetas = np.empty(flat.size)
     thetas[members] = np.repeat(np.angle(reps / np.hypot(reps.real, reps.imag)), sizes)
     order = np.argsort(thetas.reshape(lambdas.shape), axis=-1, kind="stable")
