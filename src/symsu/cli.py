@@ -230,27 +230,27 @@ def cmd_verify(args) -> int:
     results: list[tuple[str, int, bool, str]] = []  # name, samples, passed, detail
     pairs, paths = (args.pairs, args.paths) if args.depth else (0, 0)  # depth 0 draws only identities
 
+    def sweep(matrices, tol, ok=True, worst=0.0) -> tuple:
+        """(ok, worst) carried on over is_invariant(m, group, tol) of every matrix m."""
+        for m in matrices:
+            flag, defect = is_invariant(m, group, tol)
+            ok, worst = ok and flag, max(worst, defect)
+        return ok, worst
+
     # Exponentials of symmetrized generators land in the invariant group.  Run first, as it
     # solves every element's eigenpairs a chunk at a time, and the draws below read them.
     rng = np.random.default_rng(args.seed)
-    ok, worst = True, 0.0
-    for spectrum in _basis_spectra(basis):
-        alpha = float(rng.uniform(0.0, 2.0 * np.pi))
-        flag, defect = is_invariant(_spectral_exp(*spectrum, alpha).matrix, group, tol)
-        ok = ok and flag
-        worst = max(worst, defect)
+    ok, worst = sweep((_spectral_exp(*spectrum, float(rng.uniform(0.0, 2.0 * np.pi))).matrix
+                       for spectrum in _basis_spectra(basis, range(len(basis)))), tol)
     exp_result = ("exp_invariance", len(basis), ok,
                   f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}")
 
     # Products of invariant unitaries stay invariant.
     ok, worst = True, 0.0
-    for draws, products in _composed_pairs(group.n, group, range(args.seed, args.seed + 2 * pairs),
-                                           args.depth, basis):
-        ok = ok and all(is_invariant(m, group, tol)[0] for m in draws)
-        for m in products:
-            flag, defect = is_invariant(m, group, 3 * tol)
-            ok = ok and flag
-            worst = max(worst, defect)
+    for u1, u2, products in _composed_pairs(group.n, group, range(args.seed, args.seed + 2 * pairs),
+                                            args.depth, basis):
+        ok = sweep(itertools.chain(u1, u2), tol, ok)[0]
+        ok, worst = sweep(products, 3 * tol, ok, worst)
     results.append(("composition", pairs, ok, f"pairs={args.pairs} max_defect={worst:.3e} tol={3 * tol:.1e}"))
 
     # Pairwise commutators stay inside the span.
@@ -267,10 +267,7 @@ def cmd_verify(args) -> int:
         points = _scatter(blocks, cosets)
         ok = (ok and np.linalg.norm(points[0] - np.eye(u.dim)) < 1e-9
               and np.linalg.norm(points[-1] - u.matrix) < 1e-9)
-        for point in points:
-            flag, defect = is_invariant(point, group, 1e-8)
-            ok = ok and flag
-            worst = max(worst, defect)
+        ok, worst = sweep(points, 1e-8, ok, worst)
         proj = project_to_su(u)
         ok = ok and abs(np.linalg.det(proj.matrix) - 1) < 1e-10
     results.append(("path", paths, ok, f"paths={args.paths} max_defect={worst:.3e} tol=1.0e-08"))

@@ -348,21 +348,21 @@ def sum_to_matrix(s: PauliSum) -> np.ndarray:
     block at a time, so every entry gets the same float additions in the
     same order as a sum of kron products would give it.
     """
-    if s.n > DEFAULT_MATRIX_CAP:
-        raise CapacityError(f"dense realization of {s.n} qubits exceeds the cap of {DEFAULT_MATRIX_CAP}")
-    value = s.coeffs * _I_POWERS[np.bitwise_count(s.x & s.z) % 4]
-    return _realize(s.n, s.x, s.z, value, np.zeros(len(s), dtype=np.int64), 1)[0]
+    return _realize(s.n, s.x, s.z, s.coeffs, np.zeros(len(s), dtype=np.int64), 1)[0]
 
 
-def _realize(n: int, x: np.ndarray, z: np.ndarray, value: np.ndarray, element: np.ndarray,
-             count: int) -> np.ndarray:
+def _realize(n: int, x: np.ndarray, z: np.ndarray, coeffs, element: np.ndarray, count: int) -> np.ndarray:
     """sum_to_matrix's monomial scatter with an element axis: the (count, 2^n, 2^n) stack in
-    whose matrix element[j] term j, with masks x[j] and z[j], puts +-value[j] (its coefficient
-    times i**#Y) in each column.  np.add.at adds the terms in order, a block at a time."""
+    whose matrix element[j] term j, with masks x[j] and z[j], puts +-coeffs[j] i**#Y (coeffs may
+    be a scalar) in each column.  np.add.at adds the terms in order, a block at a time.
+    CapacityError past DEFAULT_MATRIX_CAP qubits."""
+    if n > DEFAULT_MATRIX_CAP:
+        raise CapacityError(f"dense realization of {n} qubits exceeds the cap of {DEFAULT_MATRIX_CAP}")
     dim = 1 << n
     out = np.zeros(count * dim * dim, dtype=complex)
     b = np.arange(dim)
-    x, z, value, element = x[:, None], z[:, None], value[:, None], element[:, None] << 2 * n
+    value = (coeffs * _I_POWERS[np.bitwise_count(x & z) % 4])[:, None]
+    x, z, element = x[:, None], z[:, None], element[:, None] << 2 * n
     step = max(1, _REALIZATION_BLOCK >> n)
     for lo in range(0, len(x), step):
         hi = lo + step
@@ -372,12 +372,12 @@ def _realize(n: int, x: np.ndarray, z: np.ndarray, value: np.ndarray, element: n
     return out.reshape(count, dim, dim)
 
 
-def _flip_cosets(s: PauliSum) -> np.ndarray:
-    """The cosets of the x masks' span in GF(2)^n, a (2^(n-r), 2^r) array of basis states
-    a row each: a term maps |b> to |b ^ x>, so sum_to_matrix(s) is zero between rows.
+def _flip_cosets(n: int, x: np.ndarray) -> np.ndarray:
+    """The cosets of the span of the x masks in GF(2)^n, a (2^(n-r), 2^r) array of basis states
+    a row each: a term maps |b> to |b ^ x>, so a sum's realization is zero between rows.
     A state's row is named by the state with every pivot bit cleared (Gaussian elimination)."""
-    reduced = np.arange(1 << s.n)  # each state reduced over the span of the masks so far
-    for v in sorted(set(s.x.tolist())):
+    reduced = np.arange(1 << n)  # each state reduced over the span of the masks so far
+    for v in sorted(set(x.tolist())):
         if reduced[v]:  # outside the span: its leading bit is a new pivot, cleared from all
             reduced = np.minimum(reduced, reduced ^ reduced[v])
     return np.argsort(reduced, kind="stable").reshape(-1, np.count_nonzero(reduced == 0))

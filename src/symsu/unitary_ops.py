@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import InvariantBasis, _check_qubits, _generator_images, build_basis
 from .errors import DimensionError, NotUnitaryError, NumericError
-from .paulis import _I_POWERS, PauliSum, _flip_cosets, _realize, sum_to_matrix
+from .paulis import PauliSum, _flip_cosets, _realize
 from .symmetry import SymmetryGroup, _moved_keys
 
 UNITARITY_TOL = 1e-9
@@ -149,18 +149,29 @@ class Unitary:
         return f"Unitary(dim={self.dim}, residual={self.unitarity_residual:.2e})"
 
 
-def _generator_spectrum(h: PauliSum) -> tuple:
-    """(w, v, table): eigenpairs of H's realization, v read-only since a basis shares it, stacked
-    by the rows of its _flip_cosets table if two or more from _REAL_PRODUCT_DIM on, else table None."""
-    if not h.is_hermitian():
-        raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
-    hm = sum_to_matrix(h)
-    cosets = _flip_cosets(h) if len(hm) >= _REAL_PRODUCT_DIM else None
-    cosets = cosets if cosets is not None and len(cosets) > 1 else None
-    hm = _blocks(hm, cosets)  # the dense realization is freed before the solve
-    w, v = np.linalg.eigh(hm if hm.imag.any() else hm.real)
-    v.setflags(write=False)
-    return w, v, cosets
+def _sum_spectra(n: int, x: np.ndarray, z: np.ndarray, coeffs, element: np.ndarray, count: int) -> list:
+    """(w, v, table) per sum of a _realize stack: the eigenpairs of its realization, read-only since a basis
+    shares them, from one eigh of the real members and one of the complex ones (by imag.any()).  A stack
+    from _REAL_PRODUCT_DIM on is one sum (_chunk), solved on the blocks of its _flip_cosets table if there
+    are two or more, stacked by the table's rows; else table None."""
+    hm = _realize(n, x, z, coeffs, element, count)
+    cosets = _flip_cosets(n, x) if hm.shape[-1] >= _REAL_PRODUCT_DIM else None
+    if cosets is not None and len(cosets) > 1:
+        cosets.setflags(write=False)
+        hm = _blocks(hm[0], cosets)[None]  # the dense realization is freed before the solve
+    else:
+        cosets = None
+    odd = hm.imag.reshape(count, -1).any(axis=1)
+    spectra = [None] * count
+    for which, stack in ((~odd, hm.real), (odd, hm)):
+        members = np.flatnonzero(which)
+        if len(members):  # a whole stack is solved as it is: a selection would copy it
+            w, v = np.linalg.eigh(stack if len(members) == count else stack[members])
+            w.setflags(write=False)
+            v.setflags(write=False)
+            for i, wi, vi in zip(members.tolist(), w, v):
+                spectra[i] = (wi, vi, cosets)
+    return spectra
 
 
 def _spectral_exp(w: np.ndarray, v: np.ndarray, cosets, alpha: float) -> Unitary:
@@ -180,77 +191,42 @@ def exp_generator(h: PauliSum, alpha: float) -> Unitary:
     so the result is unitary up to eigensolver error.  A sum with an even
     number of Y letters in every term has a real realization, solved as such.
     """
-    return _spectral_exp(*_generator_spectrum(h), alpha)
+    if not h.is_hermitian():
+        raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
+    spectrum, = _sum_spectra(h.n, h.x, h.z, h.coeffs, np.zeros(len(h), dtype=np.int64), 1)
+    return _spectral_exp(*spectrum, alpha)
 
 
-def _keep(basis: InvariantBasis, k: int, spectrum: tuple) -> tuple:
-    """Keep element k's eigenpairs on the basis if its kept byte total stays within _SPECTRA_BYTES."""
-    kept = basis._spectra
-    size = sum(a.nbytes for a in spectrum if a is not None)
-    if kept.nbytes + size <= _SPECTRA_BYTES:
-        kept[k] = spectrum
-        kept.nbytes += size
-    return spectrum
-
-
-def _basis_spectrum(basis: InvariantBasis, k: int) -> tuple:
-    """_generator_spectrum(basis.elements[k]), solved once per basis while it is kept (_keep)."""
-    spectrum = basis._spectra.get(k)
-    return _keep(basis, k, _generator_spectrum(basis.elements[k])) if spectrum is None else spectrum
-
-
-def _basis_spectra(basis: InvariantBasis):
-    """Yield _basis_spectrum(basis, k) for every element k, in index order, each kept as it comes.
-
-    Below _REAL_PRODUCT_DIM, the unkept ones are solved a chunk (_chunk) at a time: its complex
-    realizations, built at once by sum_to_matrix's scatter from the basis's masks (their
-    entries are Gaussian integers, so the sums are exact and equal its matrices), then one eigh of
-    the real ones and one of the complex ones (the same imag.any() test per element).  A kept
-    spectrum is a view of its chunk's stacks.  From _REAL_PRODUCT_DIM on, each is solved alone,
-    on the blocks of its coset table.
-    """
-    dim = 1 << basis.n
-    if dim >= _REAL_PRODUCT_DIM:
-        yield from (_basis_spectrum(basis, k) for k in range(len(basis)))
-        return
-    chunk = _chunk(dim)
-    for start in range(0, len(basis), chunk):
-        ks = range(start, min(start + chunk, len(basis)))
-        todo = np.array([k for k in ks if k not in basis._spectra], dtype=np.int64)
-        solved = dict(zip(todo.tolist(), _element_spectra(basis, todo)))
-        for k in ks:
-            yield _keep(basis, k, solved[k]) if k in solved else basis._spectra[k]
-
-
-def _element_spectra(basis: InvariantBasis, ks: np.ndarray) -> list:
-    """_generator_spectrum(basis.elements[k]) for each k of ks, realized as one stack."""
-    lo, sizes = basis.offsets[ks], basis.offsets[ks + 1] - basis.offsets[ks]
-    terms = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-    x, z = basis.x[terms], basis.z[terms]
-    value = _I_POWERS[np.bitwise_count(x & z) % 4]
-    hm = _realize(basis.n, x, z, value, np.repeat(np.arange(len(ks)), sizes), len(ks))
-    odd = hm.imag.reshape(len(ks), -1).any(axis=1)
-    spectra = [None] * len(ks)
-    for which, stack in ((~odd, hm.real), (odd, hm)):
-        if which.any():
-            w, v = np.linalg.eigh(stack[which])
-            v.setflags(write=False)
-            for i, wi, vi in zip(np.flatnonzero(which).tolist(), w, v):
-                spectra[i] = (wi, vi, None)
-    return spectra
+def _basis_spectra(basis: InvariantBasis, ks):
+    """Yield the _sum_spectra of basis elements ks, in order, a chunk (_chunk) of ks at a time: the kept
+    ones are read, the rest realized as one stack from the basis's masks (unit coefficients: exact, as in
+    exp_generator of the element) and kept on the basis, in order, while the kept byte total stays within
+    _SPECTRA_BYTES."""
+    kept, chunk = basis._spectra, _chunk(1 << basis.n)
+    for start in range(0, len(ks), chunk):
+        part = ks[start:start + chunk]
+        got = {k: kept[k] for k in part if k in kept}
+        todo = np.array([k for k in dict.fromkeys(part) if k not in got], dtype=np.int64)
+        if len(todo):  # a stack of none cannot be realized
+            lo, sizes = basis.offsets[todo], basis.offsets[todo + 1] - basis.offsets[todo]
+            terms = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+            element = np.repeat(np.arange(len(todo)), sizes)
+            solved = _sum_spectra(basis.n, basis.x[terms], basis.z[terms], 1.0, element, len(todo))
+            for k, spectrum in zip(todo.tolist(), solved):
+                got[k] = spectrum
+                size = sum(a.nbytes for a in spectrum if a is not None)
+                if kept.nbytes + size <= _SPECTRA_BYTES:
+                    kept[k] = spectrum
+                    kept.nbytes += size
+        yield from (got[k] for k in part)
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
     """Apply u1 first, then u2: the matrix product U2 U1."""
     if u1.dim != u2.dim:
         raise DimensionError(f"dimensions differ: {u1.dim} vs {u2.dim}")
-    return Unitary._checked(*_products(u1.matrix, u2.matrix))
-
-
-def _products(m1: np.ndarray, m2: np.ndarray) -> tuple:
-    """(M2 M1, its _checked_residual) for two matrices or, slice by slice, two stacks of them."""
-    products = m2 @ m1
-    return products, _checked_residual(products)
+    product = u2.matrix @ u1.matrix
+    return Unitary._checked(product, _checked_residual(product))
 
 
 def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
@@ -270,18 +246,16 @@ def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: I
 
 
 def _composed_pairs(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis):
-    """Yield (draws, products) per chunk of _draw_stacks over seeds in pairs: draws[2i] and
-    draws[2i + 1] are the draws U1 and U2 of a pair, and products[i] is compose(U1, U2).matrix,
-    one BLAS call per slice.  Each stack is checked at once; a stack residual below tol bounds
-    every member's.  A chunk of one seed, from _REAL_PRODUCT_DIM on, waits for the next."""
-    held = None
-    for u in _draw_stacks(n, group, seeds, depth, basis):
-        if held is not None:
-            u = np.concatenate((held, u))
-        u, held = (u[:-1], u[-1:]) if len(u) % 2 else (u, None)
-        if len(u):
-            _checked_residual(u)
-            yield u, _products(u[::2], u[1::2])[0]
+    """Yield (u1, u2, products) per chunk of _draw_stacks over seeds[0::2] and seeds[1::2] side by side:
+    u1[i] and u2[i] are the draws U1 and U2 of a pair, and products[i] is compose(U1, U2).matrix, one
+    BLAS call per slice.  Each stack is checked at once; a stack residual below tol bounds every member's."""
+    seeds = list(seeds)
+    for u1, u2 in zip(_draw_stacks(n, group, seeds[0::2], depth, basis),
+                      _draw_stacks(n, group, seeds[1::2], depth, basis)):
+        products = u2 @ u1
+        for stack in (u1, u2, products):
+            _checked_residual(stack)
+        yield u1, u2, products
 
 
 def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
@@ -289,7 +263,8 @@ def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: Invaria
 
     Each seed draws from its own default_rng(seed).  The seeds go in chunks
     (_chunk; one seed from _REAL_PRODUCT_DIM on, where a factor may be
-    blocked).  Per depth step, the chunk's factors are one stack, built by one
+    blocked).  Per depth step, the chunk's draws read their spectra at once
+    (_basis_spectra) and its factors are one stack, built by one
     spectral product, checked at once (finite, stack residual below
     UNITARITY_TOL), scattered if blocked and multiplied on by one stacked
     matmul, a BLAS call per slice, so every product is bit for bit that of the
@@ -314,10 +289,9 @@ def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: Invaria
         rngs = [np.random.default_rng(seed) for seed in seeds[start:start + chunk]]
         u = np.broadcast_to(np.eye(dim, dtype=complex), (len(rngs), dim, dim))
         for _ in range(depth):
-            spectra, lambdas = [], []
-            for rng in rngs:
-                spectra.append(_basis_spectrum(basis, int(rng.integers(len(basis)))))
-                lambdas.append(np.exp(-0.5j * float(rng.uniform(0.0, 2.0 * math.pi)) * spectra[-1][0]))
+            draws = [(int(rng.integers(len(basis))), float(rng.uniform(0.0, 2.0 * math.pi))) for rng in rngs]
+            spectra = list(_basis_spectra(basis, [k for k, _ in draws]))
+            lambdas = [np.exp(-0.5j * alpha * w) for (_, alpha), (w, _, _) in zip(draws, spectra)]
             # A real P stacked with complex ones gets +0 imaginary parts, -0 in P+: that signs
             # only zero terms, and a BLAS sum, started from +0, ends with the same bits.
             factors = _spectral_product(np.stack([v for _, v, _ in spectra]), np.stack(lambdas))
@@ -325,7 +299,7 @@ def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: Invaria
             # A coset table comes only from _REAL_PRODUCT_DIM on, in a chunk of one seed: its
             # (1, blocks, b, b) stack scatters into one dim x dim factor.
             u = _scatter(factors, spectra[0][2]) @ u
-            del factors  # freed before the next step's eigensolve
+            del factors, spectra  # freed before the next step's eigensolve
         yield u
 
 

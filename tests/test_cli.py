@@ -626,11 +626,10 @@ class TestVerifyCommand:
 
     def test_each_element_realized_once_per_command(self, capsys, monkeypatch):
         # The eigenpairs kept for each basis element die with the command's
-        # basis: a second identical command realizes every element again.  An element is realized
-        # alone by sum_to_matrix, or in a stack of `count` by _realize.
+        # basis: a second identical command realizes every element again.  Every element is
+        # realized in a _realize stack of `count`.
         realized = []
-        to_matrix, realize = unitary_ops.sum_to_matrix, unitary_ops._realize
-        monkeypatch.setattr(unitary_ops, "sum_to_matrix", lambda s: realized.append(1) or to_matrix(s))
+        realize = unitary_ops._realize
         monkeypatch.setattr(unitary_ops, "_realize", lambda *a: realized.append(a[-1]) or realize(*a))
         dim = len(build_basis(5, preset_group("dihedral", 5)))
         argv = ("verify", "--n", "5", "--symmetry", "dihedral")

@@ -703,7 +703,7 @@ class TestFlipCosets:
     @example(PauliSum.from_labels(6, [(f"{'I' * (5 - q)}X{'I' * q}", 1.0) for q in range(6)]))  # full rank
     @example(PauliSum(3))
     def test_cosets_partition_the_states(self, s):
-        cosets = paulis._flip_cosets(s)
+        cosets = paulis._flip_cosets(s.n, s.x)
         span = xor_span(s.x.tolist())
         assert cosets.shape == ((1 << s.n) // len(span), len(span))
         assert np.array_equal(np.sort(cosets, axis=None), np.arange(1 << s.n))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from symsu import (
+    CapacityError,
     DimensionError,
     InvariantBasis,
     NotUnitaryError,
@@ -82,6 +83,16 @@ def invariant_parity_sum(n: int, group, rng, odd_y: bool, count: int = 4) -> Pau
         term = elements[int(k)] * float(rng.normal())
         h = term if h is None else h + term
     return h
+
+
+def one_sum_spectrum(h: PauliSum, alpha: float = 0.3) -> tuple:
+    """(w, v, cosets) of exp_generator's one-sum solve of h, checked against the Unitary it returns."""
+    w, v, cosets = unitary_ops._sum_spectra(h.n, h.x, h.z, h.coeffs, np.zeros(len(h), dtype=np.int64), 1)[0]
+    u = exp_generator(h, alpha)
+    assert u._spectrum[0].tobytes() == v.tobytes()
+    assert u._spectrum[1].tobytes() == np.exp(-0.5j * alpha * w).tobytes()
+    assert u._cosets is cosets is None or np.array_equal(u._cosets, cosets)
+    return w, v, cosets
 
 
 def complex_products():
@@ -311,6 +322,11 @@ class TestExpGenerator:
         u = exp_generator(h, 1.1)
         assert abs(np.linalg.det(u.matrix) - 1) < 1e-10
 
+    def test_past_the_qubit_cap_refused(self):
+        # The cap is held where the sum is realized, before any matrix is allocated.
+        with pytest.raises(CapacityError, match="11 qubits exceeds the cap of 10"):
+            exp_generator(PauliSum.from_label("X" * 11), 0.5)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             exp_generator(PauliSum.from_labels(1, [("X", 1j)]), 0.5)
@@ -431,7 +447,7 @@ class TestBasisSpectra:
             alpha = float(rng.uniform(0.0, 2.0 * np.pi))
             oracle = exp_generator(element, alpha).matrix
             for _ in range(2):  # the second call reads the kept spectrum
-                u = unitary_ops._spectral_exp(*unitary_ops._basis_spectrum(basis, k), alpha)
+                u = unitary_ops._spectral_exp(*next(unitary_ops._basis_spectra(basis, [k])), alpha)
                 assert np.array_equal(u.matrix, oracle)
         real = [np.isrealobj(v) for _, v, _ in basis._spectra.values()]
         assert len(real) == len(basis) and any(real) and not all(real)
@@ -451,9 +467,14 @@ class TestBasisSpectra:
 
     def test_kept_spectra_are_read_only(self, s2):
         basis = build_basis(2, s2)
-        u = unitary_ops._spectral_exp(*unitary_ops._basis_spectrum(basis, 0), 0.3)
-        _, v, _ = basis._spectra[0]
-        assert u._spectrum[0] is v and not v.flags.writeable
+        u = unitary_ops._spectral_exp(*next(unitary_ops._basis_spectra(basis, [0])), 0.3)
+        assert u._spectrum[0] is basis._spectra[0][1]
+        for preset, n in (("full_swap", 3), ("cyclic", 4), ("full_swap", 6)):  # blocked ones at n=6
+            basis = build_basis(n, preset_group(preset, n))
+            got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
+            assert len(basis._spectra) == len(basis) and any(c is not None for *_, c in got) == (n == 6)
+            for spectrum in basis._spectra.values():
+                assert not any(a.flags.writeable for a in spectrum if a is not None)
 
     def test_filled_basis_compares_as_fresh(self, s3):
         fresh, filled = build_basis(3, s3), build_basis(3, s3)
@@ -464,10 +485,10 @@ class TestBasisSpectra:
     @pytest.mark.parametrize("preset, n", CASES + [("full_swap", 1), ("trivial", 3), ("cyclic", 6)])
     def test_stacked_spectra_match_one_element_solves(self, preset, n):
         basis = build_basis(n, preset_group(preset, n))
-        got = list(unitary_ops._basis_spectra(basis))
+        got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
         assert len(got) == len(basis) and list(basis._spectra) == list(range(len(basis)))
         for k, (w, v, cosets) in enumerate(got):
-            ow, ov, ocosets = unitary_ops._generator_spectrum(basis.elements[k])
+            ow, ov, ocosets = one_sum_spectrum(basis.elements[k])
             assert w.tobytes() == ow.tobytes() and v.dtype == ov.dtype and v.tobytes() == ov.tobytes()
             assert np.array_equal(cosets, ocosets) if n == 6 else cosets is ocosets is None
             assert basis._spectra[k] is got[k] and not v.flags.writeable
@@ -475,24 +496,33 @@ class TestBasisSpectra:
     def test_stacked_spectra_keep_index_order_within_the_budget(self, monkeypatch):
         group = preset_group("dihedral", 5)
         held = [sum(a.nbytes for a in kept if a is not None)
-                for kept in unitary_ops._basis_spectra(build_basis(5, group))]
+                for kept in unitary_ops._basis_spectra(build_basis(5, group), range(10))]
         monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", sum(held[:10]))
         monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 << 10)  # chunks of 3: the 4th is split
         basis = build_basis(5, group)
-        first = unitary_ops._basis_spectrum(basis, 2)  # kept already: read, not solved again
-        got = list(unitary_ops._basis_spectra(basis))
+        first = next(unitary_ops._basis_spectra(basis, [2]))  # kept already: read, not solved again
+        got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
         assert list(basis._spectra) == [2, 0, 1, *range(3, 10)] and got[2] is first
         for k, (w, v, _) in enumerate(got):
-            ow, ov, _ = unitary_ops._generator_spectrum(basis.elements[k])
+            ow, ov, _ = one_sum_spectrum(basis.elements[k])
             assert w.tobytes() == ow.tobytes() and v.tobytes() == ov.tobytes()
 
     def test_spectra_solved_one_element_at_a_time_from_64_on(self, monkeypatch):
-        def refuse(*_):
-            raise AssertionError("a stack of elements was realized")
-
-        monkeypatch.setattr(unitary_ops, "_element_spectra", refuse)
+        counts, realize = [], unitary_ops._realize
+        monkeypatch.setattr(unitary_ops, "_realize", lambda *a: counts.append(a[-1]) or realize(*a))
         basis = build_basis(6, preset_group("full_swap", 6))
-        assert len(list(unitary_ops._basis_spectra(basis))) == len(basis) == 83
+        assert len(list(unitary_ops._basis_spectra(basis, range(len(basis))))) == len(basis) == 83
+        assert counts == [1] * 83
+
+    def test_repeated_and_kept_indices_solved_once(self, monkeypatch):
+        counts, realize = [], unitary_ops._realize
+        monkeypatch.setattr(unitary_ops, "_realize", lambda *a: counts.append(a[-1]) or realize(*a))
+        basis = build_basis(4, preset_group("dihedral", 4))
+        first = list(unitary_ops._basis_spectra(basis, [5, 2, 5]))
+        assert counts == [2] and first[0] is first[2] is basis._spectra[5]
+        again = list(unitary_ops._basis_spectra(basis, [2, 7, 5, 7]))
+        assert counts == [2, 1] and again[0] is first[1] and again[2] is first[0] and again[1] is again[3]
+        assert list(unitary_ops._basis_spectra(basis, [])) == [] and counts == [2, 1]
 
 
 class TestStackedDraws:
@@ -549,8 +579,7 @@ class TestStackedDraws:
         """A full_swap basis whose every kept spectrum (w, v, None) is corrupt(w, v)."""
         group = preset_group("full_swap", n)
         basis = build_basis(n, group)
-        for k in range(len(basis)):
-            unitary_ops._basis_spectrum(basis, k)
+        list(unitary_ops._basis_spectra(basis, range(len(basis))))
         for k, (w, v, cosets) in basis._spectra.items():
             basis._spectra[k] = (*corrupt(w, v), cosets)
         return group, basis
@@ -577,8 +606,7 @@ class TestStackedDraws:
     def test_draws_stay_within_a_memory_bound(self):
         group = preset_group("full_swap", 5)
         basis = build_basis(5, group)
-        for k in range(len(basis)):  # keep every spectrum the draws read
-            unitary_ops._basis_spectrum(basis, k)
+        list(unitary_ops._basis_spectra(basis, range(len(basis))))  # keep every spectrum the draws read
         tracemalloc.start()
         try:
             count = sum(1 for _ in _random_invariants(5, group, range(100), 6, basis))
@@ -590,32 +618,33 @@ class TestStackedDraws:
 
 
 class TestComposedPairs:
-    """_composed_pairs: per chunk of draws, the products of consecutive seeds' draws, one
-    matmul and one check per stack, bit for bit compose of the one-seed draws."""
+    """_composed_pairs: per chunk, the draws of seeds[0::2] and of seeds[1::2] and their products,
+    one matmul and one check per stack, bit for bit the one-seed draws and their compose."""
 
     @pytest.mark.parametrize("preset, n", [("full_swap", 2), ("dihedral", 5), ("cyclic", 6)])
     @pytest.mark.parametrize("chunk", [None, 3])
     def test_products_match_compose(self, preset, n, chunk, monkeypatch):
         group = preset_group(preset, n)
         basis = build_basis(n, group)
-        if chunk:  # pairs that straddle two chunks
+        if chunk:  # 5 pairs in chunks of 3 below 64: a full chunk and a part
             monkeypatch.setattr(unitary_ops, "_STACK_BYTES", chunk * 16 << 2 * n)
         seeds = range(5, 15)
         stacks = list(unitary_ops._composed_pairs(n, group, seeds, 3, basis))
-        draws = np.concatenate([d for d, _ in stacks])
-        products = np.concatenate([p for _, p in stacks])
+        step = unitary_ops._chunk(1 << n)
+        assert [len(p) for *_, p in stacks] == [min(step, 5 - s) for s in range(0, 5, step)]
+        u1, u2, products = (np.concatenate(parts) for parts in zip(*stacks))
         singles = [random_invariant(n, group, seed, 3, basis=basis) for seed in seeds]
-        assert len(draws) == 10 and len(products) == 5
-        for i, (u1, u2) in enumerate(zip(singles[::2], singles[1::2])):
-            assert np.array_equal(draws[2 * i], u1.matrix) and np.array_equal(draws[2 * i + 1], u2.matrix)
-            assert products[i].tobytes() == compose(u1, u2).matrix.tobytes()
+        assert len(u1) == len(u2) == len(products) == 5
+        for i, (a, b) in enumerate(zip(singles[::2], singles[1::2])):
+            assert np.array_equal(u1[i], a.matrix) and np.array_equal(u2[i], b.matrix)
+            assert products[i].tobytes() == compose(a, b).matrix.tobytes()
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_non_unitary_draw_or_product_refused(self, bad, monkeypatch):
         # Draws [1, 2], or draws [D, D^-1] with D = diag(2, 1/2), whose product is the identity.
         d = np.diag([2.0, 0.5]).astype(complex)
         stack = np.stack([d, np.linalg.inv(d)]) if bad == 0 else np.stack([np.eye(2), 2 * np.eye(2)]) + 0j
-        monkeypatch.setattr(unitary_ops, "_draw_stacks", lambda *_: iter([stack]))
+        monkeypatch.setattr(unitary_ops, "_draw_stacks", lambda _n, _group, seeds, *_: iter([stack[seeds]]))
         with pytest.raises(NotUnitaryError, match="exceeds"):
             next(unitary_ops._composed_pairs(1, None, range(2), 1, None))
 
@@ -1009,7 +1038,7 @@ class TestFlipBlocks:
             return [u, *(connectedness_path(u, t) for t in (0.0, 0.5, 1.0)), project_to_su(u)]
 
         for h in self.sums():
-            cosets = unitary_ops._generator_spectrum(h)[2]
+            cosets = one_sum_spectrum(h)[2]
             assert cosets is not None and len(cosets) > 1
             hm = dense_sum([(p.to_label(), c) for p, c in h.terms])
             alpha = 2.5 / np.abs(np.linalg.eigvalsh(hm)).max()  # eigenphases inside (-pi, pi)
