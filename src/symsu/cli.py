@@ -26,13 +26,12 @@ from .serialize import _pairs_json, load_matrix
 from .symmetry import PRESETS, SymmetryGroup, _defects, is_invariant, load_group, preset_group
 from .unitary_ops import (
     Unitary,
-    _basis_spectra,
+    _checked_residual,
     _composed_pairs,
-    _path_stack,
-    _random_invariants,
-    _scatter,
-    _spectral_exp,
+    _draw_stacks,
+    _element_exps,
     connectedness_path,
+    eig_unitary,
     project_to_su,
     random_invariant,
 )
@@ -69,7 +68,7 @@ def _emit_pieces(pieces, out: Path | None):
 
 def _csv_header(args, command: str):
     """Write the '# symsu <command> <UTC stamp>' line to stderr, unless --no-header, once
-    the command has its CSV; the CSV itself stays byte-stable."""
+    the command has written its CSV; the CSV itself stays byte-stable."""
     if not getattr(args, "no_header", False):
         print(f"# symsu {command} {datetime.now(timezone.utc).isoformat(timespec='seconds')}", file=sys.stderr)
 
@@ -138,8 +137,8 @@ def cmd_dim(args) -> int:
     for n in ns:
         group = _resolve_group(args.symmetry, n)
         lines.append(f"{n},{group.name},{burnside_dimension(n, group)}")
-    _csv_header(args, "dim")
     _emit("\n".join(lines), _resolve_out(args.out))
+    _csv_header(args, "dim")
     return 0
 
 
@@ -190,8 +189,8 @@ def cmd_path(args) -> int:
         point = connectedness_path(u, t)
         _, defect = is_invariant(point.matrix, group)
         lines.append(f"{_fmt(t)},{_fmt(defect)},{_fmt(point.unitarity_residual)}")
-    _csv_header(args, "path")
     _emit("\n".join(lines), _resolve_out(args.out))
+    _csv_header(args, "path")
     return 0
 
 
@@ -239,9 +238,8 @@ def cmd_verify(args) -> int:
 
     # Exponentials of symmetrized generators land in the invariant group.  Run first, as it
     # solves every element's eigenpairs a chunk at a time, and the draws below read them.
-    rng = np.random.default_rng(args.seed)
-    ok, worst = sweep((_spectral_exp(*spectrum, float(rng.uniform(0.0, 2.0 * np.pi))).matrix
-                       for spectrum in _basis_spectra(basis, range(len(basis)))), tol)
+    alphas = np.random.default_rng(args.seed).uniform(0.0, 2.0 * np.pi, len(basis)).tolist()
+    ok, worst = sweep(itertools.chain.from_iterable(_element_exps(basis, range(len(basis)), alphas)), tol)
     exp_result = ("exp_invariance", len(basis), ok,
                   f"elements={len(basis)} max_defect={worst:.3e} tol={tol:.1e}")
 
@@ -262,9 +260,10 @@ def cmd_verify(args) -> int:
     # The eigenphase path stays invariant and hits both endpoints: 11 points A(t) per draw, one stack.
     ok, worst = True, 0.0
     first = args.seed + 1000
-    for u in _random_invariants(group.n, group, range(first, first + paths), args.depth, basis):
-        blocks, _, cosets = _path_stack(u, np.linspace(0.0, 1.0, 11))
-        points = _scatter(blocks, cosets)
+    for u in map(Unitary, itertools.chain.from_iterable(
+            _draw_stacks(group.n, group, range(first, first + paths), args.depth, basis))):
+        points = eig_unitary(u)._points(np.linspace(0.0, 1.0, 11))  # a draw has no coset table
+        _checked_residual(points)
         ok = (ok and np.linalg.norm(points[0] - np.eye(u.dim)) < 1e-9
               and np.linalg.norm(points[-1] - u.matrix) < 1e-9)
         ok, worst = sweep(points, 1e-8, ok, worst)

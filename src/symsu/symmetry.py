@@ -306,17 +306,11 @@ def _map_defects(m: np.ndarray, tables) -> np.ndarray:
     return np.concatenate(defects)
 
 
-def _permutation_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """||S U - U S|| for the wire permutation S of each image row, its maps
-    built 512 rows at a time."""
-    return _map_defects(m, (_state_maps(images[start:start + 512]) for start in range(0, len(images), 512)))
-
-
 def symmetry_defect(u, element) -> float:
     """Frobenius norm of S U - U S, S a `QubitPermutation` or a square
     matrix; zero iff U commutes with S."""
     if isinstance(element, QubitPermutation):
-        return float(_permutation_defects(_square(u, element.n), np.array([element.image], dtype=np.int64))[0])
+        return float(_map_defects(_square(u, element.n), [_state_maps(np.array([element.image]))])[0])
     sm = np.asarray(element, dtype=complex)
     m = _square(u, len(sm).bit_length() - 1)
     return float(np.linalg.norm(sm @ m - m @ sm))
@@ -324,9 +318,10 @@ def symmetry_defect(u, element) -> float:
 
 def _defects(u, group: SymmetryGroup) -> np.ndarray:
     """symmetry_defect of each element of the group, in order; the elements
-    of a permutation group are swept as image rows."""
+    of a permutation group are swept as image rows, their maps built 512 rows at a time."""
     if group.images is not None:
-        return _permutation_defects(_square(u, group.n), group.images)
+        tables = (_state_maps(group.images[i:i + 512]) for i in range(0, len(group.images), 512))
+        return _map_defects(_square(u, group.n), tables)
     return np.array([symmetry_defect(u, e) for e in group.elements])
 
 

@@ -174,51 +174,64 @@ def _sum_spectra(n: int, x: np.ndarray, z: np.ndarray, coeffs, element: np.ndarr
     return spectra
 
 
-def _spectral_exp(w: np.ndarray, v: np.ndarray, cosets, alpha: float) -> Unitary:
-    """exp(-i*alpha/2 * H) from H's eigenpairs, which stay on the result for eig_unitary."""
+def exp_generator(h: PauliSum, alpha: float) -> Unitary:
+    """exp(-i*alpha/2 * H) for a Hermitian generator sum H and a finite alpha.
+
+    Computed through the Hermitian eigendecomposition of the realization,
+    so the result is unitary up to eigensolver error; the eigenpairs stay on
+    it for eig_unitary.  A sum with an even number of Y letters in every term
+    has a real realization, solved as such.
+    """
+    if not h.is_hermitian():
+        raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
     if not math.isfinite(alpha):
         raise ValueError(f"angle alpha must be finite, got {alpha}")
+    (w, v, cosets), = _sum_spectra(h.n, h.x, h.z, h.coeffs, np.zeros(len(h), dtype=np.int64), 1)
     lambdas = np.exp(-0.5j * alpha * w)
     u = Unitary(_spectral_product(v, lambdas), _cosets=cosets)
     u._spectrum = (v, lambdas)
     return u
 
 
-def exp_generator(h: PauliSum, alpha: float) -> Unitary:
-    """exp(-i*alpha/2 * H) for a Hermitian generator sum H and a finite alpha.
-
-    Computed through the Hermitian eigendecomposition of the realization,
-    so the result is unitary up to eigensolver error.  A sum with an even
-    number of Y letters in every term has a real realization, solved as such.
-    """
-    if not h.is_hermitian():
-        raise ValueError("generator must be Hermitian (real coefficients on phase-free terms)")
-    spectrum, = _sum_spectra(h.n, h.x, h.z, h.coeffs, np.zeros(len(h), dtype=np.int64), 1)
-    return _spectral_exp(*spectrum, alpha)
-
-
-def _basis_spectra(basis: InvariantBasis, ks):
-    """Yield the _sum_spectra of basis elements ks, in order, a chunk (_chunk) of ks at a time: the kept
-    ones are read, the rest realized as one stack from the basis's masks (unit coefficients: exact, as in
+def _basis_spectra(basis: InvariantBasis, ks) -> list:
+    """The _sum_spectra of basis elements ks, in order, ks at most a chunk (_chunk): the kept ones are
+    read, the rest realized as one stack from the basis's masks (unit coefficients: exact, as in
     exp_generator of the element) and kept on the basis, in order, while the kept byte total stays within
     _SPECTRA_BYTES."""
-    kept, chunk = basis._spectra, _chunk(1 << basis.n)
+    kept = basis._spectra
+    got = {k: kept[k] for k in ks if k in kept}
+    todo = np.array([k for k in dict.fromkeys(ks) if k not in got], dtype=np.int64)
+    if len(todo):  # a stack of none cannot be realized
+        lo, sizes = basis.offsets[todo], basis.offsets[todo + 1] - basis.offsets[todo]
+        terms = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        element = np.repeat(np.arange(len(todo)), sizes)
+        solved = _sum_spectra(basis.n, basis.x[terms], basis.z[terms], 1.0, element, len(todo))
+        for k, spectrum in zip(todo.tolist(), solved):
+            got[k] = spectrum
+            size = sum(a.nbytes for a in spectrum if a is not None)
+            if kept.nbytes + size <= _SPECTRA_BYTES:
+                kept[k] = spectrum
+                kept.nbytes += size
+    return [got[k] for k in ks]
+
+
+def _element_exps(basis: InvariantBasis, ks, alphas):
+    """Yield exp(-i*alpha/2 * A_k) for the basis elements ks and the float angles alphas, in order, as
+    stacks of a chunk (_chunk; one element from _REAL_PRODUCT_DIM on, where it may be blocked): one
+    spectral product of the chunk's eigenpairs (_basis_spectra), checked at once (finite, stack residual
+    below UNITARITY_TOL), then scattered if blocked, each matrix bit for bit exp_generator's of A_k."""
+    chunk = _chunk(1 << basis.n)
     for start in range(0, len(ks), chunk):
-        part = ks[start:start + chunk]
-        got = {k: kept[k] for k in part if k in kept}
-        todo = np.array([k for k in dict.fromkeys(part) if k not in got], dtype=np.int64)
-        if len(todo):  # a stack of none cannot be realized
-            lo, sizes = basis.offsets[todo], basis.offsets[todo + 1] - basis.offsets[todo]
-            terms = np.arange(sizes.sum()) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-            element = np.repeat(np.arange(len(todo)), sizes)
-            solved = _sum_spectra(basis.n, basis.x[terms], basis.z[terms], 1.0, element, len(todo))
-            for k, spectrum in zip(todo.tolist(), solved):
-                got[k] = spectrum
-                size = sum(a.nbytes for a in spectrum if a is not None)
-                if kept.nbytes + size <= _SPECTRA_BYTES:
-                    kept[k] = spectrum
-                    kept.nbytes += size
-        yield from (got[k] for k in part)
+        spectra = _basis_spectra(basis, ks[start:start + chunk])
+        lambdas = [np.exp(-0.5j * alpha * w) for alpha, (w, _, _) in zip(alphas[start:start + chunk], spectra)]
+        # A real P stacked with complex ones gets +0 imaginary parts, -0 in P+: that signs
+        # only zero terms, and a BLAS sum, started from +0, ends with the same bits.
+        factors = _spectral_product(np.stack([v for _, v, _ in spectra]), np.stack(lambdas))
+        _checked_residual(factors)
+        cosets = spectra[0][2]  # only in a chunk of one: its (1, blocks, b, b) stack scatters into one matrix
+        del spectra  # eigenpairs past _SPECTRA_BYTES are freed before the factors are used
+        yield _scatter(factors, cosets)
+        del factors  # freed before the next chunk's eigensolve
 
 
 def compose(u1: Unitary, u2: Unitary) -> Unitary:
@@ -236,13 +249,7 @@ def random_invariant(n: int, group: SymmetryGroup, seed: int, depth: int,
     Deterministic per seed; angles are uniform in [0, 2*pi).  A basis of
     another group must keep its orbit table under the group's generators.
     """
-    return next(_random_invariants(n, group, (seed,), depth, basis))
-
-
-def _random_invariants(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis | None = None):
-    """Yield random_invariant(n, group, seed, depth, basis) for each seed, in order."""
-    for u in _draw_stacks(n, group, seeds, depth, basis):
-        yield from map(Unitary, u)
+    return Unitary(next(_draw_stacks(n, group, (seed,), depth, basis))[0])
 
 
 def _composed_pairs(n: int, group: SymmetryGroup, seeds, depth: int, basis: InvariantBasis):
@@ -263,12 +270,10 @@ def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: Invaria
 
     Each seed draws from its own default_rng(seed).  The seeds go in chunks
     (_chunk; one seed from _REAL_PRODUCT_DIM on, where a factor may be
-    blocked).  Per depth step, the chunk's draws read their spectra at once
-    (_basis_spectra) and its factors are one stack, built by one
-    spectral product, checked at once (finite, stack residual below
-    UNITARITY_TOL), scattered if blocked and multiplied on by one stacked
-    matmul, a BLAS call per slice, so every product is bit for bit that of the
-    seed's exp_generator matrices, multiplied on one by one.
+    blocked).  Per depth step, the chunk's factors are one checked stack of
+    _element_exps, multiplied on by one stacked matmul, a BLAS call per slice,
+    so every product is bit for bit that of the seed's exp_generator matrices,
+    multiplied on one by one.
     """
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
@@ -290,16 +295,7 @@ def _draw_stacks(n: int, group: SymmetryGroup, seeds, depth: int, basis: Invaria
         u = np.broadcast_to(np.eye(dim, dtype=complex), (len(rngs), dim, dim))
         for _ in range(depth):
             draws = [(int(rng.integers(len(basis))), float(rng.uniform(0.0, 2.0 * math.pi))) for rng in rngs]
-            spectra = list(_basis_spectra(basis, [k for k, _ in draws]))
-            lambdas = [np.exp(-0.5j * alpha * w) for (_, alpha), (w, _, _) in zip(draws, spectra)]
-            # A real P stacked with complex ones gets +0 imaginary parts, -0 in P+: that signs
-            # only zero terms, and a BLAS sum, started from +0, ends with the same bits.
-            factors = _spectral_product(np.stack([v for _, v, _ in spectra]), np.stack(lambdas))
-            _checked_residual(factors)
-            # A coset table comes only from _REAL_PRODUCT_DIM on, in a chunk of one seed: its
-            # (1, blocks, b, b) stack scatters into one dim x dim factor.
-            u = _scatter(factors, spectra[0][2]) @ u
-            del factors, spectra  # freed before the next step's eigensolve
+            u = next(_element_exps(basis, *zip(*draws))) @ u  # its generator, holding the blocks, dies first
         yield u
 
 
@@ -441,17 +437,9 @@ def connectedness_path(a: Unitary, t: float) -> Unitary:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"path parameter must lie in [0, 1], got {t}")
-    blocks, residual, cosets = _path_stack(a, (t,))
-    return Unitary._checked(blocks[0], residual, cosets)
-
-
-def _path_stack(a, ts) -> tuple:
-    """(blocks, residual, cosets): connectedness_path(a, t) for each t of ts, as one stack of
-    EigDecomposition._points (of blocks on the rows of cosets, if not None), checked at once;
-    for one t, the residual is that point's own."""
     dec = eig_unitary(a)
-    blocks = dec._points(ts)
-    return blocks, _checked_residual(blocks), dec.cosets
+    blocks = dec._points((t,))
+    return Unitary._checked(blocks[0], _checked_residual(blocks), dec.cosets)
 
 
 def project_to_su(u: Unitary) -> Unitary:

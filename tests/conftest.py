@@ -105,7 +105,7 @@ def breadth_first_closure(n: int, generators: np.ndarray) -> np.ndarray:
 
 
 def transposition_defects(m: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Reference for symmetry._permutation_defects: ||S U - U S|| for the wire
+    """Reference for symmetry._defects of a permutation group: ||S U - U S|| for the wire
     permutation S of each image row, from U seen as a (2,)*2n tensor (axis k
     of each half is qubit n-1-k) with the wire permutation applied to its row
     and column axes, which gives the entries of S U S+ - U."""

@@ -201,6 +201,11 @@ class TestDimCommand:
     def test_negative_qubits_rejected(self, capsys):
         assert_rejected(capsys, "dim", "--n", "-1", "--symmetry", "full_swap")
 
+    def test_unwritable_out_rejected_without_header(self, capsys, tmp_path):
+        # The header is written only once the CSV is: a failed write leaves the error line alone.
+        (tmp_path / "file").write_text("")
+        assert_rejected(capsys, "dim", "--n", "3", "--symmetry", "full_swap", "--out", str(tmp_path / "file" / "x"))
+
     def test_full_swap_eight_qubits(self, capsys):
         code, out, _ = run(capsys, "dim", "--n", "8", "--symmetry", "full_swap", "--no-header")
         assert code == 0 and out.splitlines() == ["n,group,dimension", "8,full_swap,164"]
@@ -432,6 +437,11 @@ class TestPathCommand:
         save_matrix(path, np.eye(4))
         assert_rejected(capsys, "path", str(path), "--symmetry", "full_swap", "--samples", "-2")
 
+    def test_unwritable_out_rejected_without_header(self, capsys, tmp_path):
+        path = tmp_path / "eye.json"
+        save_matrix(path, np.eye(4))
+        assert_rejected(capsys, "path", str(path), "--symmetry", "full_swap", "--out", str(path / "x"))
+
     def test_full_swap_nine_qubits_sweeps_the_generators(self, capsys, tmp_path):
         # path reads the 8 transpositions only; check lists all 9! elements and refuses
         group = preset_group("full_swap", 9)
@@ -623,6 +633,15 @@ class TestVerifyCommand:
     def test_negative_seed_rejected(self, capsys):
         err = assert_rejected(capsys, "verify", "--n", "2", "--symmetry", "full_swap", "--seed", "-1")
         assert "--seed must be at least 0, got -1" in err
+
+    def test_corrupted_path_decomposition_rejected(self, capsys, monkeypatch):
+        # Eigenvectors scaled by 1.5 make every path point 2.25 times a unitary; the stack check refuses it.
+        def corrupted(u):
+            dec = unitary_ops.eig_unitary(u)
+            return unitary_ops.EigDecomposition(dec.eigenvectors * 1.5, dec.thetas, dec.clusters)
+        monkeypatch.setattr(cli, "eig_unitary", corrupted)
+        err = assert_rejected(capsys, "verify", "--n", "3", "--symmetry", "cyclic", "--pairs", "1", "--paths", "1")
+        assert "exceeds" in err
 
     def test_each_element_realized_once_per_command(self, capsys, monkeypatch):
         # The eigenpairs kept for each basis element die with the command's

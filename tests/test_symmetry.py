@@ -6,6 +6,7 @@ import pickle
 import re
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ from symsu.symmetry import (
     _close_images,
     _compose,
     _defects,
+    _map_defects,
     _move_masks,
     _moved_keys,
-    _permutation_defects,
     _phase_key,
     _state_maps,
     full_swap_generators,
@@ -628,6 +629,11 @@ class TestDefectAndInvariance:
                 assert not flag and np.isnan(worst)
 
 
+def image_rows(images: np.ndarray) -> SimpleNamespace:
+    """A stand-in permutation group for _defects: any (k, n) image rows, repeats and all."""
+    return SimpleNamespace(n=images.shape[1], images=images)
+
+
 class TestPermutationDefectKernel:
     """The axis-permutation kernel against the dense product S U - U S."""
 
@@ -643,7 +649,7 @@ class TestPermutationDefectKernel:
         for m in (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), lopsided):
             oracle = [fro(s @ m - m @ s) for s in
                       (QubitPermutation(n, row).to_matrix() for row in images.tolist())]
-            got = _permutation_defects(m, images)
+            got = _defects(m, image_rows(images))
             assert np.allclose(got, oracle, rtol=1e-12, atol=1e-14)
             moved = (images != np.arange(n)).any(axis=1)
             assert (got[moved] > 1e-3).all() and (got[~moved] == 0).all()
@@ -667,7 +673,7 @@ class TestGatherKernel:
         big = rng.normal(size=(2 * dim, 3 * dim)) + 1j * rng.normal(size=(2 * dim, 3 * dim))
         m = {"C": big[:dim, :dim].copy(), "F": np.asfortranarray(big[:dim, :dim]), "strided": big[::2, 1::3],
              "real": big.real[:dim, :dim].copy(), "real strided": big.real[::2, 1::3]}[layout]
-        got = _permutation_defects(m, images)
+        got = _map_defects(m, [_state_maps(images)])
         assert got[0] == 0.0  # the identity row
         assert np.array_equal(got, transposition_defects(np.ascontiguousarray(m), images))
         if layout == "F":
@@ -677,7 +683,7 @@ class TestGatherKernel:
 
     def test_no_rows(self):
         for n in (1, 3):
-            got = _permutation_defects(np.eye(1 << n, dtype=complex), np.empty((0, n), dtype=np.int64))
+            got = _defects(np.eye(1 << n, dtype=complex), image_rows(np.empty((0, n), dtype=np.int64)))
             assert got.shape == (0,) and got.dtype == float
         assert is_invariant(np.eye(8), preset_group("trivial", 3)) == (True, 0.0)
 
@@ -687,7 +693,7 @@ class TestGatherKernel:
         m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         tracemalloc.start()
         try:
-            got = _permutation_defects(m, images)
+            got = _defects(m, image_rows(images))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

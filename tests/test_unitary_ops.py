@@ -1,5 +1,6 @@
 """Exponential map, invariant sampling, eigenphase paths, SU projection."""
 
+import itertools
 import json
 import pickle
 import re
@@ -35,14 +36,13 @@ from symsu import (
     save_matrix,
     symmetrize,
 )
-from symsu import unitary_ops
+from symsu import cli, unitary_ops
 from symsu.paulis import PauliString
 from symsu.unitary_ops import (
     CLUSTER_TOL,
     UNITARITY_TOL,
     _assemble,
     _cluster_indices,
-    _random_invariants,
     _spectral_product,
     _unitarity_residual,
 )
@@ -93,6 +93,18 @@ def one_sum_spectrum(h: PauliSum, alpha: float = 0.3) -> tuple:
     assert u._spectrum[1].tobytes() == np.exp(-0.5j * alpha * w).tobytes()
     assert u._cosets is cosets is None or np.array_equal(u._cosets, cosets)
     return w, v, cosets
+
+
+def all_spectra(basis) -> list:
+    """_basis_spectra of every element of the basis, a chunk (_chunk) of indices per call."""
+    ks, chunk = range(len(basis)), unitary_ops._chunk(1 << basis.n)
+    return [spectrum for start in range(0, len(ks), chunk)
+            for spectrum in unitary_ops._basis_spectra(basis, ks[start:start + chunk])]
+
+
+def drawn(n: int, group, seeds, depth: int, basis=None):
+    """Each seed's draw as a Unitary, as verify's path suite maps them over _draw_stacks."""
+    return map(Unitary, itertools.chain.from_iterable(unitary_ops._draw_stacks(n, group, seeds, depth, basis)))
 
 
 def complex_products():
@@ -421,7 +433,7 @@ class TestRandomInvariant:
 
 class TestBasisSpectra:
     """Each element's eigenpairs are kept on its basis; the exponentials
-    built from them are bit for bit those of exp_generator."""
+    _element_exps builds from them are bit for bit those of exp_generator."""
 
     CASES = [(preset, n) for preset in ("full_swap", "cyclic", "dihedral") for n in (2, 3, 4, 5)]
 
@@ -439,18 +451,22 @@ class TestBasisSpectra:
             u = random_invariant(n, group, seed, 8, basis=basis)
             assert np.array_equal(u.matrix, oracle)
 
-    @pytest.mark.parametrize("preset, n", CASES)
-    def test_element_factor_matches_exp_generator(self, preset, n):
+    @pytest.mark.parametrize("preset, n", CASES + [("full_swap", 6)])
+    def test_element_factor_matches_exp_generator(self, preset, n, monkeypatch):
         basis = build_basis(n, preset_group(preset, n))
-        rng = np.random.default_rng(n)
-        for k, element in enumerate(basis.elements):
-            alpha = float(rng.uniform(0.0, 2.0 * np.pi))
-            oracle = exp_generator(element, alpha).matrix
-            for _ in range(2):  # the second call reads the kept spectrum
-                u = unitary_ops._spectral_exp(*next(unitary_ops._basis_spectra(basis, [k])), alpha)
-                assert np.array_equal(u.matrix, oracle)
+        d, dim = len(basis), 1 << n
+        alphas = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, d).tolist()
+        oracle = [exp_generator(element, alpha).matrix.tobytes() for element, alpha in zip(basis.elements, alphas)]
+        for chunk in (None, 3):  # the default chunks solve every spectrum; chunks of 3 read them kept
+            if chunk:  # from 64 on a chunk is one element either way
+                monkeypatch.setattr(unitary_ops, "_STACK_BYTES", chunk * 16 * dim * dim)
+            step = unitary_ops._chunk(dim)
+            stacks = list(unitary_ops._element_exps(basis, range(d), alphas))
+            assert [len(stack) for stack in stacks] == [min(step, d - start) for start in range(0, d, step)]
+            assert [m.tobytes() for m in itertools.chain.from_iterable(stacks)] == oracle
         real = [np.isrealobj(v) for _, v, _ in basis._spectra.values()]
-        assert len(real) == len(basis) and any(real) and not all(real)
+        assert len(real) == d and any(real) and not all(real)
+        assert any(cosets is not None for *_, cosets in basis._spectra.values()) == (n == 6)  # scattered
 
     def test_kept_spectra_stop_at_the_byte_budget(self, monkeypatch):
         group = preset_group("cyclic", 6)
@@ -467,11 +483,11 @@ class TestBasisSpectra:
 
     def test_kept_spectra_are_read_only(self, s2):
         basis = build_basis(2, s2)
-        u = unitary_ops._spectral_exp(*next(unitary_ops._basis_spectra(basis, [0])), 0.3)
-        assert u._spectrum[0] is basis._spectra[0][1]
+        first, = unitary_ops._basis_spectra(basis, [0])
+        assert unitary_ops._basis_spectra(basis, [0])[0] is first is basis._spectra[0]
         for preset, n in (("full_swap", 3), ("cyclic", 4), ("full_swap", 6)):  # blocked ones at n=6
             basis = build_basis(n, preset_group(preset, n))
-            got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
+            got = all_spectra(basis)
             assert len(basis._spectra) == len(basis) and any(c is not None for *_, c in got) == (n == 6)
             for spectrum in basis._spectra.values():
                 assert not any(a.flags.writeable for a in spectrum if a is not None)
@@ -485,7 +501,7 @@ class TestBasisSpectra:
     @pytest.mark.parametrize("preset, n", CASES + [("full_swap", 1), ("trivial", 3), ("cyclic", 6)])
     def test_stacked_spectra_match_one_element_solves(self, preset, n):
         basis = build_basis(n, preset_group(preset, n))
-        got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
+        got = all_spectra(basis)
         assert len(got) == len(basis) and list(basis._spectra) == list(range(len(basis)))
         for k, (w, v, cosets) in enumerate(got):
             ow, ov, ocosets = one_sum_spectrum(basis.elements[k])
@@ -498,10 +514,11 @@ class TestBasisSpectra:
         held = [sum(a.nbytes for a in kept if a is not None)
                 for kept in unitary_ops._basis_spectra(build_basis(5, group), range(10))]
         monkeypatch.setattr(unitary_ops, "_SPECTRA_BYTES", sum(held[:10]))
-        monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 << 10)  # chunks of 3: the 4th is split
+        monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 << 10)  # chunks of 3: the first has 2 kept
         basis = build_basis(5, group)
-        first = next(unitary_ops._basis_spectra(basis, [2]))  # kept already: read, not solved again
-        got = list(unitary_ops._basis_spectra(basis, range(len(basis))))
+        first, = unitary_ops._basis_spectra(basis, [2])  # kept already: read, not solved again
+        assert len(list(unitary_ops._element_exps(basis, range(len(basis)), [0.5] * len(basis)))) == 45
+        got = all_spectra(basis)
         assert list(basis._spectra) == [2, 0, 1, *range(3, 10)] and got[2] is first
         for k, (w, v, _) in enumerate(got):
             ow, ov, _ = one_sum_spectrum(basis.elements[k])
@@ -511,22 +528,23 @@ class TestBasisSpectra:
         counts, realize = [], unitary_ops._realize
         monkeypatch.setattr(unitary_ops, "_realize", lambda *a: counts.append(a[-1]) or realize(*a))
         basis = build_basis(6, preset_group("full_swap", 6))
-        assert len(list(unitary_ops._basis_spectra(basis, range(len(basis))))) == len(basis) == 83
+        stacks = list(unitary_ops._element_exps(basis, range(len(basis)), [0.5] * len(basis)))
+        assert len(stacks) == len(basis) == 83
         assert counts == [1] * 83
 
     def test_repeated_and_kept_indices_solved_once(self, monkeypatch):
         counts, realize = [], unitary_ops._realize
         monkeypatch.setattr(unitary_ops, "_realize", lambda *a: counts.append(a[-1]) or realize(*a))
         basis = build_basis(4, preset_group("dihedral", 4))
-        first = list(unitary_ops._basis_spectra(basis, [5, 2, 5]))
+        first = unitary_ops._basis_spectra(basis, [5, 2, 5])
         assert counts == [2] and first[0] is first[2] is basis._spectra[5]
-        again = list(unitary_ops._basis_spectra(basis, [2, 7, 5, 7]))
+        again = unitary_ops._basis_spectra(basis, [2, 7, 5, 7])
         assert counts == [2, 1] and again[0] is first[1] and again[2] is first[0] and again[1] is again[3]
-        assert list(unitary_ops._basis_spectra(basis, [])) == [] and counts == [2, 1]
+        assert unitary_ops._basis_spectra(basis, []) == [] and counts == [2, 1]
 
 
 class TestStackedDraws:
-    """_random_invariants: a depth step of a chunk of seeds is one factor stack, checked at
+    """_draw_stacks: a depth step of a chunk of seeds is one factor stack, checked at
     once, and from _REAL_PRODUCT_DIM on a chunk is one seed whose blocked factor is scattered;
     every product is bit for bit the one-seed one and the explicit exp_generator product."""
 
@@ -548,7 +566,7 @@ class TestStackedDraws:
         monkeypatch.setattr(unitary_ops, "_STACK_BYTES", 3 * 16 * dim * dim)  # chunks of 3 seeds
         for depth in (1, 4):
             seeds = range(10, 17)  # 7 seeds: two full chunks and one of 1
-            got = list(_random_invariants(n, group, seeds, depth, basis))
+            got = list(drawn(n, group, seeds, depth, basis))
             assert len(got) == len(seeds)
             for seed, u in zip(seeds, got):
                 assert isinstance(u, Unitary) and not u.matrix.flags.writeable
@@ -561,7 +579,7 @@ class TestStackedDraws:
         group = preset_group("full_swap", 5)
         basis = build_basis(5, group)
         assert unitary_ops._STACK_BYTES // (16 << 10) == 8
-        got = list(_random_invariants(5, group, range(3, 22), 6, basis))  # 19 seeds: chunks 8, 8, 3
+        got = list(drawn(5, group, range(3, 22), 6, basis))  # 19 seeds: chunks 8, 8, 3
         for seed, u in zip(range(3, 22), got, strict=True):
             assert np.array_equal(u.matrix, random_invariant(5, group, seed, 6, basis=basis).matrix)
 
@@ -569,7 +587,7 @@ class TestStackedDraws:
     def test_basis_of_a_larger_group(self, n):
         cyclic = preset_group("cyclic", n)
         basis = build_basis(n, preset_group("full_swap", n))
-        got = list(_random_invariants(n, cyclic, range(9), 3, basis))
+        got = list(drawn(n, cyclic, range(9), 3, basis))
         for seed, u in enumerate(got):
             assert np.array_equal(u.matrix, self.explicit_product(basis, seed, 3))
             assert is_invariant(u.matrix, cyclic, 1e-9)[0]
@@ -579,37 +597,50 @@ class TestStackedDraws:
         """A full_swap basis whose every kept spectrum (w, v, None) is corrupt(w, v)."""
         group = preset_group("full_swap", n)
         basis = build_basis(n, group)
-        list(unitary_ops._basis_spectra(basis, range(len(basis))))
+        all_spectra(basis)
         for k, (w, v, cosets) in basis._spectra.items():
             basis._spectra[k] = (*corrupt(w, v), cosets)
         return group, basis
 
-    def test_non_orthonormal_factor_stack_refused(self):
-        # Each factor is 1.5 U for a unitary U, so the first step's stack of 4 has residual
-        # 1.25 sqrt(4 dim); the products after 3 steps would report 1.5^6 - 1 times sqrt(dim).
-        group, basis = self.corrupted_basis(3, lambda w, v: (w, v * np.sqrt(1.5)))
-        draws = _random_invariants(3, group, range(4), 3, basis)
-        with pytest.raises(NotUnitaryError, match="exceeds") as info:
-            next(draws)
-        residual = float(re.search(r"= (\S+) exceeds", str(info.value)).group(1))
-        assert residual == pytest.approx(1.25 * np.sqrt(4 * 8), rel=1e-3)
+    @staticmethod
+    def refusal(route, group, basis, capsys, monkeypatch) -> str:
+        """The NotUnitaryError message of the first draws of 4 seeds at depth 3 from the basis, or the one
+        line of `verify`, whose exp suite runs first and sweeps the basis in one stack, exiting 2."""
+        if route == "draws":
+            with pytest.raises(NotUnitaryError) as info:
+                next(drawn(3, group, range(4), 3, basis))
+            return str(info.value)
+        monkeypatch.setattr(cli, "build_basis", lambda n, group: basis)
+        assert cli.main(["verify", "--n", "3", "--symmetry", "full_swap"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return err
 
-    def test_non_finite_factor_refused(self):
+    def test_non_orthonormal_factor_stack_refused(self, capsys, monkeypatch):
+        # Each factor is 1.5 U for a unitary U, so the first stack of k factors has residual
+        # 1.25 sqrt(k dim): k = 4 seeds, or all 19 elements; products after 3 steps would report 1.5^6 - 1.
+        group, basis = self.corrupted_basis(3, lambda w, v: (w, v * np.sqrt(1.5)))
+        for route, count in (("draws", 4), ("exp suite", 19)):
+            message = self.refusal(route, group, basis, capsys, monkeypatch)
+            residual = float(re.search(r"= (\S+) exceeds", message).group(1))
+            assert residual == pytest.approx(1.25 * np.sqrt(count * 8), rel=1e-3)
+
+    def test_non_finite_factor_refused(self, capsys, monkeypatch):
         def with_nan(w, v):
             w = w.copy()
             w[0] = np.nan
             return w, v
         group, basis = self.corrupted_basis(3, with_nan)
-        with pytest.raises(NotUnitaryError, match="non-finite entry"):
-            next(_random_invariants(3, group, range(4), 3, basis))
+        for route in ("draws", "exp suite"):
+            assert "non-finite entry" in self.refusal(route, group, basis, capsys, monkeypatch)
 
     def test_draws_stay_within_a_memory_bound(self):
         group = preset_group("full_swap", 5)
         basis = build_basis(5, group)
-        list(unitary_ops._basis_spectra(basis, range(len(basis))))  # keep every spectrum the draws read
+        all_spectra(basis)  # keep every spectrum the draws read
         tracemalloc.start()
         try:
-            count = sum(1 for _ in _random_invariants(5, group, range(100), 6, basis))
+            count = sum(1 for _ in drawn(5, group, range(100), 6, basis))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -650,21 +681,23 @@ class TestComposedPairs:
 
 
 class TestPathStack:
-    """_path_stack: the points A(t) of one decomposition as one stack, checked at once; its
-    one-t case is connectedness_path, with that point's own residual."""
+    """verify's path points: EigDecomposition._points of one decomposition as one stack, checked
+    at once; its one-t case is connectedness_path, with that point's own residual."""
 
     @staticmethod
     def unitaries():
         for preset, n in (("full_swap", 3), ("dihedral", 5)):
             group = preset_group(preset, n)
-            yield from _random_invariants(n, group, range(3), 4)
+            yield from drawn(n, group, range(3), 4)
         yield exp_generator(next(TestFlipBlocks.sums()), 1.3)  # blocked
         yield Unitary(np.diag(np.exp(1j * np.array([0.4, 0.4, -2.0, 3.0]))))  # a cluster of two
 
     def test_points_match_connectedness_path(self):
         ts = np.linspace(0.0, 1.0, 11)
         for u in self.unitaries():
-            blocks, residual, cosets = unitary_ops._path_stack(u, ts)
+            dec = eig_unitary(u)
+            blocks, cosets = dec._points(ts), dec.cosets
+            residual = unitary_ops._checked_residual(blocks)
             assert np.array_equal(cosets, u._cosets) if u._cosets is not None else cosets is None
             points = unitary_ops._scatter(blocks, cosets)
             assert points.shape == (11, u.dim, u.dim)
@@ -672,7 +705,7 @@ class TestPathStack:
             for t, point in zip(ts, points):
                 single = connectedness_path(u, float(t))
                 assert point.tobytes() == single.matrix.tobytes()
-                assert single.unitarity_residual == unitary_ops._path_stack(u, (float(t),))[1]
+                assert single.unitarity_residual == unitary_ops._checked_residual(dec._points((float(t),)))
                 recount = Unitary(unitary_ops._blocks(single.matrix, cosets), _cosets=cosets)
                 assert single.unitarity_residual == recount.unitarity_residual
                 own.append(single.unitarity_residual)
@@ -683,7 +716,7 @@ class TestPathStack:
         dec = eig_unitary(u)
         u._eig = unitary_ops.EigDecomposition(dec.eigenvectors * 1.5, dec.thetas, dec.clusters)
         with pytest.raises(NotUnitaryError, match="exceeds"):
-            unitary_ops._path_stack(u, np.linspace(0.0, 1.0, 11))
+            connectedness_path(u, 0.5)
 
 
 class TestEigUnitary:
